@@ -144,21 +144,30 @@ def ext_power(b: FormalBundle, k: int) -> FormalBundle:
 
 def _substitute_all(epolys, b: FormalBundle) -> tuple:
     cs = [chern_class(b, j) for j in range(0, b.rank + 1)]
-    return tuple(_substitute(ep, cs, b.ring) for ep in epolys)
+    powers: dict[int, list] = {}
+
+    def power(j: int, m: int):
+        """``c_j ** m`` for ``m >= 1``, each power built once per call."""
+        built = powers.setdefault(j, [cs[j]])
+        while len(built) < m:
+            built.append(built[-1] * cs[j])
+        return built[m - 1]
+
+    return tuple(_substitute(ep, power, b.ring) for ep in epolys)
 
 
-def _substitute(epoly, cs, ring):
+def _substitute(epoly, power, ring):
     total = ring.zero()
     for emon, coeff in epoly:
         term = ring.one()
-        for j, mult in enumerate(emon):
+        for j, mult in enumerate(emon, start=1):
             if mult == 0:
                 continue
-            cj = cs[j + 1]
-            if not cj:
+            cj_power = power(j, mult)
+            if not cj_power:
                 term = ring.zero()
                 break
-            term = term * cj ** mult
+            term = term * cj_power
         if term:
             total = total + coeff * term
     return total

@@ -768,6 +768,10 @@ def run(argv: list[str]) -> CommandResult:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # Exact integers print in full: lift the int-to-str digit limit
+    # (Python 3.10.7+), which would otherwise fail on results over 4300 digits.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         result = run(argv)
     except SystemExit as exc:  # argparse usage errors

@@ -38,6 +38,7 @@ FAMILY_NAMES = (
     "V16",
     "V18",
     "V22",
+    "V22-mu",
 )
 
 

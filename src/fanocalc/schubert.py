@@ -6,8 +6,10 @@ n-dimensional vector space is free over the integers on Schubert classes
 the weight of the partition.  Multiplication is realized by a small trusted
 kernel: the Pieri rule handles products with single-row classes, and the
 Giambelli determinant reduces an arbitrary class to an alternating sum of
-single-row products.  Out-of-box partitions are the zero class, which gives
-exactly the quotient-ring semantics.
+single-row products.  The determinant is expanded row by row over subsets of
+its columns (Laplace), so a class with l rows costs l * 2^(l-1) Pieri steps
+rather than the l * l! of the Leibniz rule.  Out-of-box partitions are the
+zero class, which gives exactly the quotient-ring semantics.
 
 Two indexing conventions are around.  Internally everything is *linear*:
 ``G(k, n)`` parametrizes k-dimensional linear subspaces of an n-dimensional
@@ -21,7 +23,6 @@ Coefficients are arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator, Mapping
 
 from .chern import FormalBundle
@@ -168,9 +169,15 @@ class ChowElement:
     def __pow__(self, exponent: int) -> "ChowElement":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = unit(self.context)
+        ctx = self.context
+        weights = [sum(p) for p in self.terms]
+        if exponent and weights and min(weights) * exponent > ctx.top_degree:
+            return zero(ctx)
+        result = unit(ctx)
         for _ in range(exponent):
             result = result * self
+            if not result:
+                break
         return result
 
     def weight(self) -> int | None:
@@ -255,38 +262,43 @@ def pieri(x: ChowElement, a: int) -> ChowElement:
     return ChowElement(ctx, out)
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def _times_schubert(x: ChowElement, lam: Partition) -> ChowElement:
     """``x * sigma_lam`` through the Giambelli determinant and iterated Pieri.
 
-    The determinant ``det(sigma_(lam_i + j - i))`` is expanded by the Leibniz
-    rule; single-row classes outside the box kill the whole permutation term.
+    The determinant ``det(sigma_(lam_i + j - i))`` is expanded row by row
+    (Laplace), keeping one partial product per set of columns used so far.
+    Row i moves each partial product on by Pieri with the entry of every
+    unused column j, with sign ``(-1)^(#used columns > j)``; entries whose
+    index is negative or exceeds the box width are zero.  That is
+    ``l * 2^(l-1)`` Pieri steps for ``l`` rows, against ``l * l!`` for the
+    Leibniz rule.
     """
     if not lam:
         return x
     ctx = x.context
     size = len(lam)
-    acc = zero(ctx)
-    for perm in permutations(range(size)):
-        degs = [lam[i] + perm[i] - i for i in range(size)]
-        if any(d < 0 or d > ctx.cols for d in degs):
-            continue
-        term = x
-        for d in degs:
-            if d == 0:
-                continue
-            term = pieri(term, d)
-            if not term:
-                break
-        if term:
-            acc = acc + _perm_sign(perm) * term
-    return acc
+    partial = {0: x}
+    for i, part in enumerate(lam):
+        sums: dict[int, dict[Partition, int]] = {}
+        for used, term in partial.items():
+            for j in range(size):
+                bit = 1 << j
+                d = part + j - i
+                if used & bit or d < 0 or d > ctx.cols:
+                    continue
+                moved = pieri(term, d) if d else term
+                if not moved:
+                    continue
+                sign = -1 if (used >> (j + 1)).bit_count() % 2 else 1
+                out = sums.setdefault(used | bit, {})
+                for mu, coeff in moved.terms.items():
+                    out[mu] = out.get(mu, 0) + sign * coeff
+        partial = {}
+        for used, terms in sums.items():
+            term = ChowElement(ctx, terms)
+            if term:
+                partial[used] = term
+    return partial.get((1 << size) - 1, zero(ctx))
 
 
 def giambelli(ctx: GrassmannContext, parts: Iterable[int]) -> ChowElement:

@@ -199,12 +199,24 @@ def cotangent_twist_lmin(w) -> int:
     j < k of ``O(l - a_j - a_k)``; the returned l is the least one with every
     such summand of nonnegative degree and base-point free on the smooth
     locus.  This is an upper bound for the true minimal twist.
+
+    The search stops at a proven limit: ``O(m)`` is generated on the smooth
+    locus once m exceeds the Frobenius number of every minimal unit support,
+    and Schur's bound ``(a_min - 1)(a_max - 1) - 1`` bounds each of those, so
+    ``max(pair sums) + 1 + max(Schur bounds)`` always generates.
     """
     wv = _require_well_formed(w)
     if wv.n < 2:
         raise ValueError("need at least three weights")
     pair_sums = sorted({a + b for a, b in combinations(wv.weights, 2)})
-    limit = sum(wv.weights) + 2 * max(wv.weights)
+    frobenius_bound = max(
+        (min(gens) - 1) * (max(gens) - 1) - 1
+        for gens in (
+            [wv.weights[i] for i in support]
+            for support in _minimal_unit_supports(wv.weights)
+        )
+    )
+    limit = pair_sums[-1] + 1 + frobenius_bound
     for twist in range(0, limit + 1):
         if all(twist - s >= 0 and is_generated(wv, twist - s) for s in pair_sums):
             return twist

@@ -154,6 +154,23 @@ def test_cubic_surface_27_lines():
     assert integrate(top_chern(sym_power(tautological_dual(ctx), 3))) == 27
 
 
+@pytest.mark.parametrize(
+    "n,count",
+    [
+        (3, 27),
+        (4, 2875),
+        (5, 698005),
+        (6, 305093061),
+        (7, 210480374951),
+        (8, 210776836330775),
+    ],
+)
+def test_lines_on_hypersurfaces_of_degree_2n_minus_3(n, count):
+    # OEIS A027363: lines on a general hypersurface of degree 2n-3 in P^n
+    ctx = GrassmannContext.from_projective(1, n)
+    assert integrate(top_chern(sym_power(tautological_dual(ctx), 2 * n - 3))) == count
+
+
 def test_ext_of_rank2_is_determinant():
     ring = TruncatedPolynomialRing(("c1", "c2"), (1, 2), truncation=4)
     c1, c2 = ring.gens

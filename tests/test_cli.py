@@ -114,6 +114,13 @@ def test_json_output_is_deterministic(capsys):
     assert doc["provenance"]
 
 
+def test_json_prints_integers_over_4300_digits(capsys):
+    argv = ["--json", "schubert", "integrate", "--gr", "1,2", "--expr", "2^20000*s[1]^2"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == 2**20000
+
+
 def test_domain_error_exit_code(capsys):
     assert main(["db", "lookup", "NOPE"]) == 1
     err = capsys.readouterr().err

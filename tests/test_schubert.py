@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fanocalc import schubert
 from fanocalc.schubert import (
     ChowElement,
     GrassmannContext,
@@ -161,6 +162,25 @@ def test_multiply_matches_oracle_on_bigger_box():
         assert multiply(sigma(G36, *lam), sigma(G36, *mu)).terms == expected
 
 
+@st.composite
+def boxed_pairs(draw):
+    k = draw(st.integers(1, 4))
+    ctx = GrassmannContext(k, draw(st.integers(k + 1, 9)))
+    return ctx, draw(boxed_partitions(ctx)), draw(boxed_partitions(ctx))
+
+
+@given(boxed_pairs())
+def test_multiply_matches_oracle_up_to_g49(pair):
+    ctx, lam, mu = pair
+    expected = schubert_product(ctx.k, ctx.cols, lam, mu)
+    assert multiply(sigma(ctx, *lam), sigma(ctx, *mu)).terms == expected
+
+
+@pytest.mark.parametrize("lam", [(7, 6, 5, 4, 3, 2, 1), (2,) * 7])
+def test_giambelli_seven_rows(lam):
+    assert giambelli(GrassmannContext(7, 14), lam).terms == {lam: 1}
+
+
 @given(elements(G25), elements(G25))
 def test_multiply_commutes(x, y):
     assert multiply(x, y) == multiply(y, x)
@@ -185,6 +205,24 @@ def test_integrate_examples():
     assert integrate(sigma(G25, 1) ** 6) == 5
     assert integrate(sigma(G25, 3, 3)) == 1
     assert integrate(zero(G25)) == 0
+
+
+def test_power_beyond_top_degree_is_zero_without_products(monkeypatch):
+    calls = []
+    real_pieri = schubert.pieri
+
+    def counting_pieri(x, a):
+        calls.append(a)
+        return real_pieri(x, a)
+
+    monkeypatch.setattr(schubert, "pieri", counting_pieri)
+    assert not sigma(G24, 1) ** 300000
+    assert not zero(G24) ** 300000
+    assert len(calls) == 0
+    assert sigma(G24, 1) ** 4 == 2 * sigma(G24, 2, 2)
+    assert len(calls) == 4
+    assert unit(G24) ** 3 == unit(G24)
+    assert zero(G24) ** 0 == unit(G24)
 
 
 def test_integrate_rejects_non_top_degree():

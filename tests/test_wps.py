@@ -134,10 +134,22 @@ def test_lmin_key_values():
 
 
 @pytest.mark.parametrize(
-    "weights", [(1, 1, 1, 1), (1, 1, 1, 1, 2), (1, 1, 1, 2, 3), (1, 1, 1, 1, 3), (1, 1, 1, 1, 1, 2)]
+    "weights",
+    [
+        (1, 1, 1, 1),
+        (1, 1, 1, 1, 2),
+        (1, 1, 1, 2, 3),
+        (1, 1, 1, 1, 3),
+        (1, 1, 1, 1, 1, 2),
+        # twists 34 and 74: beyond a search limit of sum + 2*max weights
+        (1, 2, 3, 5, 7),
+        (2, 3, 5, 7, 11),
+    ],
 )
 def test_lmin_matches_brute_force(weights):
-    assert cotangent_twist_lmin(WeightVector(weights)) == cotangent_twist_brute(weights)
+    expected = cotangent_twist_brute(weights, lmax=100)
+    assert expected is not None
+    assert cotangent_twist_lmin(WeightVector(weights)) == expected
 
 
 def test_lmin_needs_enough_weights():
