@@ -1,9 +1,19 @@
 """Batch command-line front end.
 
-Every operation of the library is exposed as a subcommand; ``--json``
-switches the output to a single-line machine-readable document with fields
-``{command, status, inputs, result, provenance}``.  Exit codes: 0 on
-success, 1 on a domain error, 2 on a usage error.
+Every operation of the library is one row of the command table
+``COMMANDS``, which maps ``"group op"`` to ``(handler, flags)``.  A handler
+takes the parsed arguments and returns ``(result, provenance)``; the flags
+are ``(names, add_argument keywords)`` pairs, a list of pairs being a
+mutually exclusive group, and flag sets shared by several commands (``GR``,
+``BUNDLE``, ``TARGET``, ``VERY_AMPLE``) are declared once.
+``build_parser`` builds every subparser by looping over the table, and
+``run`` passes every result through ``_plain``, the one serializer.
+
+``--json`` switches the output to a single-line machine-readable document
+with fields ``{command, status, inputs, result, provenance}``, or
+``{command, status, message}`` on an error; usage errors print such a
+document too.  Exit codes: 0 on success, 1 on a domain error, 2 on a usage
+error.
 """
 
 from __future__ import annotations
@@ -12,34 +22,16 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 from . import degree_bound, fano_db, reports, riemann_roch, wps
-from .chern import (
-    FormalBundle,
-    chern_class,
-    dual,
-    ext_power,
-    line_bundle,
-    sym_power,
-    top_chern,
-    twist_line,
-    whitney_sum,
-)
+from .chern import FormalBundle, dual, ext_power, line_bundle, sym_power, top_chern, twist_line
+from .chern import whitney_sum
 from .rings import PolyElement, line_ring
-from .schubert import (
-    ChowElement,
-    GrassmannContext,
-    SchubertRing,
-    giambelli,
-    integrate,
-    multiply,
-    pieri,
-    sigma,
-    tautological_dual,
-    unit,
-)
+from .schubert import ChowElement, GrassmannContext, giambelli, integrate, multiply, pieri, sigma
+from .schubert import tautological_dual, unit
 
 
 @dataclass
@@ -81,7 +73,12 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
-    """Tiny grammar: ``s[l1,l2,...]``, integer literals, ``+``, ``*``, ``^``."""
+    """Tiny grammar: ``s[l1,l2,...]``, integer literals, ``+``, ``*``, ``^``.
+
+    Literals, and products and powers of literals, stay Python ints until
+    they meet a class, so ``2^20000*s[1]^2`` is one scalar multiple rather
+    than 20000 products of multiples of the unit class.
+    """
     tokens = _tokenize(text)
     pos = 0
 
@@ -94,13 +91,13 @@ def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
         pos += 1
         return tok
 
-    def parse_atom() -> ChowElement:
+    def parse_atom() -> ChowElement | int:
         tok = peek()
         if tok is None:
             raise ValueError("unexpected end of expression")
         if tok.isdigit():
             take()
-            return int(tok) * unit(ctx)
+            return int(tok)
         if tok.startswith("s["):
             take()
             inner = tok[2:-1].strip()
@@ -108,7 +105,7 @@ def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
             return sigma(ctx, *parts)
         raise ValueError(f"unexpected token {tok!r}")
 
-    def parse_factor() -> ChowElement:
+    def parse_factor() -> ChowElement | int:
         atom = parse_atom()
         while peek() == "^":
             take()
@@ -124,7 +121,7 @@ def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
         while peek() == "*":
             take()
             node = node * parse_factor()
-        return node
+        return node * unit(ctx) if isinstance(node, int) else node
 
     node = parse_term()
     while peek() == "+":
@@ -138,6 +135,7 @@ def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
 # -- serialization ----------------------------------------------------------
 
 def _plain(value):
+    """The JSON-ready form of a result; dataclasses become their fields."""
     if isinstance(value, ChowElement):
         return {
             "display": str(value),
@@ -146,62 +144,23 @@ def _plain(value):
                 for parts, coeff in sorted(value.terms.items())
             },
         }
-    if isinstance(value, PolyElement):
-        return str(value)
     if isinstance(value, FormalBundle):
-        return {
-            "rank": value.rank,
-            "chern": [_plain_class(c) for c in value.chern],
-        }
-    if isinstance(value, Fraction):
+        return {"rank": value.rank, "chern": [str(c) for c in value.chern]}
+    if isinstance(value, (PolyElement, Fraction)):
         return str(value)
     if isinstance(value, wps.WeightVector):
         return list(value.weights)
     if isinstance(value, wps.SingularStratum):
         return {"k": value.k, "coords": list(value.coords), "dimension": value.dimension}
-    if isinstance(value, wps.HypersurfaceModel):
-        return {
-            "ambient": list(value.ambient.weights),
-            "degree": value.degree,
-            "description": value.description,
-        }
-    if isinstance(value, fano_db.FanoRecord):
-        return {
-            "name": value.name,
-            "index": value.index,
-            "H3": value.H3,
-            "genus": value.genus,
-            "b3": value.b3,
-            "very_ample": value.very_ample,
-            "h0_H": value.h0_H,
-            "facts": dict(value.facts),
-            "description": value.description,
-        }
     if isinstance(value, riemann_roch.FanoNumericalInvariants):
-        out = {
-            "r": value.r,
-            "H3": value.H3,
-            "c2H": value.c2H,
-            "c3Omega": value.c3Omega,
-            "b3": value.b3,
-        }
+        out = {key: getattr(value, key) for key in ("r", "H3", "c2H", "c3Omega", "b3")}
         if value.genus is not None:
             out["genus"] = value.genus
             out["dim_anticanonical_system"] = value.anticanonical_system_dim
         return out
-    if isinstance(value, riemann_roch.FanoSurfaceConstants):
-        return {"c2": value.c2, "K2": value.K2}
-    if isinstance(value, degree_bound.RamificationVerdict):
-        return {"kind": value.kind, "bound": value.bound}
-    if isinstance(value, degree_bound.FeasibilityWitness):
-        return {
-            "component": value.component,
-            "h": value.h,
-            "source": list(value.source),
-            "target_type": list(value.target_type),
-            "target": list(value.target),
-        }
-    if isinstance(value, dict):
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         items = list(value)
@@ -209,10 +168,6 @@ def _plain(value):
             items = sorted(items)
         return [_plain(v) for v in items]
     return value
-
-
-def _plain_class(c):
-    return str(c)
 
 
 def _inline(items: list) -> str:
@@ -257,8 +212,12 @@ def _parse_gr(text: str) -> GrassmannContext:
     return GrassmannContext.from_projective(a, b)
 
 
-def _parse_weights(text: str) -> wps.WeightVector:
-    return wps.WeightVector(tuple(int(x) for x in text.split(",")))
+def _expr(args, text: str) -> ChowElement:
+    return parse_schubert_expr(_parse_gr(args.gr), text)
+
+
+def _weights(args) -> wps.WeightVector:
+    return wps.WeightVector(tuple(int(x) for x in args.weights.split(",")))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -288,25 +247,25 @@ def _bundle_from_args(args) -> tuple[FormalBundle, GrassmannContext | None]:
     raise ValueError("a bundle is required: --taut a,b or --split dim:a1,a2,...")
 
 
+def _bundle(args) -> FormalBundle:
+    return _bundle_from_args(args)[0]
+
+
 def _db(args) -> fano_db.FanoDatabase:
-    if getattr(args, "db", None):
+    if args.db:
         return fano_db.load_database(args.db)
     return fano_db.default_database()
 
 
+def _twist(args, Y: fano_db.FanoRecord) -> int:
+    """``--twist``, defaulting to the cotangent twist of the target."""
+    return args.twist if args.twist is not None else degree_bound.cotangent_twist(Y)
+
+
 def _source_from_args(args, db) -> degree_bound.SourceInvariants:
-    if getattr(args, "source", None):
+    if args.source:
         return degree_bound.source_invariants(db.lookup(args.source))
-    missing = [
-        flag
-        for flag, value in (
-            ("--h3x", args.h3x),
-            ("--kappa", args.kappa),
-            ("--c2hx", args.c2hx),
-            ("--c3x", args.c3x),
-        )
-        if value is None
-    ]
+    missing = [f"--{key}" for key in ("h3x", "kappa", "c2hx", "c3x") if getattr(args, key) is None]
     if missing:
         raise ValueError(
             "source invariants incomplete: give --source NAME or " + ", ".join(missing)
@@ -316,58 +275,30 @@ def _source_from_args(args, db) -> degree_bound.SourceInvariants:
     )
 
 
-# -- handlers ---------------------------------------------------------------
-
-def cmd_schubert_mul(args):
-    ctx = _parse_gr(args.gr)
-    x = parse_schubert_expr(ctx, args.lhs)
-    y = parse_schubert_expr(ctx, args.rhs)
-    return _plain(multiply(x, y)), ["pieri-rule", "giambelli-determinant"]
+def _kappa_source(args) -> degree_bound.SourceInvariants:
+    """A source given by ``--h3x`` and ``--kappa`` alone."""
+    return degree_bound.SourceInvariants(
+        H3X=args.h3x, kappa=args.kappa, c2HX=0, c3OmegaX=0
+    )
 
 
-def cmd_schubert_pieri(args):
-    ctx = _parse_gr(args.gr)
-    x = parse_schubert_expr(ctx, args.expr)
-    return _plain(pieri(x, args.a)), ["pieri-rule"]
+def _chi(value: Fraction) -> dict:
+    return {"chi": value, "integral": value.denominator == 1}
 
 
-def cmd_schubert_integrate(args):
-    ctx = _parse_gr(args.gr)
-    x = parse_schubert_expr(ctx, args.expr)
-    return integrate(x), ["pieri-rule", "giambelli-determinant", "schubert-degree-pairing"]
+def _violations(report: dict) -> dict:
+    return {"records": len(report), "violations": {k: v for k, v in report.items() if v}}
 
 
-def cmd_schubert_giambelli(args):
-    ctx = _parse_gr(args.gr)
-    value = giambelli(ctx, _parse_ints(args.partition))
-    return _plain(value), ["giambelli-determinant", "pieri-rule"]
+# -- handlers that branch ----------------------------------------------------
 
-
-def cmd_chern_sym(args):
-    bundle, _ = _bundle_from_args(args)
-    return _plain(sym_power(bundle, args.k)), ["splitting-principle"]
-
-
-def cmd_chern_ext(args):
-    bundle, _ = _bundle_from_args(args)
-    return _plain(ext_power(bundle, args.k)), ["splitting-principle"]
-
-
-def cmd_chern_dual(args):
-    bundle, _ = _bundle_from_args(args)
-    return _plain(dual(bundle)), ["chern-root-formalism"]
-
-
-def cmd_chern_twist(args):
+def _chern_twist(args):
     bundle, ctx = _bundle_from_args(args)
-    if ctx is not None:
-        t = args.t * sigma(ctx, 1)
-    else:
-        t = args.t * bundle.ring.gen()
-    return _plain(twist_line(bundle, t)), ["chern-root-formalism"]
+    degree_one = sigma(ctx, 1) if ctx is not None else bundle.ring.gen()
+    return twist_line(bundle, args.t * degree_one), ["chern-root-formalism"]
 
 
-def cmd_chern_top(args):
+def _chern_top(args):
     bundle, ctx = _bundle_from_args(args)
     provenance = ["splitting-principle"]
     if args.sym:
@@ -376,80 +307,14 @@ def cmd_chern_top(args):
         bundle = ext_power(bundle, args.ext)
     top = top_chern(bundle)
     if not args.integrate:
-        return _plain(top), provenance
-    provenance.append("schubert-degree-pairing" if ctx else "declared-intersection-number")
+        return top, provenance
     if ctx is not None:
-        return integrate(top), provenance
-    return bundle.ring.integral(top), provenance
+        return integrate(top), provenance + ["schubert-degree-pairing"]
+    return bundle.ring.integral(top), provenance + ["declared-intersection-number"]
 
 
-def cmd_rr_chi2(args):
-    data = riemann_roch.SurfaceIntersectionData(args.dd, args.dk, args.kk, args.c2)
-    value = riemann_roch.chi_surface(data)
-    return {"chi": _plain(value), "integral": value.denominator == 1}, ["riemann-roch-surface"]
-
-
-def cmd_rr_chi3(args):
-    data = riemann_roch.ThreefoldIntersectionData(
-        args.d3, args.kd2, args.kkd, args.c2d, args.c1c2
-    )
-    value = riemann_roch.chi_threefold(data)
-    return {"chi": _plain(value), "integral": value.denominator == 1}, [
-        "riemann-roch-threefold"
-    ]
-
-
-def cmd_rr_fano_invariants(args):
-    inv = riemann_roch.derive_fano_invariants(args.r, args.h3, args.b3)
-    return _plain(inv), ["riemann-roch-threefold", "euler-number-betti"]
-
-
-def cmd_wps_normalize(args):
-    return _plain(wps.normalize(_parse_weights(args.weights))), ["weighted-well-forming"]
-
-
-def cmd_wps_sing(args):
-    strata = wps.singular_strata(_parse_weights(args.weights))
-    return _plain(strata), ["weighted-singular-locus"]
-
-
-def cmd_wps_canonical(args):
-    return wps.canonical_degree(_parse_weights(args.weights)), ["weighted-canonical-degree"]
-
-
-def cmd_wps_generated(args):
-    return wps.is_generated(_parse_weights(args.weights), args.m), [
-        "numerical-semigroup-base-point-criterion"
-    ]
-
-
-def cmd_wps_lmin(args):
-    return wps.cotangent_twist_lmin(_parse_weights(args.weights)), [
-        "euler-sequence",
-        "numerical-semigroup-base-point-criterion",
-    ]
-
-
-def cmd_wps_model(args):
-    return _plain(wps.double_cover_model(args.base, args.k)), ["double-cover-weighted-model"]
-
-
-def cmd_db_lookup(args):
-    return _plain(_db(args).lookup(args.name)), ["fano-classification-table"]
-
-
-def cmd_db_list(args):
-    return _db(args).names(), ["fano-classification-table"]
-
-
-def cmd_db_validate(args):
-    report = _db(args).validate_all()
-    return {"records": len(report), "violations": {k: v for k, v in report.items() if v}}, [
-        "fano-classification-table"
-    ]
-
-
-def cmd_db_normal_bundles(args):
+def _normal_bundles(args):
+    provenance = ["adjunction-normal-bundle-options"]
     if args.conics:
         options = fano_db.conic_normal_bundle_degrees()
         notes = {
@@ -457,67 +322,40 @@ def cmd_db_normal_bundles(args):
             for a, _ in sorted(options)
             if a in fano_db.CONIC_OPTION_NOTES
         }
-        return {"options": _plain(options), "notes": notes}, [
-            "adjunction-normal-bundle-options"
-        ]
+        return {"options": options, "notes": notes}, provenance
     if args.r is None:
         raise ValueError("give --r 1|2 for line options or --conics")
-    options = fano_db.line_normal_bundle_options(args.r, args.very_ample)
-    return {"options": _plain(options)}, ["adjunction-normal-bundle-options"]
+    return {"options": fano_db.line_normal_bundle_options(args.r, args.very_ample)}, provenance
 
 
-def cmd_db_line_family(args):
-    return fano_db.expected_line_family_dim(args.n, args.d), [
-        "incidence-dimension-count"
-    ]
-
-
-def cmd_bound_E(args):
+def _bound_E(args):
     Y = _db(args).lookup(args.target)
-    twist = args.twist if args.twist is not None else degree_bound.cotangent_twist(Y)
-    value = degree_bound.E_value(Y, twist)
+    twist = _twist(args, Y)
     return {
-        "E": value,
+        "E": degree_bound.E_value(Y, twist),
         "twist": twist,
         "verdict": degree_bound.boundedness_verdict(Y, twist),
     }, ["twisted-cotangent-degree-criterion"]
 
 
-def cmd_bound_verdict(args):
+def _bound_verdict(args):
     Y = _db(args).lookup(args.target)
-    twist = args.twist if args.twist is not None else degree_bound.cotangent_twist(Y)
-    return degree_bound.boundedness_verdict(Y, twist), [
-        "twisted-cotangent-degree-criterion"
-    ]
+    verdict = degree_bound.boundedness_verdict(Y, _twist(args, Y))
+    return verdict, ["twisted-cotangent-degree-criterion"]
 
 
-def cmd_bound_max_m(args):
+def _max_m(args):
     db = _db(args)
     Y = db.lookup(args.target)
     X = _source_from_args(args, db)
-    twist = args.twist if args.twist is not None else degree_bound.cotangent_twist(Y)
-    m = degree_bound.max_multiplier(X, Y, twist)
-    return {"m_max": m, "twist": twist}, [
+    twist = _twist(args, Y)
+    return {"m_max": degree_bound.max_multiplier(X, Y, twist), "twist": twist}, [
         "twisted-cotangent-degree-criterion",
         "exact-integer-search",
     ]
 
 
-def cmd_bound_degree(args):
-    return degree_bound.degree_from_multiplier(args.m, args.h3x, args.h3y), [
-        "pullback-multiplier-degree"
-    ]
-
-
-def cmd_bound_ramification(args):
-    X = degree_bound.SourceInvariants(
-        H3X=args.h3x, kappa=args.kappa, c2HX=0, c3OmegaX=0
-    )
-    verdict = degree_bound.ramification_feasibility(args.ry, args.k, X)
-    return _plain(verdict), ["ramification-multiplicity-count"]
-
-
-def cmd_bound_neg_lines(args):
+def _neg_lines(args):
     if (args.j is None) == (args.hypersurface_degree is None):
         raise ValueError("give exactly one of --j and --hypersurface-degree")
     j = args.j
@@ -528,7 +366,7 @@ def cmd_bound_neg_lines(args):
     return {"j": j, "m_bound": degree_bound.multiplier_bound_from_negative_lines(j)}, provenance
 
 
-def cmd_bound_feasible_m(args):
+def _feasible_m(args):
     if args.m_min < 1 or args.m_max < args.m_min:
         raise ValueError("need 1 <= m-min <= m-max")
     values = range(args.m_min, args.m_max + 1)
@@ -536,211 +374,201 @@ def cmd_bound_feasible_m(args):
     out = {"feasible": sorted(feasible)}
     if args.witnesses:
         out["witnesses"] = {
-            str(m): _plain(
-                degree_bound.feasibility_witnesses(args.rx, args.ry, args.very_ample, m)
-            )
+            str(m): degree_bound.feasibility_witnesses(args.rx, args.ry, args.very_ample, m)
             for m in sorted(feasible)
         }
     return out, ["normal-bundle-enumeration"]
 
 
-def cmd_bound_quadric(args):
-    X = degree_bound.SourceInvariants(
-        H3X=args.h3x, kappa=args.kappa, c2HX=0, c3OmegaX=0
-    )
-    m_bound = degree_bound.quadric_multiplier_bound(X)
+def _quadric(args):
+    X = _kappa_source(args)
     return {
         "threshold": degree_bound.noether_lefschetz_threshold(args.kappa),
-        "m_bound": m_bound,
+        "m_bound": degree_bound.quadric_multiplier_bound(X),
         "degree_bound": degree_bound.quadric_degree_bound(X),
     }, ["infinitesimal-noether-lefschetz", "ampleness-threshold"]
 
 
-def cmd_report_lines_cubic(args):
-    return reports.lines_on_cubic_threefold(), [
-        "splitting-principle",
-        "pieri-rule",
-        "hurwitz-formula",
-    ]
+# -- the command table -------------------------------------------------------
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+def _int(name, **kwargs):
+    """A required integer flag."""
+    return _arg(name, type=int, required=True, **kwargs)
+
+
+GR = _arg("--gr", required=True, help="Grassmannian G(a,b), projective convention")
+BUNDLE = (
+    _arg("--taut", help="dual tautological bundle on G(a,b)"),
+    _arg("--split", help="split bundle 'dim:a1,a2,...' over projective space"),
+)
+TARGET = (
+    _arg("--target", required=True),
+    _arg("--twist", type=int, help="defaults to the cotangent twist of the target"),
+)
+VERY_AMPLE = [
+    _arg("--very-ample", dest="very_ample", action="store_true", default=True),
+    _arg("--not-very-ample", dest="very_ample", action="store_false"),
+]
+WEIGHTS = _arg("weights")
+
+GROUPS = {
+    "schubert": "Chow ring of a Grassmannian",
+    "chern": "formal bundles and their Chern classes",
+    "rr": "Riemann-Roch evaluators",
+    "wps": "weighted projective spaces",
+    "db": "classification database",
+    "bound": "morphism degree certificates",
+    "report": "composite computations",
+}
+
+# Each row: "group op": (handler, flags); see the module docstring.
+COMMANDS = {
+    "schubert mul": (
+        lambda a: (multiply(_expr(a, a.lhs), _expr(a, a.rhs)),
+                   ["pieri-rule", "giambelli-determinant"]),
+        (GR, _arg("--lhs", required=True), _arg("--rhs", required=True))),
+    "schubert pieri": (
+        lambda a: (pieri(_expr(a, a.expr), a.a), ["pieri-rule"]),
+        (GR, _arg("--expr", required=True), _int("--a", help="single-row class index"))),
+    "schubert integrate": (
+        lambda a: (integrate(_expr(a, a.expr)),
+                   ["pieri-rule", "giambelli-determinant", "schubert-degree-pairing"]),
+        (GR, _arg("--expr", required=True))),
+    "schubert giambelli": (
+        lambda a: (giambelli(_parse_gr(a.gr), _parse_ints(a.partition)),
+                   ["giambelli-determinant", "pieri-rule"]),
+        (GR, _arg("--partition", required=True, help="comma-separated parts"))),
+    "chern sym": (
+        lambda a: (sym_power(_bundle(a), a.k), ["splitting-principle"]), (*BUNDLE, _int("--k"))),
+    "chern ext": (
+        lambda a: (ext_power(_bundle(a), a.k), ["splitting-principle"]), (*BUNDLE, _int("--k"))),
+    "chern dual": (lambda a: (dual(_bundle(a)), ["chern-root-formalism"]), BUNDLE),
+    "chern twist": (_chern_twist, (*BUNDLE, _int("--t", help="multiple of the degree-1 class"))),
+    "chern top": (_chern_top, (
+        *BUNDLE,
+        _arg("--sym", type=int, help="apply a symmetric power first"),
+        _arg("--ext", type=int, help="apply an exterior power first"),
+        _arg("--integrate", action="store_true"))),
+    "rr chi2": (
+        lambda a: (_chi(riemann_roch.chi_surface(riemann_roch.SurfaceIntersectionData(
+            a.dd, a.dk, a.kk, a.c2))), ["riemann-roch-surface"]),
+        tuple(map(_int, ("--dd", "--dk", "--kk", "--c2")))),
+    "rr chi3": (
+        lambda a: (_chi(riemann_roch.chi_threefold(riemann_roch.ThreefoldIntersectionData(
+            a.d3, a.kd2, a.kkd, a.c2d, a.c1c2))), ["riemann-roch-threefold"]),
+        tuple(map(_int, ("--d3", "--kd2", "--kkd", "--c2d", "--c1c2")))),
+    "rr fano-invariants": (
+        lambda a: (riemann_roch.derive_fano_invariants(a.r, a.h3, a.b3),
+                   ["riemann-roch-threefold", "euler-number-betti"]),
+        tuple(map(_int, ("--r", "--h3", "--b3")))),
+    "wps normalize": (
+        lambda a: (wps.normalize(_weights(a)), ["weighted-well-forming"]), (WEIGHTS,)),
+    "wps sing": (
+        lambda a: (wps.singular_strata(_weights(a)), ["weighted-singular-locus"]), (WEIGHTS,)),
+    "wps canonical": (
+        lambda a: (wps.canonical_degree(_weights(a)), ["weighted-canonical-degree"]), (WEIGHTS,)),
+    "wps generated": (
+        lambda a: (wps.is_generated(_weights(a), a.m),
+                   ["numerical-semigroup-base-point-criterion"]),
+        (WEIGHTS, _int("--m"))),
+    "wps lmin": (
+        lambda a: (wps.cotangent_twist_lmin(_weights(a)),
+                   ["euler-sequence", "numerical-semigroup-base-point-criterion"]),
+        (WEIGHTS,)),
+    "wps model": (
+        lambda a: (wps.double_cover_model(a.base, a.k), ["double-cover-weighted-model"]),
+        (_arg("--base", required=True, help="P<n>, veronese-cone or quadric-4"),
+         _int("--k", help="half the branch degree"))),
+    "db lookup": (
+        lambda a: (_db(a).lookup(a.name), ["fano-classification-table"]), (_arg("name"),)),
+    "db list": (lambda a: (_db(a).names(), ["fano-classification-table"]), ()),
+    "db validate": (
+        lambda a: (_violations(_db(a).validate_all()), ["fano-classification-table"]), ()),
+    "db normal-bundles": (_normal_bundles, (
+        _arg("--r", type=int, help="index, for line options"),
+        VERY_AMPLE,
+        _arg("--conics", action="store_true", help="conic option table instead"))),
+    "db line-family-dim": (
+        lambda a: (fano_db.expected_line_family_dim(a.n, a.d), ["incidence-dimension-count"]),
+        (_int("--n", help="ambient projective dimension"),
+         _int("--d", help="hypersurface degree"))),
+    "bound E": (_bound_E, TARGET),
+    "bound verdict": (_bound_verdict, TARGET),
+    "bound max-m": (_max_m, (
+        *TARGET,
+        _arg("--source", help="read source invariants from a classified family"),
+        *(_arg(flag, type=int) for flag in ("--h3x", "--kappa", "--c2hx", "--c3x")))),
+    "bound degree": (
+        lambda a: (degree_bound.degree_from_multiplier(a.m, a.h3x, a.h3y),
+                   ["pullback-multiplier-degree"]),
+        tuple(map(_int, ("--m", "--h3x", "--h3y")))),
+    "bound ramification": (
+        lambda a: (degree_bound.ramification_feasibility(a.ry, a.k, _kappa_source(a)),
+                   ["ramification-multiplicity-count"]),
+        (*map(_int, ("--ry", "--k", "--kappa")), _arg("--h3x", type=int, default=1))),
+    "bound neg-lines": (_neg_lines, (
+        _arg("--j", type=int, help="twist with T_X(j) globally generated"),
+        _arg("--hypersurface-degree", type=int))),
+    "bound feasible-m": (_feasible_m, (
+        _int("--rx"),
+        _int("--ry"),
+        VERY_AMPLE,
+        _arg("--m-min", type=int, default=1),
+        _int("--m-max"),
+        _arg("--witnesses", action="store_true"))),
+    "bound quadric": (_quadric, (_int("--h3x"), _int("--kappa"))),
+    "report lines-cubic": (
+        lambda a: (reports.lines_on_cubic_threefold(),
+                   ["splitting-principle", "pieri-rule", "hurwitz-formula"]),
+        ()),
+}
 
 
 # -- parser -----------------------------------------------------------------
 
+class UsageError(SystemExit):
+    """An argparse usage error, raised (exit code 2) instead of printed, so
+    that ``main`` can report it as text or as a JSON document."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(2)
+        self.parser = parser
+        self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fanocalc",
         description="Exact Schubert calculus, Chern classes and Fano morphism bounds.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--db", help="path to an alternative classification table")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    schubert = groups.add_parser("schubert", help="Chow ring of a Grassmannian")
-    sub = schubert.add_subparsers(dest="op", required=True)
-
-    def add(subparsers, name, handler, command, **kwargs):
-        p = subparsers.add_parser(name, **kwargs)
+    ops = {}
+    for command, (handler, flags) in COMMANDS.items():
+        group, op = command.split(" ")
+        if group not in ops:
+            ops[group] = groups.add_parser(group, help=GROUPS[group]).add_subparsers(
+                dest="op", required=True
+            )
+        p = ops[group].add_parser(op)
         p.set_defaults(func=handler, command=command)
-        return p
-
-    p = add(sub, "mul", cmd_schubert_mul, "schubert mul")
-    p.add_argument("--gr", required=True, help="Grassmannian G(a,b), projective convention")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-
-    p = add(sub, "pieri", cmd_schubert_pieri, "schubert pieri")
-    p.add_argument("--gr", required=True)
-    p.add_argument("--expr", required=True)
-    p.add_argument("--a", type=int, required=True, help="single-row class index")
-
-    p = add(sub, "integrate", cmd_schubert_integrate, "schubert integrate")
-    p.add_argument("--gr", required=True)
-    p.add_argument("--expr", required=True)
-
-    p = add(sub, "giambelli", cmd_schubert_giambelli, "schubert giambelli")
-    p.add_argument("--gr", required=True)
-    p.add_argument("--partition", required=True, help="comma-separated parts")
-
-    chern = groups.add_parser("chern", help="formal bundles and their Chern classes")
-    sub = chern.add_subparsers(dest="op", required=True)
-
-    def bundle_flags(p):
-        p.add_argument("--taut", help="dual tautological bundle on G(a,b)")
-        p.add_argument("--split", help="split bundle 'dim:a1,a2,...' over projective space")
-
-    p = add(sub, "sym", cmd_chern_sym, "chern sym")
-    bundle_flags(p)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add(sub, "ext", cmd_chern_ext, "chern ext")
-    bundle_flags(p)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add(sub, "dual", cmd_chern_dual, "chern dual")
-    bundle_flags(p)
-
-    p = add(sub, "twist", cmd_chern_twist, "chern twist")
-    bundle_flags(p)
-    p.add_argument("--t", type=int, required=True, help="multiple of the degree-1 class")
-
-    p = add(sub, "top", cmd_chern_top, "chern top")
-    bundle_flags(p)
-    p.add_argument("--sym", type=int, help="apply a symmetric power first")
-    p.add_argument("--ext", type=int, help="apply an exterior power first")
-    p.add_argument("--integrate", action="store_true")
-
-    rr = groups.add_parser("rr", help="Riemann-Roch evaluators")
-    sub = rr.add_subparsers(dest="op", required=True)
-
-    p = add(sub, "chi2", cmd_rr_chi2, "rr chi2")
-    for flag in ("--dd", "--dk", "--kk", "--c2"):
-        p.add_argument(flag, type=int, required=True)
-
-    p = add(sub, "chi3", cmd_rr_chi3, "rr chi3")
-    for flag in ("--d3", "--kd2", "--kkd", "--c2d", "--c1c2"):
-        p.add_argument(flag, type=int, required=True)
-
-    p = add(sub, "fano-invariants", cmd_rr_fano_invariants, "rr fano-invariants")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--h3", type=int, required=True)
-    p.add_argument("--b3", type=int, required=True)
-
-    wpsp = groups.add_parser("wps", help="weighted projective spaces")
-    sub = wpsp.add_subparsers(dest="op", required=True)
-
-    p = add(sub, "normalize", cmd_wps_normalize, "wps normalize")
-    p.add_argument("weights")
-
-    p = add(sub, "sing", cmd_wps_sing, "wps sing")
-    p.add_argument("weights")
-
-    p = add(sub, "canonical", cmd_wps_canonical, "wps canonical")
-    p.add_argument("weights")
-
-    p = add(sub, "generated", cmd_wps_generated, "wps generated")
-    p.add_argument("weights")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add(sub, "lmin", cmd_wps_lmin, "wps lmin")
-    p.add_argument("weights")
-
-    p = add(sub, "model", cmd_wps_model, "wps model")
-    p.add_argument("--base", required=True, help="P<n>, veronese-cone or quadric-4")
-    p.add_argument("--k", type=int, required=True, help="half the branch degree")
-
-    db = groups.add_parser("db", help="classification database")
-    sub = db.add_subparsers(dest="op", required=True)
-
-    p = add(sub, "lookup", cmd_db_lookup, "db lookup")
-    p.add_argument("name")
-
-    add(sub, "list", cmd_db_list, "db list")
-    add(sub, "validate", cmd_db_validate, "db validate")
-
-    p = add(sub, "normal-bundles", cmd_db_normal_bundles, "db normal-bundles")
-    p.add_argument("--r", type=int, help="index, for line options")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--very-ample", dest="very_ample", action="store_true", default=True)
-    group.add_argument("--not-very-ample", dest="very_ample", action="store_false")
-    p.add_argument("--conics", action="store_true", help="conic option table instead")
-
-    p = add(sub, "line-family-dim", cmd_db_line_family, "db line-family-dim")
-    p.add_argument("--n", type=int, required=True, help="ambient projective dimension")
-    p.add_argument("--d", type=int, required=True, help="hypersurface degree")
-
-    bound = groups.add_parser("bound", help="morphism degree certificates")
-    sub = bound.add_subparsers(dest="op", required=True)
-
-    p = add(sub, "E", cmd_bound_E, "bound E")
-    p.add_argument("--target", required=True)
-    p.add_argument("--twist", type=int, help="defaults to the cotangent twist of the target")
-
-    p = add(sub, "verdict", cmd_bound_verdict, "bound verdict")
-    p.add_argument("--target", required=True)
-    p.add_argument("--twist", type=int)
-
-    p = add(sub, "max-m", cmd_bound_max_m, "bound max-m")
-    p.add_argument("--target", required=True)
-    p.add_argument("--twist", type=int)
-    p.add_argument("--source", help="read source invariants from a classified family")
-    p.add_argument("--h3x", type=int)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--c2hx", type=int)
-    p.add_argument("--c3x", type=int)
-
-    p = add(sub, "degree", cmd_bound_degree, "bound degree")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--h3x", type=int, required=True)
-    p.add_argument("--h3y", type=int, required=True)
-
-    p = add(sub, "ramification", cmd_bound_ramification, "bound ramification")
-    p.add_argument("--ry", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--h3x", type=int, default=1)
-
-    p = add(sub, "neg-lines", cmd_bound_neg_lines, "bound neg-lines")
-    p.add_argument("--j", type=int, help="twist with T_X(j) globally generated")
-    p.add_argument("--hypersurface-degree", type=int)
-
-    p = add(sub, "feasible-m", cmd_bound_feasible_m, "bound feasible-m")
-    p.add_argument("--rx", type=int, required=True)
-    p.add_argument("--ry", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--very-ample", dest="very_ample", action="store_true", default=True)
-    group.add_argument("--not-very-ample", dest="very_ample", action="store_false")
-    p.add_argument("--m-min", type=int, default=1)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--witnesses", action="store_true")
-
-    p = add(sub, "quadric", cmd_bound_quadric, "bound quadric")
-    p.add_argument("--h3x", type=int, required=True)
-    p.add_argument("--kappa", type=int, required=True)
-
-    report = groups.add_parser("report", help="composite computations")
-    sub = report.add_subparsers(dest="op", required=True)
-    add(sub, "lines-cubic", cmd_report_lines_cubic, "report lines-cubic")
-
+        for flag in flags:
+            if isinstance(flag, list):  # a mutually exclusive group
+                exclusive = p.add_mutually_exclusive_group()
+                for names, kwargs in flag:
+                    exclusive.add_argument(*names, **kwargs)
+            else:
+                p.add_argument(*flag[0], **flag[1])
     return parser
 
 
@@ -748,7 +576,7 @@ _PRIVATE_ARGS = {"func", "command", "group", "op", "json", "db"}
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Execute one command; argparse usage errors raise SystemExit(2)."""
+    """Execute one command; usage errors raise ``UsageError``, a ``SystemExit(2)``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     inputs = {k: v for k, v in vars(args).items() if k not in _PRIVATE_ARGS}
@@ -761,7 +589,7 @@ def run(argv: list[str]) -> CommandResult:
         command=args.command,
         status="ok",
         inputs=inputs,
-        result=result,
+        result=_plain(result),
         provenance=provenance,
     )
 
@@ -772,11 +600,20 @@ def main(argv: list[str] | None = None) -> int:
     # (Python 3.10.7+), which would otherwise fail on results over 4300 digits.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    use_json = "--json" in argv
     try:
         result = run(argv)
-    except SystemExit as exc:  # argparse usage errors
+    except UsageError as exc:
+        if use_json:
+            # The prog of a subparser is "fanocalc group op": report the group and op reached.
+            command = exc.parser.prog.partition(" ")[2]
+            print(CommandResult(command, "error", message=exc.message).to_json())
+        else:
+            exc.parser.print_usage(sys.stderr)
+            print(f"{exc.parser.prog}: error: {exc.message}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    use_json = "--json" in argv
     if use_json:
         print(result.to_json())
     elif result.status == "ok":

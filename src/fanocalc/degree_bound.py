@@ -33,6 +33,7 @@ from .fano_db import (
     conic_normal_bundle_degrees,
     line_normal_bundle_options,
 )
+from .riemann_roch import derive_fano_invariants
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,9 @@ def source_invariants(record: FanoRecord) -> SourceInvariants:
     """Invariants of a classified Fano family viewed as the source X."""
     if record.b3 is None:
         raise ValueError(f"{record.name}: b3 unknown, c_3(Omega) not determined")
+    inv = derive_fano_invariants(record.index, record.H3, record.b3)
     return SourceInvariants(
-        H3X=record.H3,
-        kappa=-record.index,
-        c2HX=24 // record.index,
-        c3OmegaX=record.b3 - 4,
+        H3X=record.H3, kappa=-record.index, c2HX=inv.c2H, c3OmegaX=inv.c3Omega
     )
 
 
@@ -109,11 +108,12 @@ def cotangent_twist(Y: FanoRecord) -> int:
 
 
 def E_value(Y: FanoRecord, l: int) -> int:
-    """The certificate integer ``(b3 - 4) + l(24/r) - l^2 r H^3``."""
+    """The certificate integer ``(b3 - 4) + l(24/r) - l^2 r H^3``, with
+    ``c2.H`` and ``c3(Omega)`` from ``derive_fano_invariants``."""
     if Y.b3 is None:
         raise ValueError(f"{Y.name}: b3 unknown, E(Y,l) not computable")
-    r = Y.index
-    return (Y.b3 - 4) + l * (24 // r) - l * l * r * Y.H3
+    inv = derive_fano_invariants(Y.index, Y.H3, Y.b3)
+    return inv.c3Omega + l * inv.c2H - l * l * inv.r * inv.H3
 
 
 BOUNDED = "bounded"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fanocalc import schubert
 from fanocalc.cli import main, parse_schubert_expr, run
 from fanocalc.schubert import GrassmannContext, sigma, unit
 
@@ -21,6 +22,27 @@ def test_expr_sum_and_product():
 
 def test_expr_integer_literal():
     assert parse_schubert_expr(G25, "2") == 2 * unit(G25)
+
+
+def test_expr_integer_terms_meet_the_unit_class():
+    assert parse_schubert_expr(G25, "2^3 + s[1]") == 8 * unit(G25) + sigma(G25, 1)
+    assert parse_schubert_expr(G25, "s[1]*2^2*3") == 12 * sigma(G25, 1)
+    assert parse_schubert_expr(G25, "0^0") == unit(G25)
+
+
+def test_expr_integer_powers_make_no_products(monkeypatch):
+    calls = []
+    real_multiply = schubert.multiply
+
+    def counting_multiply(x, y):
+        calls.append(1)
+        return real_multiply(x, y)
+
+    monkeypatch.setattr(schubert, "multiply", counting_multiply)
+    G12 = GrassmannContext.from_projective(1, 2)
+    value = parse_schubert_expr(G12, "2^20000*s[1]^2")
+    assert value == 2**20000 * sigma(G12, 1, 1)
+    assert len(calls) == 2
 
 
 def test_expr_whitespace_insensitive():
@@ -137,6 +159,34 @@ def test_domain_error_json_document(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["schubert", "unknown-op"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,command",
+    [
+        (["schubert", "integrate", "--gr", "1,4"], "schubert integrate"),
+        (["schubert", "unknown-op"], "schubert"),
+        ([], ""),
+    ],
+)
+def test_usage_error_json_document(capsys, argv, command):
+    assert main(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["command"] == command
+    assert doc["status"] == "error"
+    assert set(doc) == {"command", "status", "message"}
+    assert doc["message"]
+
+
+def test_usage_error_text_mode_keeps_argparse_output(capsys):
+    assert main(["schubert", "integrate", "--gr", "1,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fanocalc schubert integrate")
+    assert "fanocalc schubert integrate: error: " in captured.err
+    assert "--expr" in captured.err
 
 
 def test_db_validate_clean_exit(capsys):

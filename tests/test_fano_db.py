@@ -13,6 +13,7 @@ from fanocalc.fano_db import (
     parse_table,
     validate,
 )
+from fanocalc.reports import lines_on_cubic_threefold
 from fanocalc.wps import WeightVector
 
 
@@ -23,6 +24,16 @@ def test_every_shipped_record_validates():
 def test_database_covers_the_classification():
     names = set(default_database().names())
     assert set(FAMILY_NAMES) == names
+
+
+def test_cubic_threefold_surface_multiples_match_the_derived_chain():
+    # The A3 facts are read by no accessor; the line chain derives both.
+    facts = lookup("A3").facts
+    report = lines_on_cubic_threefold()
+    for key in ("special_surface_multiple_expected", "special_surface_multiple_min"):
+        assert int(facts[key]) == report[key]
+    assert report["special_surface_multiple_expected"] == 30
+    assert report["special_surface_multiple_min"] == 8
 
 
 def test_lookup_examples():
