@@ -56,6 +56,9 @@ class CommandResult:
 
 # -- schubert expression grammar -------------------------------------------
 
+# Largest integer power a literal may be raised to, in bits of the result.
+MAX_POWER_BITS = 1 << 16
+
 _TOKEN_RE = re.compile(r"\s*(s\[[^\]]*\]|\d+|[+*^])")
 
 
@@ -109,11 +112,13 @@ def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
         atom = parse_atom()
         while peek() == "^":
             take()
-            exp = peek()
-            if exp is None or not exp.isdigit():
+            if peek() is None or not peek().isdigit():
                 raise ValueError("exponent must be an integer literal")
-            take()
-            atom = atom ** int(exp)
+            exp = int(take())
+            # base**exp has more than exp*(bit_length(base) - 1) bits
+            if isinstance(atom, int) and exp * (atom.bit_length() - 1) >= MAX_POWER_BITS:
+                raise ValueError(f"integer power to the {exp} exceeds {MAX_POWER_BITS} bits")
+            atom = atom**exp
         return atom
 
     def parse_term() -> ChowElement:
@@ -582,6 +587,8 @@ def run(argv: list[str]) -> CommandResult:
     inputs = {k: v for k, v in vars(args).items() if k not in _PRIVATE_ARGS}
     try:
         result, provenance = args.func(args)
+    except OSError as exc:  # an unreadable --db table
+        return CommandResult(command=args.command, status="error", message=str(exc))
     except (ValueError, KeyError, RuntimeError, ZeroDivisionError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         return CommandResult(command=args.command, status="error", message=str(message))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import wps
 from .fano_db import (
@@ -261,13 +261,26 @@ class FeasibilityWitness:
     target: tuple[int, int]
 
 
-def _source_components(rX: int, very_ample: bool) -> list[tuple[str, int, frozenset]]:
-    components = [("line", 1, line_normal_bundle_options(rX, very_ample))]
+def _option_tables(rX: int, rY: int, very_ample: bool) -> tuple[list, list]:
+    """The target line types and, per source component (name, H_X.D,
+    normal-bundle types), the options a witness is drawn from; none depends
+    on the multiplier."""
+    targets = sorted(line_normal_bundle_options(rY, very_ample))
+    components = [("line", 1, sorted(line_normal_bundle_options(rX, very_ample)))]
     if rX == 1:
         # Conic option table is only established in index 1; line components
         # already cover the reduced pieces of degenerate conics.
-        components.append(("conic", 2, conic_normal_bundle_degrees()))
-    return components
+        components.append(("conic", 2, sorted(conic_normal_bundle_degrees())))
+    return targets, components
+
+
+def _witnesses(targets: list, components: list, m: int) -> Iterator[FeasibilityWitness]:
+    for component, h, sources in components:
+        for ttype in targets:
+            target = (ttype[0] * m * h, ttype[1] * m * h)
+            for src in sources:
+                if generic_iso_exists(src, target):
+                    yield FeasibilityWitness(component, h, src, ttype, target)
 
 
 def feasibility_witnesses(
@@ -282,27 +295,21 @@ def feasibility_witnesses(
     """
     if m < 1:
         raise ValueError("multiplier must be at least 1")
-    witnesses = []
-    targets = sorted(line_normal_bundle_options(rY, very_ample))
-    for component, h, sources in _source_components(rX, very_ample):
-        for ttype in targets:
-            target = (ttype[0] * m * h, ttype[1] * m * h)
-            for src in sorted(sources):
-                if generic_iso_exists(src, target):
-                    witnesses.append(
-                        FeasibilityWitness(component, h, src, ttype, target)
-                    )
-    return tuple(witnesses)
+    return tuple(_witnesses(*_option_tables(rX, rY, very_ample), m))
 
 
 def feasible_multipliers(
     rX: int, rY: int, very_ample: bool, m_range: Iterable[int]
 ) -> set[int]:
-    """Multipliers in the range admitting at least one witness."""
+    """Multipliers in the range admitting at least one witness; the option
+    tables are built once for the whole range."""
     values = sorted(set(m_range))
     if not values:
         raise ValueError("empty multiplier range")
-    return {m for m in values if feasibility_witnesses(rX, rY, very_ample, m)}
+    if values[0] < 1:
+        raise ValueError("multiplier must be at least 1")
+    targets, components = _option_tables(rX, rY, very_ample)
+    return {m for m in values if next(_witnesses(targets, components, m), None)}
 
 
 def noether_lefschetz_threshold(kappa: int) -> int:

@@ -6,11 +6,22 @@ forming, the singular stratification, the canonical degree, base points of
 ``O(m)`` on the smooth locus and the minimal twist making the (restricted)
 cotangent sheaf globally generated are all elementary arithmetic in the
 weights; this module keeps it exact.
+
+Base points reduce to numerical semigroups: ``O(m)`` is generated on the
+smooth locus iff m lies in the semigroup of the weights of every
+inclusion-minimal coprime support.  Each such semigroup is held by its Apéry
+set modulo its least generator a, the least element of every residue class
+mod a (Nijenhuis's minimal-path algorithm, a shortest-path search over the a
+residues): m belongs iff ``m >= apery[m % a]``, and ``max(apery) - a`` is
+the exact Frobenius number.  Membership therefore costs at most
+O(a.|T|.log a) per support T however large m is, and the Frobenius numbers
+give the proven search limit of ``cotangent_twist_lmin``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 
@@ -148,29 +159,61 @@ def canonical_degree(w) -> int:
     return -sum(wv.weights)
 
 
-def _semigroup_contains(gens: tuple[int, ...], m: int) -> bool:
-    reachable = [False] * (m + 1)
-    reachable[0] = True
-    for value in range(1, m + 1):
-        reachable[value] = any(reachable[value - g] for g in gens if g <= value)
-    return reachable[m]
-
-
 def _minimal_unit_supports(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Inclusion-minimal index sets whose weights have gcd 1.
 
     These index the coordinate strata meeting the smooth locus; supersets
     only enlarge the value semigroup, so minimal sets carry the binding
-    base-point conditions.
+    base-point conditions.  A depth-first search grows index sets only while
+    their gcd exceeds 1; a set reaching gcd 1 is minimal iff dropping any one
+    index leaves a gcd other than 1 (the gcd can only grow on subsets).
     """
     found: list[tuple[int, ...]] = []
-    for size in range(1, len(weights) + 1):
-        for subset in combinations(range(len(weights)), size):
-            if any(set(f) <= set(subset) for f in found):
-                continue
-            if gcd(*(weights[i] for i in subset)) == 1:
-                found.append(subset)
+
+    def grow(subset: tuple[int, ...], g: int) -> None:
+        for i in range(subset[-1] + 1 if subset else 0, len(weights)):
+            extended, h = subset + (i,), gcd(g, weights[i])
+            if h > 1:
+                grow(extended, h)
+            elif all(gcd(*(weights[j] for j in extended if j != k)) != 1 for k in extended):
+                found.append(extended)
+
+    grow((), 0)
     return found
+
+
+def _apery_set(gens: tuple[int, ...], bound: int | None = None) -> dict[int, int]:
+    """The Apéry set of the numerical semigroup generated by ``gens``
+    (gcd 1) modulo its least generator a: residue r mod a maps to the least
+    semigroup element congruent to r.  With a ``bound``, only the entries up
+    to it are found, so the search never visits more than bound + 1 values.
+
+    Nijenhuis's minimal-path algorithm: a shortest-path search over the a
+    residues, each generator g an edge r -> r + g of length g.  An m >= 0 lies
+    in the semigroup iff ``m >= apery[m % a]``, and the Frobenius number is
+    ``max(apery) - a``.
+    """
+    a = min(gens)
+    apery = {0: 0}
+    queue = [(0, 0)]
+    while queue:
+        value, residue = heappop(queue)
+        if value > apery[residue]:
+            continue
+        for g in gens:
+            step, r = value + g, (residue + g) % a
+            if (bound is None or step <= bound) and (r not in apery or step < apery[r]):
+                apery[r] = step
+                heappush(queue, (step, r))
+    return apery
+
+
+def _unit_support_gens(wv: WeightVector) -> list[tuple[int, ...]]:
+    """The weights of each minimal unit support."""
+    return [
+        tuple(wv.weights[i] for i in support)
+        for support in _minimal_unit_supports(wv.weights)
+    ]
 
 
 def is_generated(w, m: int) -> bool:
@@ -179,16 +222,17 @@ def is_generated(w, m: int) -> bool:
     At a point whose nonzero coordinates form the index set T there is a
     nonvanishing degree-m monomial iff m lies in the numerical semigroup
     generated by the weights supported on T; the point lies in the smooth
-    locus iff those weights have gcd 1.
+    locus iff those weights have gcd 1, and the inclusion-minimal such T
+    carry the binding conditions.  Membership is read off the Apéry set of
+    each of those semigroups modulo its least weight a (the least element in
+    each residue class mod a): m belongs iff ``m >= apery[m % a]``.  Only
+    entries up to m are searched, so each support costs
+    O(min(a, m + 1).|T|.log a) beside the O(2^n) support scan.
     """
     wv = _require_well_formed(w)
     if m < 0:
         raise ValueError("twist must be nonnegative")
-    for support in _minimal_unit_supports(wv.weights):
-        gens = tuple(wv.weights[i] for i in support)
-        if not _semigroup_contains(gens, m):
-            return False
-    return True
+    return all(m % min(gens) in _apery_set(gens, m) for gens in _unit_support_gens(wv))
 
 
 def cotangent_twist_lmin(w) -> int:
@@ -200,27 +244,27 @@ def cotangent_twist_lmin(w) -> int:
     such summand of nonnegative degree and base-point free on the smooth
     locus.  This is an upper bound for the true minimal twist.
 
-    The search stops at a proven limit: ``O(m)`` is generated on the smooth
-    locus once m exceeds the Frobenius number of every minimal unit support,
-    and Schur's bound ``(a_min - 1)(a_max - 1) - 1`` bounds each of those, so
-    ``max(pair sums) + 1 + max(Schur bounds)`` always generates.
+    The Apéry sets of the minimal unit supports are computed once per call
+    and answer every membership test of the search.  They also give the
+    exact Frobenius number ``max(apery) - a`` of each support; ``O(m)`` is
+    generated for every m beyond the largest of them, F, so the twist
+    ``max(pair sums) + 1 + F`` always generates and bounds the search.
     """
     wv = _require_well_formed(w)
     if wv.n < 2:
         raise ValueError("need at least three weights")
     pair_sums = sorted({a + b for a, b in combinations(wv.weights, 2)})
-    frobenius_bound = max(
-        (min(gens) - 1) * (max(gens) - 1) - 1
-        for gens in (
-            [wv.weights[i] for i in support]
-            for support in _minimal_unit_supports(wv.weights)
-        )
-    )
-    limit = pair_sums[-1] + 1 + frobenius_bound
-    for twist in range(0, limit + 1):
-        if all(twist - s >= 0 and is_generated(wv, twist - s) for s in pair_sums):
+    aperys = [(min(gens), _apery_set(gens)) for gens in _unit_support_gens(wv)]
+    frobenius = max(max(apery.values()) - a for a, apery in aperys)
+    limit = pair_sums[-1] + 1 + frobenius
+
+    def generated(m: int) -> bool:
+        return m >= 0 and all(m >= apery[m % a] for a, apery in aperys)
+
+    for twist in range(0, limit):
+        if all(generated(twist - s) for s in pair_sums):
             return twist
-    raise RuntimeError(f"no generating twist up to {limit} for {wv}")
+    return limit
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ These deliberately avoid the code paths they check: Schubert products are
 recomputed through monomial expansions of Schur polynomials (semistandard
 tableaux), power bundles through direct enumeration of root multisets over
 actual split bundles, and base-point freeness on weighted projective spaces
-through explicit monomial lists.
+through explicit monomial lists and O(m) reachability lists.
 """
 
 from __future__ import annotations
@@ -156,6 +156,26 @@ def generated_on_smooth_locus(weights: tuple[int, ...], m: int) -> bool:
             if not any(s <= set(subset) for s in supports):
                 return False
     return True
+
+
+def semigroup_contains(gens: tuple[int, ...], m: int) -> bool:
+    """Whether m is a sum of the generators, by an O(m) reachability list."""
+    reachable = [False] * (m + 1)
+    reachable[0] = True
+    for value in range(1, m + 1):
+        reachable[value] = any(reachable[value - g] for g in gens if g <= value)
+    return reachable[m]
+
+
+def generated_by_reachability(weights: tuple[int, ...], m: int) -> bool:
+    """Semigroup base-point check: m must be a sum of the weights supported
+    on every index set whose weights are coprime (not only the minimal ones)."""
+    return all(
+        semigroup_contains(tuple(weights[i] for i in subset), m)
+        for size in range(1, len(weights) + 1)
+        for subset in combinations(range(len(weights)), size)
+        if gcd(*(weights[i] for i in subset)) == 1
+    )
 
 
 def cotangent_twist_brute(weights: tuple[int, ...], lmax: int = 20):

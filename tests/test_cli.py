@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fanocalc import schubert
-from fanocalc.cli import main, parse_schubert_expr, run
+from fanocalc.cli import MAX_POWER_BITS, main, parse_schubert_expr, run
 from fanocalc.schubert import GrassmannContext, sigma, unit
 
 G25 = GrassmannContext(2, 5)
@@ -43,6 +43,15 @@ def test_expr_integer_powers_make_no_products(monkeypatch):
     value = parse_schubert_expr(G12, "2^20000*s[1]^2")
     assert value == 2**20000 * sigma(G12, 1, 1)
     assert len(calls) == 2
+
+
+def test_expr_integer_power_bit_limit():
+    # 2^e has e + 1 bits: the limit itself passes, one bit more is refused
+    at_limit = parse_schubert_expr(G25, f"2^{MAX_POWER_BITS - 1}")
+    assert at_limit == 2 ** (MAX_POWER_BITS - 1) * unit(G25)
+    for expr in (f"2^{MAX_POWER_BITS}", f"3*4^{MAX_POWER_BITS // 2}", f"2^{MAX_POWER_BITS // 2}^2"):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_schubert_expr(G25, expr)
 
 
 def test_expr_whitespace_insensitive():

@@ -123,6 +123,7 @@ db line-family-dim --n 3 --d 5
 --db {tiny} db lookup Q3
 --db {tiny} db lookup P3
 --db {broken} db list
+--db /nonexistent db list
 bound E --target V4-quartic --twist 2
 bound E --target A4 --twist 2
 bound E --target A2 --twist 4

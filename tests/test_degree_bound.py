@@ -290,6 +290,27 @@ def test_multipliers_beyond_one_have_no_witnesses():
 def test_feasible_multipliers_rejects_empty_range():
     with pytest.raises(ValueError):
         feasible_multipliers(1, 1, True, [])
+    with pytest.raises(ValueError):
+        feasible_multipliers(1, 1, True, range(5, 3))
+
+
+@pytest.mark.parametrize("m_range", [range(0, 4), [3, 0, 7], range(-2, 1)])
+def test_feasible_multipliers_rejects_multipliers_below_one(m_range):
+    with pytest.raises(ValueError, match="at least 1"):
+        feasible_multipliers(1, 1, True, m_range)
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+    st.sets(st.integers(1, 400), min_size=1, max_size=40) | st.builds(
+        lambda lo, n: range(lo, lo + n), st.integers(1, 300), st.integers(1, 120)
+    ),
+)
+def test_feasible_multipliers_match_witnesses_per_multiplier(rX, rY, very_ample, ms):
+    expected = {m for m in ms if feasibility_witnesses(rX, rY, very_ample, m)}
+    assert feasible_multipliers(rX, rY, very_ample, ms) == expected
 
 
 @pytest.mark.parametrize("rX", [1, 2])

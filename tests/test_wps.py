@@ -1,5 +1,7 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanocalc.wps import (
@@ -11,11 +13,19 @@ from fanocalc.wps import (
     normalize,
     singular_strata,
 )
-from oracles import cotangent_twist_brute, generated_on_smooth_locus
+from oracles import cotangent_twist_brute, generated_by_reachability, generated_on_smooth_locus
 
 weight_vectors = st.lists(st.integers(1, 9), min_size=2, max_size=6).map(
     lambda ws: WeightVector(tuple(ws))
 )
+
+
+def well_formed(min_size, max_size, top):
+    return (
+        st.lists(st.integers(1, top), min_size=min_size, max_size=max_size)
+        .map(lambda ws: tuple(sorted(ws)))
+        .filter(lambda ws: WeightVector(ws).is_well_formed())
+    )
 
 
 def test_weight_vector_validation():
@@ -114,6 +124,46 @@ def test_generated_matches_monomial_oracle(weights):
         assert is_generated(w, m) == generated_on_smooth_locus(weights, m), m
 
 
+@settings(max_examples=60, deadline=None)
+@given(well_formed(3, 6, 15), st.integers(0, 3000))
+def test_generated_matches_reachability_oracle(weights, m):
+    assert is_generated(WeightVector(weights), m) == generated_by_reachability(weights, m)
+
+
+@pytest.mark.parametrize(
+    "weights,frobenius",
+    [((1, 1, 2), -1), ((1, 2, 3), 1), ((2, 3, 5, 7), 23), ((7, 8, 9), 55), ((1, 6, 10, 15), 29)],
+)
+def test_generated_exactly_past_the_frobenius_number(weights, frobenius):
+    # the largest Frobenius number over the minimal coprime supports; for
+    # P(1,6,10,15) the support {6,10,15} has no coprime pair inside it
+    w = WeightVector(weights)
+    assert all(is_generated(w, m) for m in range(frobenius + 1, frobenius + 200))
+    if frobenius >= 0:
+        assert not is_generated(w, frobenius)
+
+
+def test_generated_for_astronomical_twists():
+    assert is_generated((1, 2, 3), 10**30)
+    assert is_generated((2, 3, 5, 7), 10**30 + 1)
+    assert not is_generated((2, 3, 5, 7), 1)
+
+
+def test_generated_searches_no_further_than_m():
+    # weights near 10^6 and small twists: the Apéry search stops at m
+    # instead of covering the 10^6 residues of each support
+    w = WeightVector((1000003, 1000033, 1000037))
+    tracemalloc.start()
+    try:
+        assert is_generated(w, 0)
+        assert not is_generated(w, 5)
+        assert not is_generated(w, 2 * 1000033)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @given(weight_vectors, st.integers(0, 8), st.integers(0, 8))
 def test_generated_is_closed_under_sums(w, m1, m2):
     wf = normalize(w)
@@ -131,6 +181,7 @@ def test_lmin_on_ordinary_projective_space(n):
 def test_lmin_key_values():
     assert cotangent_twist_lmin(WeightVector((1, 1, 1, 1, 2))) == 3
     assert cotangent_twist_lmin(WeightVector((1, 1, 1, 2, 3))) == 7
+    assert cotangent_twist_lmin(WeightVector((1, 1, 2, 3, 5, 7, 11, 13))) == 136
 
 
 @pytest.mark.parametrize(
@@ -147,6 +198,15 @@ def test_lmin_key_values():
     ],
 )
 def test_lmin_matches_brute_force(weights):
+    expected = cotangent_twist_brute(weights, lmax=100)
+    assert expected is not None
+    assert cotangent_twist_lmin(WeightVector(weights)) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(well_formed(3, 5, 9))
+def test_lmin_matches_brute_force_on_drawn_weights(weights):
+    # weights <= 9 keep the proven limit, hence the answer, below 100
     expected = cotangent_twist_brute(weights, lmax=100)
     assert expected is not None
     assert cotangent_twist_lmin(WeightVector(weights)) == expected
