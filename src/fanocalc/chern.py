@@ -6,7 +6,12 @@ Whitney sums, duals and line twists follow the usual closed formulas.
 Symmetric and exterior powers go through universal integer polynomials:
 apply the functor to formal Chern roots ``x_1..x_r``, rewrite the resulting
 symmetric functions in the elementary symmetric polynomials ``e_1..e_r``
-(Gauss's algorithm), and substitute ``e_i -> c_i``.  Every coefficient is an
+(Gauss's algorithm), and substitute ``e_i -> c_i``.  The root product keeps
+only the exponent vectors that can still reach a partition of weight at
+most the truncation degree, and Gauss's rewrite runs in the basis of
+monomial symmetric functions ``m_lambda``, so no symmetric function is ever
+expanded into all the plain monomials of r variables (Macdonald, *Symmetric
+Functions and Hall Polynomials*, I.2 and I.6).  Every coefficient is an
 exact integer; no division ever occurs.  The universal polynomials are
 memoized per (functor, rank, power, truncation degree), which is safe under
 concurrent use because the computation is pure and idempotent.
@@ -15,6 +20,7 @@ concurrent use because the computation is pure and idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -180,6 +186,15 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
 
     Returns one frozen e-polynomial per degree ``1..min(new rank, dmax)``,
     each a tuple of ``(e-exponent tuple, integer coefficient)`` pairs.
+
+    The root product ``prod_g (1 + sum_{i in g} x_i)`` is taken one linear
+    factor at a time, keeping only the exponent vectors that can still grow
+    into a monomial ``x^lambda`` with ``lambda`` a partition of weight at
+    most ``dmax``: every factor only raises exponents, and the least
+    partition above ``alpha`` has weight ``sum_i max_{j >= i} alpha_j``.
+    Those partition coefficients are the coefficients of the symmetric
+    result on the monomial symmetric functions, which is all Gauss's
+    rewrite needs.
     """
     if op == "ext":
         groups = list(combinations(range(rank), k))
@@ -187,77 +202,92 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
         groups = list(combinations_with_replacement(range(rank), k))
     poly = {(0,) * rank: 1}
     for g in groups:
-        counts = [0] * rank
-        for i in g:
-            counts[i] += 1
-        factor = {(0,) * rank: 1}
-        for i, c in enumerate(counts):
-            if c:
-                unit = tuple(1 if j == i else 0 for j in range(rank))
-                factor[unit] = c
-        poly = _poly_mul(poly, factor, dmax)
+        counts = Counter(g).items()
+        grown = dict(poly)
+        for alpha, coeff in poly.items():
+            for i, c in counts:
+                beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                if _hull_weight(beta) <= dmax:
+                    grown[beta] = grown.get(beta, 0) + c * coeff
+        poly = grown
     top = min(len(groups), dmax)
-    out = []
-    for d in range(1, top + 1):
-        component = {e: c for e, c in poly.items() if sum(e) == d}
-        epoly = _symmetric_to_elementary(component, rank)
-        out.append(tuple(sorted(epoly.items())))
-    return tuple(out)
+    components: list[dict] = [{} for _ in range(top + 1)]
+    for alpha, coeff in poly.items():
+        components[sum(alpha)][alpha] = coeff
+    return tuple(
+        tuple(sorted(_symmetric_to_elementary(components[d], rank).items()))
+        for d in range(1, top + 1)
+    )
 
 
-def _poly_mul(a: dict, b: dict, dmax: int) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        d1 = sum(e1)
-        for e2, c2 in b.items():
-            if d1 + sum(e2) > dmax:
-                continue
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
-@lru_cache(maxsize=None)
-def _elementary_monomials(j: int, nvars: int) -> tuple:
-    """Monomial support of ``e_j`` in ``nvars`` variables."""
-    monos = []
-    for subset in combinations(range(nvars), j):
-        exps = tuple(1 if i in subset else 0 for i in range(nvars))
-        monos.append(exps)
-    return tuple(monos)
-
-
-@lru_cache(maxsize=None)
-def _emonomial_expansion(emon: tuple, nvars: int) -> tuple:
-    """Expansion of ``prod e_j**m_j`` into plain monomials."""
-    poly = {(0,) * nvars: 1}
-    for j, mult in enumerate(emon, start=1):
-        factor = {m: 1 for m in _elementary_monomials(j, nvars)}
-        for _ in range(mult):
-            poly = _poly_mul(poly, factor, 10**9)
-    return tuple(sorted(poly.items()))
+def _hull_weight(alpha: tuple) -> int:
+    """Weight of the least partition lying componentwise above ``alpha``."""
+    total = peak = 0
+    for a in reversed(alpha):
+        if a > peak:
+            peak = a
+        total += peak
+    return total
 
 
 def _symmetric_to_elementary(poly: dict, nvars: int) -> dict:
     """Rewrite a symmetric integer polynomial in ``e_1..e_nvars``.
 
-    Gauss's algorithm: kill the lex-leading monomial ``x^alpha`` (``alpha``
-    is weakly decreasing by symmetry) with the elementary product
-    ``e_1^(a1-a2) e_2^(a2-a3) ... e_n^(an)``.
+    Only the coefficients on weakly decreasing exponents are read: they are
+    the coefficients on the monomial symmetric functions ``m_lambda``, which
+    determine a symmetric polynomial.  Gauss's algorithm then works in that
+    basis: kill the lex-leading ``m_alpha`` with the elementary product
+    ``e_1^(a1-a2) e_2^(a2-a3) ... e_n^(an)``, whose expansion in the
+    m-basis has leading term ``m_alpha`` with coefficient 1.
     """
-    residue = {e: c for e, c in poly.items() if c}
+    residue = {
+        e: c for e, c in poly.items()
+        if c and all(e[i] >= e[i + 1] for i in range(nvars - 1))
+    }
     out: dict = {}
     while residue:
         alpha = max(residue)
-        if any(alpha[i] < alpha[i + 1] for i in range(nvars - 1)):
-            raise ValueError("input polynomial is not symmetric")
         c = residue[alpha]
         emon = tuple(alpha[i] - alpha[i + 1] for i in range(nvars - 1)) + (alpha[-1],)
         out[emon] = out.get(emon, 0) + c
-        for mono, coeff in _emonomial_expansion(emon, nvars):
-            val = residue.get(mono, 0) - c * coeff
+        for lam, coeff in _emonomial_expansion_m(emon, nvars):
+            val = residue.get(lam, 0) - c * coeff
             if val:
-                residue[mono] = val
+                residue[lam] = val
             else:
-                residue.pop(mono, None)
+                residue.pop(lam, None)
     return out
+
+
+@lru_cache(maxsize=None)
+def _emonomial_expansion_m(emon: tuple, nvars: int) -> tuple:
+    """Expansion of ``prod e_j**m_j`` in the m-basis, as ``(lambda, coeff)``
+    pairs with ``lambda`` a weakly decreasing ``nvars``-tuple."""
+    if not any(emon):
+        return (((0,) * nvars, 1),)
+    j = max(i for i, mult in enumerate(emon, start=1) if mult)
+    rest = emon[: j - 1] + (emon[j - 1] - 1,) + emon[j:]
+    out: dict = {}
+    for lam, c in _emonomial_expansion_m(rest, nvars):
+        for nu, mult in _m_times_e(lam, j, nvars):
+            out[nu] = out.get(nu, 0) + c * mult
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
+def _m_times_e(lam: tuple, j: int, nvars: int) -> tuple:
+    """``m_lam * e_j`` in the m-basis, as ``(nu, coeff)`` pairs.
+
+    The coefficient of ``m_nu`` counts the j-subsets S of the variables for
+    which ``nu - 1_S`` is a permutation of ``lam``.
+    """
+    subsets = list(combinations(range(nvars), j))
+    target = sorted(lam)
+    out: dict = {}
+    for t in subsets:
+        nu = tuple(sorted((lam[i] + (i in t) for i in range(nvars)), reverse=True))
+        if nu not in out:
+            out[nu] = sum(
+                sorted(nu[i] - (i in s) for i in range(nvars)) == target for s in subsets
+            )
+    return tuple(out.items())

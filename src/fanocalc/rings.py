@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 
@@ -39,6 +40,25 @@ class GradedRing(abc.ABC):
 
         Raises ``ValueError`` on a mixed-degree element.
         """
+
+
+def binomial_power(one, constant: int, rest, exponent: int):
+    """``(constant * one + rest) ** exponent`` for ``rest`` of positive degree.
+
+    In a truncated ring ``rest`` is nilpotent, so the binomial sum
+    ``sum_i C(N, i) constant^(N-i) rest^i`` stops at the first vanishing
+    power of ``rest``: at most one ring product per degree up to the
+    truncation, whatever the exponent.
+    """
+    total = one * constant**exponent
+    term = rest
+    for i in range(1, exponent + 1):
+        if not term:
+            break
+        total = total + comb(exponent, i) * constant ** (exponent - i) * term
+        if i < exponent:
+            term = term * rest
+    return total
 
 
 class PolyElement:
@@ -112,9 +132,17 @@ class PolyElement:
     def __pow__(self, exponent: int) -> "PolyElement":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
+        ring = self.ring
+        origin = (0,) * len(ring.variables)
+        constant = self.terms.get(origin, 0)
+        if constant:
+            rest = PolyElement(ring, {e: c for e, c in self.terms.items() if e != origin})
+            return binomial_power(ring.one(), constant, rest, exponent)
+        result = ring.one()
         for _ in range(exponent):
             result = result * self
+            if not result:
+                break
         return result
 
     def coefficient(self, exponents: Iterable[int]) -> int:

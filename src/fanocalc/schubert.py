@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .chern import FormalBundle
-from .rings import GradedRing
+from .rings import GradedRing, binomial_power
 
 Partition = tuple[int, ...]
 
@@ -125,6 +125,16 @@ class ChowElement:
         self.context = context
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, context: GrassmannContext, terms: Mapping[Partition, int]) -> "ChowElement":
+        """Wrap terms that are already normalized in-box partitions with
+        integer coefficients (kernel output, sums of valid elements);
+        zero coefficients are dropped, nothing is re-validated."""
+        x = cls.__new__(cls)
+        x.context = context
+        x.terms = {p: c for p, c in terms.items() if c}
+        return x
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -142,21 +152,21 @@ class ChowElement:
             raise ValueError("elements belong to different Grassmannians")
 
     def __neg__(self) -> "ChowElement":
-        return ChowElement(self.context, {p: -c for p, c in self.terms.items()})
+        return ChowElement._trusted(self.context, {p: -c for p, c in self.terms.items()})
 
     def __add__(self, other: "ChowElement") -> "ChowElement":
         self._check(other)
         out = dict(self.terms)
         for p, c in other.terms.items():
             out[p] = out.get(p, 0) + c
-        return ChowElement(self.context, out)
+        return ChowElement._trusted(self.context, out)
 
     def __sub__(self, other: "ChowElement") -> "ChowElement":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ChowElement(self.context, {p: c * other for p, c in self.terms.items()})
+            return ChowElement._trusted(self.context, {p: c * other for p, c in self.terms.items()})
         if not isinstance(other, ChowElement):
             return NotImplemented
         return multiply(self, other)
@@ -170,6 +180,10 @@ class ChowElement:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         ctx = self.context
+        constant = self.terms.get((), 0)
+        if constant:
+            rest = ChowElement._trusted(ctx, {p: c for p, c in self.terms.items() if p})
+            return binomial_power(unit(ctx), constant, rest, exponent)
         weights = [sum(p) for p in self.terms]
         if exponent and weights and min(weights) * exponent > ctx.top_degree:
             return zero(ctx)
@@ -237,7 +251,8 @@ def _horizontal_strips(lam: Partition, a: int, rows: int, cols: int) -> Iterator
     def rec(i: int, remaining: int) -> Iterator[Partition]:
         if i == maxlen:
             if remaining == 0:
-                yield as_partition(mu)
+                # only a new last row can be empty
+                yield tuple(mu) if mu[-1] else tuple(mu[:-1])
             return
         lo = lam[i] if i < length else 0
         hi = cols if i == 0 else lam[i - 1]
@@ -259,7 +274,7 @@ def pieri(x: ChowElement, a: int) -> ChowElement:
     for lam, coeff in x.terms.items():
         for mu in _horizontal_strips(lam, a, ctx.rows, ctx.cols):
             out[mu] = out.get(mu, 0) + coeff
-    return ChowElement(ctx, out)
+    return ChowElement._trusted(ctx, out)
 
 
 def _times_schubert(x: ChowElement, lam: Partition) -> ChowElement:
@@ -295,7 +310,7 @@ def _times_schubert(x: ChowElement, lam: Partition) -> ChowElement:
                     out[mu] = out.get(mu, 0) + sign * coeff
         partial = {}
         for used, terms in sums.items():
-            term = ChowElement(ctx, terms)
+            term = ChowElement._trusted(ctx, terms)
             if term:
                 partial[used] = term
     return partial.get((1 << size) - 1, zero(ctx))

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: Schubert products are
 recomputed through monomial expansions of Schur polynomials (semistandard
 tableaux), power bundles through direct enumeration of root multisets over
-actual split bundles, and base-point freeness on weighted projective spaces
+actual split bundles, universal polynomials through full monomial
+expansions, and base-point freeness on weighted projective spaces
 through explicit monomial lists and O(m) reachability lists.
 """
 
@@ -117,6 +118,55 @@ def split_power_chern(ring, roots, k: int, op: str) -> list:
             s = s + roots[i]
         total = total * (ring.one() + s)
     return [graded_component(total, d) for d in range(1, ring.truncation + 1)]
+
+
+@cache
+def _elementary_product(emon: tuple[int, ...], nvars: int) -> dict:
+    """``prod e_j**m_j`` over all plain monomials of ``nvars`` variables."""
+    poly = {(0,) * nvars: 1}
+    for j, mult in enumerate(emon, start=1):
+        e_j = {
+            tuple(1 if i in subset else 0 for i in range(nvars)): 1
+            for subset in combinations(range(nvars), j)
+        }
+        for _ in range(mult):
+            poly = _poly_mul(poly, e_j)
+    return poly
+
+
+def power_epolys_brute(op: str, rank: int, k: int, dmax: int) -> tuple:
+    """Chern classes of S^k or Lambda^k of a rank-``rank`` bundle as
+    polynomials in e_1..e_rank, laid out as one sorted tuple of
+    ``(e-exponent tuple, coefficient)`` pairs per degree 1..min(new rank,
+    dmax): the full product over the formal roots on every monomial, then
+    Gauss's algorithm on every monomial of each graded component."""
+    picker = combinations if op == "ext" else combinations_with_replacement
+    groups = list(picker(range(rank), k))
+    total = {(0,) * rank: 1}
+    for group in groups:
+        factor = {(0,) * rank: 1}
+        for i in group:
+            unit = tuple(int(j == i) for j in range(rank))
+            factor[unit] = factor.get(unit, 0) + 1
+        total = {e: c for e, c in _poly_mul(total, factor).items() if sum(e) <= dmax}
+    out = []
+    for d in range(1, min(len(groups), dmax) + 1):
+        residue = {e: c for e, c in total.items() if c and sum(e) == d}
+        epoly: dict = {}
+        while residue:
+            alpha = max(residue)
+            assert all(alpha[i] >= alpha[i + 1] for i in range(rank - 1)), alpha
+            c = residue[alpha]
+            emon = tuple(alpha[i] - alpha[i + 1] for i in range(rank - 1)) + (alpha[-1],)
+            epoly[emon] = epoly.get(emon, 0) + c
+            for mono, coeff in _elementary_product(emon, rank).items():
+                val = residue.get(mono, 0) - c * coeff
+                if val:
+                    residue[mono] = val
+                else:
+                    residue.pop(mono, None)
+        out.append(tuple(sorted(epoly.items())))
+    return tuple(out)
 
 
 # -- weighted projective spaces ----------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fanocalc import chern
 from fanocalc.chern import (
     FormalBundle,
     chern_class,
@@ -16,7 +17,7 @@ from fanocalc.chern import (
 )
 from fanocalc.rings import TruncatedPolynomialRing, line_ring
 from fanocalc.schubert import GrassmannContext, integrate, sigma, tautological_dual
-from oracles import split_power_chern
+from oracles import power_epolys_brute, split_power_chern
 
 P3 = line_ring(3, top_integral=1)
 H = P3.gen()
@@ -212,10 +213,14 @@ def test_lambda2_tangent_is_twisted_cotangent_on_p3():
 
 @pytest.mark.parametrize("op,power_fn", [("sym", sym_power), ("ext", ext_power)])
 def test_powers_match_direct_root_enumeration(op, power_fn):
-    ring = line_ring(6)
-    h = ring.gen()
-    cases = [[1], [0, 2], [1, 1, 3], [-1, 0, 1, 2], [2, 2, 2, 2]]
-    for multiples in cases:
+    cases = [
+        (6, [1]), (6, [0, 2]), (6, [1, 1, 3]), (6, [-1, 0, 1, 2]), (6, [2, 2, 2, 2]),
+        (8, [-2, -1, 0, 1, 3]), (8, [1, 1, 2, 2, 3]),
+        (8, [-1, 0, 0, 1, 2, 2]), (8, [1, 1, 1, 1, 1, 2]),
+    ]
+    for truncation, multiples in cases:
+        ring = line_ring(truncation)
+        h = ring.gen()
         for k in range(1, 4):
             if op == "ext" and k > len(multiples):
                 continue
@@ -224,6 +229,28 @@ def test_powers_match_direct_root_enumeration(op, power_fn):
             got = power_fn(bundle, k)
             for i in range(1, ring.truncation + 1):
                 assert chern_class(got, i) == expected[i - 1], (multiples, k, i)
+
+
+@given(st.sampled_from(["sym", "ext"]), st.integers(1, 4), st.integers(1, 4), st.integers(0, 8))
+def test_universal_polynomials_match_full_monomial_route(op, rank, k, dmax):
+    if op == "ext":
+        k = min(k, rank)
+    assert chern._power_epolys(op, rank, k, dmax) == power_epolys_brute(op, rank, k, dmax)
+
+
+# (functor, rank, power, truncation) of the bundles benchmark workload, and
+# the rank-2 lines ladder S^(2n-3) on G(2, n+1)
+PINNED_SHAPES = [
+    ("sym", 2, 2, 4), ("sym", 2, 5, 10), ("sym", 3, 2, 6), ("sym", 3, 3, 8),
+    ("sym", 3, 4, 10), ("sym", 4, 2, 8), ("sym", 4, 3, 10), ("sym", 5, 2, 10),
+    ("ext", 4, 2, 6), ("ext", 5, 2, 8), ("ext", 5, 3, 10), ("ext", 6, 2, 8),
+    ("ext", 6, 3, 7), ("ext", 6, 4, 7),
+] + [("sym", 2, 2 * n - 3, 2 * n - 2) for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("shape", PINNED_SHAPES, ids=lambda s: "{}-{}-{}-{}".format(*s))
+def test_universal_polynomials_pinned_shapes(shape):
+    assert chern._power_epolys(*shape) == power_epolys_brute(*shape)
 
 
 @given(st.lists(st.integers(-2, 2), min_size=1, max_size=3), st.integers(1, 3))

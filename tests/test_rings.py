@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +70,44 @@ def test_power_truncates():
     h = h_ring.gen()
     assert not h ** 4
     assert (h ** 3).coefficient((3,)) == 1
+
+
+def counting_products(monkeypatch):
+    calls = []
+    real_mul = PolyElement.__mul__
+
+    def counting(x, y):
+        if isinstance(y, PolyElement):
+            calls.append((x, y))
+        return real_mul(x, y)
+
+    monkeypatch.setattr(PolyElement, "__mul__", counting)
+    return calls
+
+
+def test_power_stops_once_zero(monkeypatch):
+    h = line_ring(3).gen()
+    calls = counting_products(monkeypatch)
+    assert not h ** 200000
+    assert len(calls) == 4
+
+
+def test_power_with_constant_term_makes_at_most_truncation_products(monkeypatch):
+    ring = line_ring(3)
+    h = ring.gen()
+    n = 5000
+    expected = PolyElement(ring, {(i,): comb(n, i) * 2 ** (n - i) for i in range(4)})
+    calls = counting_products(monkeypatch)
+    assert (2 * ring.one() + h) ** n == expected
+    assert len(calls) <= ring.truncation
+
+
+@given(ring_elements(), st.integers(0, 6))
+def test_power_equals_repeated_product(x, exponent):
+    chain = RING.one()
+    for _ in range(exponent):
+        chain = chain * x
+    assert x**exponent == chain
 
 
 def test_integral_uses_declared_intersection_number():

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -223,6 +225,53 @@ def test_power_beyond_top_degree_is_zero_without_products(monkeypatch):
     assert len(calls) == 4
     assert unit(G24) ** 3 == unit(G24)
     assert zero(G24) ** 0 == unit(G24)
+
+
+def counting_multiply(monkeypatch):
+    calls = []
+    real_multiply = schubert.multiply
+
+    def counting(x, y):
+        calls.append((x, y))
+        return real_multiply(x, y)
+
+    monkeypatch.setattr(schubert, "multiply", counting)
+    return calls
+
+
+def test_power_with_weight_zero_part_makes_at_most_top_degree_products(monkeypatch):
+    expected = sum(
+        (comb(20000, i) * sigma(G25, 1) ** i for i in range(G25.top_degree + 1)),
+        zero(G25),
+    )
+    calls = counting_multiply(monkeypatch)
+    assert (unit(G25) + sigma(G25, 1)) ** 20000 == expected
+    assert len(calls) <= G25.top_degree
+    calls.clear()
+    assert unit(G25) ** 10**9 == unit(G25)
+    assert (3 * unit(G25)) ** 40 == 3**40 * unit(G25)
+    assert len(calls) == 0
+
+
+def test_plucker_power_is_one_pieri_step_per_factor(monkeypatch):
+    calls = counting_multiply(monkeypatch)
+    pieris = []
+    real_pieri = schubert.pieri
+    monkeypatch.setattr(schubert, "pieri", lambda x, a: pieris.append(a) or real_pieri(x, a))
+    assert integrate(sigma(G25, 1) ** G25.top_degree) == 5
+    assert len(calls) == len(pieris) == G25.top_degree
+
+
+@given(
+    st.dictionaries(boxed_partitions(G24), st.integers(-3, 3), max_size=4),
+    st.integers(0, 7),
+)
+def test_power_equals_repeated_product(terms, exponent):
+    x = ChowElement(G24, terms)
+    chain = unit(G24)
+    for _ in range(exponent):
+        chain = multiply(chain, x)
+    assert x**exponent == chain
 
 
 def test_integrate_rejects_non_top_degree():
