@@ -6,8 +6,15 @@ takes the parsed arguments and returns ``(result, provenance)``; the flags
 are ``(names, add_argument keywords)`` pairs, a list of pairs being a
 mutually exclusive group, and flag sets shared by several commands (``GR``,
 ``BUNDLE``, ``TARGET``, ``VERY_AMPLE``) are declared once.
-``build_parser`` builds every subparser by looping over the table, and
 ``run`` passes every result through ``_plain``, the one serializer.
+
+A process pays only for the command it runs.  ``build_parser`` builds the
+top-level parser and one parser per group; a group's op parsers, and an
+op's flags, are added from the table only when argparse selects them
+(``_SelectedSubParsers``).  Importing this module loads no library module:
+handlers reach the library through the lazy package namespace
+(``fc.multiply``), which imports a module on first use, and ``_plain``
+recognizes result types only from modules already loaded.
 
 ``--json`` switches the output to a single-line machine-readable document
 with fields ``{command, status, inputs, result, provenance}``, or
@@ -24,14 +31,8 @@ import re
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
-from fractions import Fraction
 
-from . import degree_bound, fano_db, reports, riemann_roch, wps
-from .chern import FormalBundle, dual, ext_power, line_bundle, sym_power, top_chern, twist_line
-from .chern import whitney_sum
-from .rings import PolyElement, line_ring
-from .schubert import ChowElement, GrassmannContext, giambelli, integrate, multiply, pieri, sigma
-from .schubert import tautological_dual, unit
+import fanocalc as fc
 
 
 @dataclass
@@ -75,7 +76,7 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
+def parse_schubert_expr(ctx: fc.GrassmannContext, text: str) -> fc.ChowElement:
     """Tiny grammar: ``s[l1,l2,...]``, integer literals, ``+``, ``*``, ``^``.
 
     Literals, and products and powers of literals, stay Python ints until
@@ -94,7 +95,7 @@ def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
         pos += 1
         return tok
 
-    def parse_atom() -> ChowElement | int:
+    def parse_atom() -> fc.ChowElement | int:
         tok = peek()
         if tok is None:
             raise ValueError("unexpected end of expression")
@@ -105,10 +106,10 @@ def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
             take()
             inner = tok[2:-1].strip()
             parts = [int(x) for x in inner.split(",")] if inner else []
-            return sigma(ctx, *parts)
+            return fc.sigma(ctx, *parts)
         raise ValueError(f"unexpected token {tok!r}")
 
-    def parse_factor() -> ChowElement | int:
+    def parse_factor() -> fc.ChowElement | int:
         atom = parse_atom()
         while peek() == "^":
             take()
@@ -121,12 +122,12 @@ def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
             atom = atom**exp
         return atom
 
-    def parse_term() -> ChowElement:
+    def parse_term() -> fc.ChowElement:
         node = parse_factor()
         while peek() == "*":
             take()
             node = node * parse_factor()
-        return node * unit(ctx) if isinstance(node, int) else node
+        return node * fc.unit(ctx) if isinstance(node, int) else node
 
     node = parse_term()
     while peek() == "+":
@@ -139,30 +140,48 @@ def parse_schubert_expr(ctx: GrassmannContext, text: str) -> ChowElement:
 
 # -- serialization ----------------------------------------------------------
 
+def _chow(value) -> dict:
+    return {
+        "display": str(value),
+        "terms": {
+            ",".join(str(x) for x in parts) or "0": coeff
+            for parts, coeff in sorted(value.terms.items())
+        },
+    }
+
+
+def _invariants(value) -> dict:
+    out = {key: getattr(value, key) for key in ("r", "H3", "c2H", "c3Omega", "b3")}
+    if value.genus is not None:
+        out["genus"] = value.genus
+        out["dim_anticanonical_system"] = value.anticanonical_system_dim
+    return out
+
+
+# Result types with a form of their own: (module, class name, form).  A
+# result can only be an instance of a class whose module is loaded, so the
+# classes are looked up in sys.modules and serializing imports nothing.
+_FORMS = (
+    ("fanocalc.schubert", "ChowElement", _chow),
+    ("fanocalc.chern", "FormalBundle",
+     lambda v: {"rank": v.rank, "chern": [str(c) for c in v.chern]}),
+    ("fanocalc.rings", "PolyElement", str),
+    ("fractions", "Fraction", str),
+    ("fanocalc.wps", "WeightVector", lambda v: list(v.weights)),
+    ("fanocalc.wps", "SingularStratum",
+     lambda v: {"k": v.k, "coords": list(v.coords), "dimension": v.dimension}),
+    ("fanocalc.riemann_roch", "FanoNumericalInvariants", _invariants),
+)
+
+
 def _plain(value):
     """The JSON-ready form of a result; dataclasses become their fields."""
-    if isinstance(value, ChowElement):
-        return {
-            "display": str(value),
-            "terms": {
-                ",".join(str(x) for x in parts) or "0": coeff
-                for parts, coeff in sorted(value.terms.items())
-            },
-        }
-    if isinstance(value, FormalBundle):
-        return {"rank": value.rank, "chern": [str(c) for c in value.chern]}
-    if isinstance(value, (PolyElement, Fraction)):
-        return str(value)
-    if isinstance(value, wps.WeightVector):
-        return list(value.weights)
-    if isinstance(value, wps.SingularStratum):
-        return {"k": value.k, "coords": list(value.coords), "dimension": value.dimension}
-    if isinstance(value, riemann_roch.FanoNumericalInvariants):
-        out = {key: getattr(value, key) for key in ("r", "H3", "c2H", "c3Omega", "b3")}
-        if value.genus is not None:
-            out["genus"] = value.genus
-            out["dim_anticanonical_system"] = value.anticanonical_system_dim
-        return out
+    if isinstance(value, (int, str)) or value is None:
+        return value
+    for module, name, form in _FORMS:
+        loaded = sys.modules.get(module)
+        if loaded is not None and isinstance(value, getattr(loaded, name)):
+            return form(value)
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Mapping):
@@ -209,20 +228,20 @@ def _render(value, indent: str = "") -> str:
 
 # -- argument helpers --------------------------------------------------------
 
-def _parse_gr(text: str) -> GrassmannContext:
+def _parse_gr(text: str) -> fc.GrassmannContext:
     try:
         a, b = (int(x) for x in text.split(","))
     except Exception:
         raise ValueError(f"--gr expects 'a,b' (projective convention), got {text!r}")
-    return GrassmannContext.from_projective(a, b)
+    return fc.GrassmannContext.from_projective(a, b)
 
 
-def _expr(args, text: str) -> ChowElement:
+def _expr(args, text: str) -> fc.ChowElement:
     return parse_schubert_expr(_parse_gr(args.gr), text)
 
 
-def _weights(args) -> wps.WeightVector:
-    return wps.WeightVector(tuple(int(x) for x in args.weights.split(",")))
+def _weights(args) -> fc.WeightVector:
+    return fc.WeightVector(tuple(int(x) for x in args.weights.split(",")))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -232,62 +251,62 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _bundle_from_args(args) -> tuple[FormalBundle, GrassmannContext | None]:
+def _bundle_from_args(args) -> tuple[fc.FormalBundle, fc.GrassmannContext | None]:
     if args.taut and args.split:
         raise ValueError("give exactly one of --taut and --split")
     if args.taut:
         ctx = _parse_gr(args.taut)
-        return tautological_dual(ctx), ctx
+        return fc.tautological_dual(ctx), ctx
     if args.split:
         head, _, tail = args.split.partition(":")
         if not _:
             raise ValueError("--split expects 'dim:a1,a2,...'")
         dim = int(head)
-        ring = line_ring(dim, top_integral=1)
+        ring = fc.line_ring(dim, top_integral=1)
         h = ring.gen()
-        bundle = FormalBundle(ring, 0, ())
+        bundle = fc.FormalBundle(ring, 0, ())
         for a in _parse_ints(tail):
-            bundle = whitney_sum(bundle, line_bundle(ring, a * h))
+            bundle = fc.whitney_sum(bundle, fc.line_bundle(ring, a * h))
         return bundle, None
     raise ValueError("a bundle is required: --taut a,b or --split dim:a1,a2,...")
 
 
-def _bundle(args) -> FormalBundle:
+def _bundle(args) -> fc.FormalBundle:
     return _bundle_from_args(args)[0]
 
 
-def _db(args) -> fano_db.FanoDatabase:
+def _db(args) -> fc.FanoDatabase:
     if args.db:
-        return fano_db.load_database(args.db)
-    return fano_db.default_database()
+        return fc.load_database(args.db)
+    return fc.default_database()
 
 
-def _twist(args, Y: fano_db.FanoRecord) -> int:
+def _twist(args, Y: fc.FanoRecord) -> int:
     """``--twist``, defaulting to the cotangent twist of the target."""
-    return args.twist if args.twist is not None else degree_bound.cotangent_twist(Y)
+    return args.twist if args.twist is not None else fc.cotangent_twist(Y)
 
 
-def _source_from_args(args, db) -> degree_bound.SourceInvariants:
+def _source_from_args(args, db) -> fc.SourceInvariants:
     if args.source:
-        return degree_bound.source_invariants(db.lookup(args.source))
+        return fc.source_invariants(db.lookup(args.source))
     missing = [f"--{key}" for key in ("h3x", "kappa", "c2hx", "c3x") if getattr(args, key) is None]
     if missing:
         raise ValueError(
             "source invariants incomplete: give --source NAME or " + ", ".join(missing)
         )
-    return degree_bound.SourceInvariants(
+    return fc.SourceInvariants(
         H3X=args.h3x, kappa=args.kappa, c2HX=args.c2hx, c3OmegaX=args.c3x
     )
 
 
-def _kappa_source(args) -> degree_bound.SourceInvariants:
+def _kappa_source(args) -> fc.SourceInvariants:
     """A source given by ``--h3x`` and ``--kappa`` alone."""
-    return degree_bound.SourceInvariants(
+    return fc.SourceInvariants(
         H3X=args.h3x, kappa=args.kappa, c2HX=0, c3OmegaX=0
     )
 
 
-def _chi(value: Fraction) -> dict:
+def _chi(value) -> dict:
     return {"chi": value, "integral": value.denominator == 1}
 
 
@@ -299,53 +318,53 @@ def _violations(report: dict) -> dict:
 
 def _chern_twist(args):
     bundle, ctx = _bundle_from_args(args)
-    degree_one = sigma(ctx, 1) if ctx is not None else bundle.ring.gen()
-    return twist_line(bundle, args.t * degree_one), ["chern-root-formalism"]
+    degree_one = fc.sigma(ctx, 1) if ctx is not None else bundle.ring.gen()
+    return fc.twist_line(bundle, args.t * degree_one), ["chern-root-formalism"]
 
 
 def _chern_top(args):
     bundle, ctx = _bundle_from_args(args)
     provenance = ["splitting-principle"]
     if args.sym:
-        bundle = sym_power(bundle, args.sym)
+        bundle = fc.sym_power(bundle, args.sym)
     if args.ext:
-        bundle = ext_power(bundle, args.ext)
-    top = top_chern(bundle)
+        bundle = fc.ext_power(bundle, args.ext)
+    top = fc.top_chern(bundle)
     if not args.integrate:
         return top, provenance
     if ctx is not None:
-        return integrate(top), provenance + ["schubert-degree-pairing"]
+        return fc.integrate(top), provenance + ["schubert-degree-pairing"]
     return bundle.ring.integral(top), provenance + ["declared-intersection-number"]
 
 
 def _normal_bundles(args):
     provenance = ["adjunction-normal-bundle-options"]
     if args.conics:
-        options = fano_db.conic_normal_bundle_degrees()
+        options = fc.conic_normal_bundle_degrees()
         notes = {
-            str(a): fano_db.CONIC_OPTION_NOTES[a]
+            str(a): fc.fano_db.CONIC_OPTION_NOTES[a]
             for a, _ in sorted(options)
-            if a in fano_db.CONIC_OPTION_NOTES
+            if a in fc.fano_db.CONIC_OPTION_NOTES
         }
         return {"options": options, "notes": notes}, provenance
     if args.r is None:
         raise ValueError("give --r 1|2 for line options or --conics")
-    return {"options": fano_db.line_normal_bundle_options(args.r, args.very_ample)}, provenance
+    return {"options": fc.line_normal_bundle_options(args.r, args.very_ample)}, provenance
 
 
 def _bound_E(args):
     Y = _db(args).lookup(args.target)
     twist = _twist(args, Y)
     return {
-        "E": degree_bound.E_value(Y, twist),
+        "E": fc.E_value(Y, twist),
         "twist": twist,
-        "verdict": degree_bound.boundedness_verdict(Y, twist),
+        "verdict": fc.boundedness_verdict(Y, twist),
     }, ["twisted-cotangent-degree-criterion"]
 
 
 def _bound_verdict(args):
     Y = _db(args).lookup(args.target)
-    verdict = degree_bound.boundedness_verdict(Y, _twist(args, Y))
+    verdict = fc.boundedness_verdict(Y, _twist(args, Y))
     return verdict, ["twisted-cotangent-degree-criterion"]
 
 
@@ -354,7 +373,7 @@ def _max_m(args):
     Y = db.lookup(args.target)
     X = _source_from_args(args, db)
     twist = _twist(args, Y)
-    return {"m_max": degree_bound.max_multiplier(X, Y, twist), "twist": twist}, [
+    return {"m_max": fc.max_multiplier(X, Y, twist), "twist": twist}, [
         "twisted-cotangent-degree-criterion",
         "exact-integer-search",
     ]
@@ -366,31 +385,45 @@ def _neg_lines(args):
     j = args.j
     provenance = ["negative-normal-direction-bound"]
     if j is None:
-        j = degree_bound.tangent_twist_hypersurface(args.hypersurface_degree)
+        j = fc.tangent_twist_hypersurface(args.hypersurface_degree)
         provenance.append("hypersurface-tangent-twist")
-    return {"j": j, "m_bound": degree_bound.multiplier_bound_from_negative_lines(j)}, provenance
+    return {"j": j, "m_bound": fc.multiplier_bound_from_negative_lines(j)}, provenance
+
+
+# Longest m range that `bound feasible-m` scans; its time and memory grow with the range.
+MAX_M_VALUES = 10**5
 
 
 def _feasible_m(args):
     if args.m_min < 1 or args.m_max < args.m_min:
         raise ValueError("need 1 <= m-min <= m-max")
+    count = args.m_max - args.m_min + 1
+    if count > MAX_M_VALUES:
+        raise ValueError(f"m-min..m-max spans {count} values; at most {MAX_M_VALUES} are allowed")
     values = range(args.m_min, args.m_max + 1)
-    feasible = degree_bound.feasible_multipliers(args.rx, args.ry, args.very_ample, values)
+    feasible = fc.feasible_multipliers(args.rx, args.ry, args.very_ample, values)
     out = {"feasible": sorted(feasible)}
     if args.witnesses:
         out["witnesses"] = {
-            str(m): degree_bound.feasibility_witnesses(args.rx, args.ry, args.very_ample, m)
+            str(m): fc.feasibility_witnesses(args.rx, args.ry, args.very_ample, m)
             for m in sorted(feasible)
         }
     return out, ["normal-bundle-enumeration"]
 
 
+def _lines_cubic(args):
+    from . import reports  # not a package export
+
+    provenance = ["splitting-principle", "pieri-rule", "hurwitz-formula"]
+    return reports.lines_on_cubic_threefold(), provenance
+
+
 def _quadric(args):
     X = _kappa_source(args)
     return {
-        "threshold": degree_bound.noether_lefschetz_threshold(args.kappa),
-        "m_bound": degree_bound.quadric_multiplier_bound(X),
-        "degree_bound": degree_bound.quadric_degree_bound(X),
+        "threshold": fc.noether_lefschetz_threshold(args.kappa),
+        "m_bound": fc.quadric_multiplier_bound(X),
+        "degree_bound": fc.quadric_degree_bound(X),
     }, ["infinitesimal-noether-lefschetz", "ampleness-threshold"]
 
 
@@ -433,25 +466,25 @@ GROUPS = {
 # Each row: "group op": (handler, flags); see the module docstring.
 COMMANDS = {
     "schubert mul": (
-        lambda a: (multiply(_expr(a, a.lhs), _expr(a, a.rhs)),
+        lambda a: (fc.multiply(_expr(a, a.lhs), _expr(a, a.rhs)),
                    ["pieri-rule", "giambelli-determinant"]),
         (GR, _arg("--lhs", required=True), _arg("--rhs", required=True))),
     "schubert pieri": (
-        lambda a: (pieri(_expr(a, a.expr), a.a), ["pieri-rule"]),
+        lambda a: (fc.pieri(_expr(a, a.expr), a.a), ["pieri-rule"]),
         (GR, _arg("--expr", required=True), _int("--a", help="single-row class index"))),
     "schubert integrate": (
-        lambda a: (integrate(_expr(a, a.expr)),
+        lambda a: (fc.integrate(_expr(a, a.expr)),
                    ["pieri-rule", "giambelli-determinant", "schubert-degree-pairing"]),
         (GR, _arg("--expr", required=True))),
     "schubert giambelli": (
-        lambda a: (giambelli(_parse_gr(a.gr), _parse_ints(a.partition)),
+        lambda a: (fc.giambelli(_parse_gr(a.gr), _parse_ints(a.partition)),
                    ["giambelli-determinant", "pieri-rule"]),
         (GR, _arg("--partition", required=True, help="comma-separated parts"))),
     "chern sym": (
-        lambda a: (sym_power(_bundle(a), a.k), ["splitting-principle"]), (*BUNDLE, _int("--k"))),
+        lambda a: (fc.sym_power(_bundle(a), a.k), ["splitting-principle"]), (*BUNDLE, _int("--k"))),
     "chern ext": (
-        lambda a: (ext_power(_bundle(a), a.k), ["splitting-principle"]), (*BUNDLE, _int("--k"))),
-    "chern dual": (lambda a: (dual(_bundle(a)), ["chern-root-formalism"]), BUNDLE),
+        lambda a: (fc.ext_power(_bundle(a), a.k), ["splitting-principle"]), (*BUNDLE, _int("--k"))),
+    "chern dual": (lambda a: (fc.dual(_bundle(a)), ["chern-root-formalism"]), BUNDLE),
     "chern twist": (_chern_twist, (*BUNDLE, _int("--t", help="multiple of the degree-1 class"))),
     "chern top": (_chern_top, (
         *BUNDLE,
@@ -459,33 +492,33 @@ COMMANDS = {
         _arg("--ext", type=int, help="apply an exterior power first"),
         _arg("--integrate", action="store_true"))),
     "rr chi2": (
-        lambda a: (_chi(riemann_roch.chi_surface(riemann_roch.SurfaceIntersectionData(
+        lambda a: (_chi(fc.chi_surface(fc.SurfaceIntersectionData(
             a.dd, a.dk, a.kk, a.c2))), ["riemann-roch-surface"]),
         tuple(map(_int, ("--dd", "--dk", "--kk", "--c2")))),
     "rr chi3": (
-        lambda a: (_chi(riemann_roch.chi_threefold(riemann_roch.ThreefoldIntersectionData(
+        lambda a: (_chi(fc.chi_threefold(fc.ThreefoldIntersectionData(
             a.d3, a.kd2, a.kkd, a.c2d, a.c1c2))), ["riemann-roch-threefold"]),
         tuple(map(_int, ("--d3", "--kd2", "--kkd", "--c2d", "--c1c2")))),
     "rr fano-invariants": (
-        lambda a: (riemann_roch.derive_fano_invariants(a.r, a.h3, a.b3),
+        lambda a: (fc.derive_fano_invariants(a.r, a.h3, a.b3),
                    ["riemann-roch-threefold", "euler-number-betti"]),
         tuple(map(_int, ("--r", "--h3", "--b3")))),
     "wps normalize": (
-        lambda a: (wps.normalize(_weights(a)), ["weighted-well-forming"]), (WEIGHTS,)),
+        lambda a: (fc.normalize(_weights(a)), ["weighted-well-forming"]), (WEIGHTS,)),
     "wps sing": (
-        lambda a: (wps.singular_strata(_weights(a)), ["weighted-singular-locus"]), (WEIGHTS,)),
+        lambda a: (fc.singular_strata(_weights(a)), ["weighted-singular-locus"]), (WEIGHTS,)),
     "wps canonical": (
-        lambda a: (wps.canonical_degree(_weights(a)), ["weighted-canonical-degree"]), (WEIGHTS,)),
+        lambda a: (fc.canonical_degree(_weights(a)), ["weighted-canonical-degree"]), (WEIGHTS,)),
     "wps generated": (
-        lambda a: (wps.is_generated(_weights(a), a.m),
+        lambda a: (fc.is_generated(_weights(a), a.m),
                    ["numerical-semigroup-base-point-criterion"]),
         (WEIGHTS, _int("--m"))),
     "wps lmin": (
-        lambda a: (wps.cotangent_twist_lmin(_weights(a)),
+        lambda a: (fc.cotangent_twist_lmin(_weights(a)),
                    ["euler-sequence", "numerical-semigroup-base-point-criterion"]),
         (WEIGHTS,)),
     "wps model": (
-        lambda a: (wps.double_cover_model(a.base, a.k), ["double-cover-weighted-model"]),
+        lambda a: (fc.double_cover_model(a.base, a.k), ["double-cover-weighted-model"]),
         (_arg("--base", required=True, help="P<n>, veronese-cone or quadric-4"),
          _int("--k", help="half the branch degree"))),
     "db lookup": (
@@ -498,7 +531,7 @@ COMMANDS = {
         VERY_AMPLE,
         _arg("--conics", action="store_true", help="conic option table instead"))),
     "db line-family-dim": (
-        lambda a: (fano_db.expected_line_family_dim(a.n, a.d), ["incidence-dimension-count"]),
+        lambda a: (fc.expected_line_family_dim(a.n, a.d), ["incidence-dimension-count"]),
         (_int("--n", help="ambient projective dimension"),
          _int("--d", help="hypersurface degree"))),
     "bound E": (_bound_E, TARGET),
@@ -508,11 +541,11 @@ COMMANDS = {
         _arg("--source", help="read source invariants from a classified family"),
         *(_arg(flag, type=int) for flag in ("--h3x", "--kappa", "--c2hx", "--c3x")))),
     "bound degree": (
-        lambda a: (degree_bound.degree_from_multiplier(a.m, a.h3x, a.h3y),
+        lambda a: (fc.degree_from_multiplier(a.m, a.h3x, a.h3y),
                    ["pullback-multiplier-degree"]),
         tuple(map(_int, ("--m", "--h3x", "--h3y")))),
     "bound ramification": (
-        lambda a: (degree_bound.ramification_feasibility(a.ry, a.k, _kappa_source(a)),
+        lambda a: (fc.ramification_feasibility(a.ry, a.k, _kappa_source(a)),
                    ["ramification-multiplicity-count"]),
         (*map(_int, ("--ry", "--k", "--kappa")), _arg("--h3x", type=int, default=1))),
     "bound neg-lines": (_neg_lines, (
@@ -526,10 +559,7 @@ COMMANDS = {
         _int("--m-max"),
         _arg("--witnesses", action="store_true"))),
     "bound quadric": (_quadric, (_int("--h3x"), _int("--kappa"))),
-    "report lines-cubic": (
-        lambda a: (reports.lines_on_cubic_threefold(),
-                   ["splitting-principle", "pieri-rule", "hurwitz-formula"]),
-        ()),
+    "report lines-cubic": (_lines_cubic, ()),
 }
 
 
@@ -550,30 +580,58 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(self, message)
 
 
+class _SelectedSubParsers(argparse._SubParsersAction):
+    """Subparsers filled on selection: when argparse picks a choice,
+    ``fill(name, parser)`` adds that parser's contents just before it parses
+    the rest of the command line.  Choices never picked stay empty."""
+
+    def __init__(self, *args, fill, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+        self._filled = set()
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if name not in self._filled:
+            self._filled.add(name)
+            self._fill(name, self.choices[name])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _add_ops(group: str, parser: argparse.ArgumentParser) -> None:
+    ops = parser.add_subparsers(
+        dest="op", required=True, action=_SelectedSubParsers, fill=_add_flags
+    )
+    for command, (handler, _flags) in COMMANDS.items():
+        head, _, op = command.partition(" ")
+        if head == group:
+            ops.add_parser(op).set_defaults(func=handler, command=command)
+
+
+def _add_flags(op: str, parser: argparse.ArgumentParser) -> None:
+    for flag in COMMANDS[parser.get_default("command")][1]:
+        if isinstance(flag, list):  # a mutually exclusive group
+            exclusive = parser.add_mutually_exclusive_group()
+            for names, kwargs in flag:
+                exclusive.add_argument(*names, **kwargs)
+        else:
+            parser.add_argument(*flag[0], **flag[1])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser and one parser per group; the op parsers of a
+    group and the flags of an op are added when argparse selects them."""
     parser = _Parser(
         prog="fanocalc",
         description="Exact Schubert calculus, Chern classes and Fano morphism bounds.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--db", help="path to an alternative classification table")
-    groups = parser.add_subparsers(dest="group", required=True)
-    ops = {}
-    for command, (handler, flags) in COMMANDS.items():
-        group, op = command.split(" ")
-        if group not in ops:
-            ops[group] = groups.add_parser(group, help=GROUPS[group]).add_subparsers(
-                dest="op", required=True
-            )
-        p = ops[group].add_parser(op)
-        p.set_defaults(func=handler, command=command)
-        for flag in flags:
-            if isinstance(flag, list):  # a mutually exclusive group
-                exclusive = p.add_mutually_exclusive_group()
-                for names, kwargs in flag:
-                    exclusive.add_argument(*names, **kwargs)
-            else:
-                p.add_argument(*flag[0], **flag[1])
+    groups = parser.add_subparsers(
+        dest="group", required=True, action=_SelectedSubParsers, fill=_add_ops
+    )
+    for group, summary in GROUPS.items():
+        groups.add_parser(group, help=summary)
     return parser
 
 

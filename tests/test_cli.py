@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+import fanocalc
 from fanocalc import schubert
-from fanocalc.cli import MAX_POWER_BITS, main, parse_schubert_expr, run
+from fanocalc.cli import MAX_M_VALUES, MAX_POWER_BITS, build_parser, main, parse_schubert_expr, run
 from fanocalc.schubert import GrassmannContext, sigma, unit
 
 G25 = GrassmannContext(2, 5)
@@ -196,6 +197,39 @@ def test_usage_error_text_mode_keeps_argparse_output(capsys):
     assert captured.err.startswith("usage: fanocalc schubert integrate")
     assert "fanocalc schubert integrate: error: " in captured.err
     assert "--expr" in captured.err
+
+
+def _feasible_m_argv(m_min, m_max):
+    return ["--json", "bound", "feasible-m", "--rx", "1", "--ry", "1",
+            "--m-min", str(m_min), "--m-max", str(m_max)]
+
+
+@pytest.mark.parametrize("m_max", [MAX_M_VALUES + 1, 10**9, 10**30])
+def test_feasible_m_refuses_long_ranges_at_once(monkeypatch, capsys, m_max):
+    def no_scan(*args):
+        raise AssertionError("the range was scanned")
+
+    monkeypatch.setattr(fanocalc, "feasible_multipliers", no_scan)
+    assert main(_feasible_m_argv(1, m_max)) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert f"spans {m_max} values" in doc["message"]
+
+
+def test_feasible_m_scans_the_longest_allowed_range(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(fanocalc, "feasible_multipliers", lambda *args: seen.append(args[-1]) or set())
+    assert main(_feasible_m_argv(10**12, 10**12 + MAX_M_VALUES - 1)) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"feasible": []}
+    assert seen == [range(10**12, 10**12 + MAX_M_VALUES)]
+
+
+def test_one_parser_parses_twice():
+    # The op parser and its flags are added on the first selection only.
+    parser = build_parser()
+    for m in (7, 8):
+        args = parser.parse_args(["wps", "generated", "1,2,3", "--m", str(m)])
+        assert (args.command, args.m) == ("wps generated", m)
 
 
 def test_db_validate_clean_exit(capsys):
