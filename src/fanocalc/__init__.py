@@ -29,8 +29,8 @@ _EXPORTS = {
     "riemann_roch": """FanoNumericalInvariants SurfaceIntersectionData ThreefoldIntersectionData
         assert_integral chi_surface chi_threefold derive_fano_invariants noether_surface_fano""",
     "rings": "GradedRing PolyElement TruncatedPolynomialRing line_ring",
-    "schubert": """ChowElement GrassmannContext SchubertRing giambelli integrate multiply pieri
-        sigma tautological_dual unit zero""",
+    "schubert": """ChowElement GrassmannContext giambelli integrate multiply pieri sigma
+        tautological_dual unit zero""",
     "wps": """HypersurfaceModel SingularStratum WeightVector canonical_degree cotangent_twist_lmin
         double_cover_model is_generated normalize singular_strata""",
 }

@@ -251,28 +251,22 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _bundle_from_args(args) -> tuple[fc.FormalBundle, fc.GrassmannContext | None]:
+def _bundle(args) -> fc.FormalBundle:
     if args.taut and args.split:
         raise ValueError("give exactly one of --taut and --split")
     if args.taut:
-        ctx = _parse_gr(args.taut)
-        return fc.tautological_dual(ctx), ctx
+        return fc.tautological_dual(_parse_gr(args.taut))
     if args.split:
         head, _, tail = args.split.partition(":")
         if not _:
             raise ValueError("--split expects 'dim:a1,a2,...'")
-        dim = int(head)
-        ring = fc.line_ring(dim, top_integral=1)
+        ring = fc.line_ring(int(head), top_integral=1)
         h = ring.gen()
         bundle = fc.FormalBundle(ring, 0, ())
         for a in _parse_ints(tail):
             bundle = fc.whitney_sum(bundle, fc.line_bundle(ring, a * h))
-        return bundle, None
+        return bundle
     raise ValueError("a bundle is required: --taut a,b or --split dim:a1,a2,...")
-
-
-def _bundle(args) -> fc.FormalBundle:
-    return _bundle_from_args(args)[0]
 
 
 def _db(args) -> fc.FanoDatabase:
@@ -316,14 +310,8 @@ def _violations(report: dict) -> dict:
 
 # -- handlers that branch ----------------------------------------------------
 
-def _chern_twist(args):
-    bundle, ctx = _bundle_from_args(args)
-    degree_one = fc.sigma(ctx, 1) if ctx is not None else bundle.ring.gen()
-    return fc.twist_line(bundle, args.t * degree_one), ["chern-root-formalism"]
-
-
 def _chern_top(args):
-    bundle, ctx = _bundle_from_args(args)
+    bundle = _bundle(args)
     provenance = ["splitting-principle"]
     if args.sym:
         bundle = fc.sym_power(bundle, args.sym)
@@ -332,9 +320,8 @@ def _chern_top(args):
     top = fc.top_chern(bundle)
     if not args.integrate:
         return top, provenance
-    if ctx is not None:
-        return fc.integrate(top), provenance + ["schubert-degree-pairing"]
-    return bundle.ring.integral(top), provenance + ["declared-intersection-number"]
+    pairing = "schubert-degree-pairing" if args.taut else "declared-intersection-number"
+    return bundle.ring.integral(top), provenance + [pairing]
 
 
 def _normal_bundles(args):
@@ -485,7 +472,9 @@ COMMANDS = {
     "chern ext": (
         lambda a: (fc.ext_power(_bundle(a), a.k), ["splitting-principle"]), (*BUNDLE, _int("--k"))),
     "chern dual": (lambda a: (fc.dual(_bundle(a)), ["chern-root-formalism"]), BUNDLE),
-    "chern twist": (_chern_twist, (*BUNDLE, _int("--t", help="multiple of the degree-1 class"))),
+    "chern twist": (
+        lambda a: (fc.twist_line(b := _bundle(a), a.t * b.ring.gen()), ["chern-root-formalism"]),
+        (*BUNDLE, _int("--t", help="multiple of the degree-1 class"))),
     "chern top": (_chern_top, (
         *BUNDLE,
         _arg("--sym", type=int, help="apply a symmetric power first"),

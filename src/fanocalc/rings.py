@@ -2,83 +2,78 @@
 
 Characteristic-class computations need very little from their coefficient
 ring: addition, multiplication, integer scaling, a grading, and a truncation
-degree above which all products vanish.  ``GradedRing`` fixes that interface;
-``TruncatedPolynomialRing`` is the workhorse instance (weighted polynomial
-generators, products cut off above the truncation degree).  The Schubert ring
-of a Grassmannian implements the same interface in ``schubert``.
+degree above which all products vanish.  ``GradedRing`` fixes that interface
+and ``GradedElement`` implements everything but the ring product once: an
+element is a map from basis keys to nonzero integers, and the ring tells the
+degree and the printed name of a key.  ``TruncatedPolynomialRing`` is the
+workhorse instance (weighted polynomial generators, products cut off above
+the truncation degree); the Grassmannian of ``schubert`` is the other one,
+its own Chow ring with Schubert classes as keys.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
 
-class GradedRing(abc.ABC):
+class GradedRing:
     """Commutative graded ring, truncated above degree ``truncation``.
 
-    Elements support ``+``, ``-``, ``*`` (both ring product and scaling by
-    Python ints), ``**`` with nonnegative integer exponents, ``==`` and
-    truthiness (zero is falsy).
+    A ring names its element class (``element``) and the key of its unit
+    (``unit_key``), and grades and prints keys (``key_degree``,
+    ``key_name``); the keys other than the unit have positive degree.
     """
 
     truncation: int
 
-    @abc.abstractmethod
     def zero(self):
         """The zero element."""
+        return self.element._trusted(self, {})
 
-    @abc.abstractmethod
     def one(self):
         """The multiplicative unit."""
+        return self.element._trusted(self, {self.unit_key: 1})
 
-    @abc.abstractmethod
     def degree(self, x):
         """Degree of a homogeneous element, ``None`` for zero.
 
         Raises ``ValueError`` on a mixed-degree element.
         """
+        if not isinstance(x, GradedElement) or x.ring != self:
+            raise ValueError("element does not belong to this ring")
+        return x.degree()
 
 
-def binomial_power(one, constant: int, rest, exponent: int):
-    """``(constant * one + rest) ** exponent`` for ``rest`` of positive degree.
+class GradedElement:
+    """Integer combination of the basis keys of a :class:`GradedRing`.
 
-    In a truncated ring ``rest`` is nilpotent, so the binomial sum
-    ``sum_i C(N, i) constant^(N-i) rest^i`` stops at the first vanishing
-    power of ``rest``: at most one ring product per degree up to the
-    truncation, whatever the exponent.
-    """
-    total = one * constant**exponent
-    term = rest
-    for i in range(1, exponent + 1):
-        if not term:
-            break
-        total = total + comb(exponent, i) * constant ** (exponent - i) * term
-        if i < exponent:
-            term = term * rest
-    return total
-
-
-class PolyElement:
-    """Element of a :class:`TruncatedPolynomialRing`.
-
-    Stored as a map from exponent tuples to nonzero integers.
+    Elements support ``+``, ``-``, ``*`` (the ring product, which each
+    subclass defines, and scaling by Python ints), ``**`` with nonnegative
+    integer exponents, ``==`` and truthiness (zero is falsy).
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: "TruncatedPolynomialRing", terms: dict):
-        self.ring = ring
-        degrees = ring.degrees
-        self.terms = {
-            e: int(c)
-            for e, c in terms.items()
-            if c and sum(x * d for x, d in zip(e, degrees)) <= ring.truncation
-        }
+    @classmethod
+    def _trusted(cls, ring: GradedRing, terms: dict) -> "GradedElement":
+        """Wrap terms that are already valid keys of ``ring`` with integer
+        coefficients (kernel output); zero coefficients are dropped, nothing
+        is re-validated."""
+        x = cls.__new__(cls)
+        x.ring = ring
+        x.terms = {key: c for key, c in terms.items() if c}
+        return x
 
-    def _check(self, other: "PolyElement") -> None:
+    def _new(self, terms: dict) -> "GradedElement":
+        """An element of the same ring from terms with no zero coefficient."""
+        x = self.__class__.__new__(self.__class__)
+        x.ring = self.ring
+        x.terms = terms
+        return x
+
+    def _check(self, other: "GradedElement") -> None:
         if self.ring != other.ring:
             raise ValueError("elements belong to different rings")
 
@@ -87,29 +82,111 @@ class PolyElement:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, PolyElement)
+            isinstance(other, GradedElement)
             and self.ring == other.ring
             and self.terms == other.terms
         )
 
     __hash__ = None
 
-    def __neg__(self) -> "PolyElement":
-        return PolyElement(self.ring, {e: -c for e, c in self.terms.items()})
+    def __neg__(self) -> "GradedElement":
+        return self._new({key: -c for key, c in self.terms.items()})
 
-    def __add__(self, other: "PolyElement") -> "PolyElement":
+    def __add__(self, other: "GradedElement") -> "GradedElement":
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return PolyElement(self.ring, out)
+        for key, c in other.terms.items():
+            c += out.get(key, 0)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+        return self._new(out)
 
-    def __sub__(self, other: "PolyElement") -> "PolyElement":
+    def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + (-other)
+
+    def _scaled(self, n: int) -> "GradedElement":
+        return self._new({key: c * n for key, c in self.terms.items()} if n else {})
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __pow__(self, exponent: int) -> "GradedElement":
+        """A power of an element with a unit part is a binomial sum: the rest
+        is nilpotent, so ``sum_i C(N, i) c^(N-i) rest^i`` stops at its first
+        vanishing power, at most one product per degree.  Otherwise the power
+        is zero without a product once the least degree times the exponent
+        passes the truncation, and a chain of products below that."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        ring = self.ring
+        constant = self.terms.get(ring.unit_key, 0)
+        if constant:
+            rest = self._new({key: c for key, c in self.terms.items() if key != ring.unit_key})
+            total, term = ring.one()._scaled(constant**exponent), rest
+            for i in range(1, exponent + 1):
+                if not term:
+                    break
+                total = total + comb(exponent, i) * constant ** (exponent - i) * term
+                if i < exponent:
+                    term = term * rest
+            return total
+        if exponent and (
+            not self.terms or min(map(ring.key_degree, self.terms)) * exponent > ring.truncation
+        ):
+            return ring.zero()
+        result = ring.one()
+        for _ in range(exponent):
+            result = result * self
+            if not result:
+                break
+        return result
+
+    def degree(self) -> int | None:
+        """Common degree of a homogeneous element; ``None`` for zero."""
+        degrees = {self.ring.key_degree(key) for key in self.terms}
+        if len(degrees) > 1:
+            raise ValueError(f"element is not homogeneous: {self}")
+        return degrees.pop() if degrees else None
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        ring = self.ring
+        chunks = []
+        for key, coeff in sorted(self.terms.items(), key=lambda t: (ring.key_degree(t[0]), t[0])):
+            name = ring.key_name(key)
+            if not name:
+                chunks.append(str(coeff))
+            elif coeff == 1:
+                chunks.append(name)
+            elif coeff == -1:
+                chunks.append(f"-{name}")
+            else:
+                chunks.append(f"{coeff}*{name}")
+        return " + ".join(chunks).replace("+ -", "- ")
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({self})"
+
+
+class PolyElement(GradedElement):
+    """Element of a :class:`TruncatedPolynomialRing`, keyed by exponent tuples."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: "TruncatedPolynomialRing", terms: dict):
+        self.ring = ring
+        self.terms = {
+            e: int(c) for e, c in terms.items() if c and ring.key_degree(e) <= ring.truncation
+        }
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return PolyElement(self.ring, {e: c * other for e, c in self.terms.items()})
+            return self._scaled(other)
         if not isinstance(other, PolyElement):
             return NotImplemented
         self._check(other)
@@ -122,65 +199,10 @@ class PolyElement:
                 if sum(x * d for x, d in zip(e, degs)) > ring.truncation:
                     continue
                 out[e] = out.get(e, 0) + c1 * c2
-        return PolyElement(ring, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "PolyElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        ring = self.ring
-        origin = (0,) * len(ring.variables)
-        constant = self.terms.get(origin, 0)
-        if constant:
-            rest = PolyElement(ring, {e: c for e, c in self.terms.items() if e != origin})
-            return binomial_power(ring.one(), constant, rest, exponent)
-        result = ring.one()
-        for _ in range(exponent):
-            result = result * self
-            if not result:
-                break
-        return result
+        return PolyElement._trusted(ring, out)
 
     def coefficient(self, exponents: Iterable[int]) -> int:
         return self.terms.get(tuple(exponents), 0)
-
-    def _monomial_str(self, exps) -> str:
-        parts = []
-        for name, e in zip(self.ring.variables, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        ring = self.ring
-        keyed = sorted(
-            self.terms.items(),
-            key=lambda item: (sum(x * d for x, d in zip(item[0], ring.degrees)), item[0]),
-        )
-        chunks = []
-        for exps, coeff in keyed:
-            mono = self._monomial_str(exps)
-            if not mono:
-                chunks.append(str(coeff))
-            elif coeff == 1:
-                chunks.append(mono)
-            elif coeff == -1:
-                chunks.append(f"-{mono}")
-            else:
-                chunks.append(f"{coeff}*{mono}")
-        text = " + ".join(chunks)
-        return text.replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"PolyElement({self})"
 
 
 @dataclass(frozen=True)
@@ -200,6 +222,8 @@ class TruncatedPolynomialRing(GradedRing):
     truncation: int
     top_integral: int | None = None
 
+    element = PolyElement
+
     def __post_init__(self):
         if len(self.variables) != len(self.degrees):
             raise ValueError("one degree per variable required")
@@ -208,11 +232,21 @@ class TruncatedPolynomialRing(GradedRing):
         if self.truncation < 0:
             raise ValueError("truncation degree must be nonnegative")
 
-    def zero(self) -> PolyElement:
-        return PolyElement(self, {})
+    @property
+    def unit_key(self) -> tuple[int, ...]:
+        return (0,) * len(self.variables)
 
-    def one(self) -> PolyElement:
-        return PolyElement(self, {(0,) * len(self.variables): 1})
+    def key_degree(self, exps: tuple[int, ...]) -> int:
+        return sum(x * d for x, d in zip(exps, self.degrees))
+
+    def key_name(self, exps: tuple[int, ...]) -> str:
+        parts = []
+        for name, e in zip(self.variables, exps):
+            if e == 1:
+                parts.append(name)
+            elif e > 1:
+                parts.append(f"{name}^{e}")
+        return "*".join(parts)
 
     def gen(self, index: int = 0) -> PolyElement:
         exps = [0] * len(self.variables)
@@ -224,16 +258,6 @@ class TruncatedPolynomialRing(GradedRing):
     @property
     def gens(self) -> tuple[PolyElement, ...]:
         return tuple(self.gen(i) for i in range(len(self.variables)))
-
-    def degree(self, x: PolyElement):
-        if not isinstance(x, PolyElement) or x.ring != self:
-            raise ValueError("element does not belong to this ring")
-        if not x.terms:
-            return None
-        degs = {sum(e * d for e, d in zip(exps, self.degrees)) for exps in x.terms}
-        if len(degs) > 1:
-            raise ValueError(f"element is not homogeneous: {x}")
-        return degs.pop()
 
     def integral(self, x: PolyElement) -> int:
         """Evaluate a top-degree class against the declared intersection number."""

@@ -11,6 +11,12 @@ its columns (Laplace), so a class with l rows costs l * 2^(l-1) Pieri steps
 rather than the l * l! of the Leibniz rule.  Out-of-box partitions are the
 zero class, which gives exactly the quotient-ring semantics.
 
+``GrassmannContext`` is this ring as a coefficient ring of
+:mod:`fanocalc.rings` (truncated at the top degree, generated in degree one
+by ``sigma_1``), so formal bundles live over it directly.  ``ChowElement``
+takes sums, scaling, powers and printing from ``rings.GradedElement`` and
+adds only its validating constructor and the product.
+
 Two indexing conventions are around.  Internally everything is *linear*:
 ``G(k, n)`` parametrizes k-dimensional linear subspaces of an n-dimensional
 space.  The classical *projective* notation ``G(a, b)`` for a-planes in
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .chern import FormalBundle
-from .rings import GradedRing, binomial_power
+from .rings import GradedElement, GradedRing
 
 Partition = tuple[int, ...]
 
@@ -43,12 +49,41 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
+class ChowElement(GradedElement):
+    """Integer combination of Schubert classes of a fixed Grassmannian."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: "GrassmannContext", terms: Mapping[Partition, int]):
+        clean: dict[Partition, int] = {}
+        for parts, coeff in terms.items():
+            p = as_partition(parts)
+            if not ring.fits(p):
+                raise ValueError(f"{p} does not fit the box of {ring}")
+            if coeff:
+                clean[p] = int(coeff)
+        self.ring = ring
+        self.terms = clean
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._scaled(other)
+        if not isinstance(other, ChowElement):
+            return NotImplemented
+        return multiply(self, other)
+
+
 @dataclass(frozen=True)
-class GrassmannContext:
-    """Grassmannian of ``k``-dimensional subspaces of an ``n``-dimensional space."""
+class GrassmannContext(GradedRing):
+    """Grassmannian of ``k``-dimensional subspaces of an ``n``-dimensional
+    space, and its Chow ring: the keys are in-box partitions, the unit is the
+    empty one, and ``sigma_1`` generates in degree one."""
 
     k: int
     n: int
+
+    element = ChowElement
+    unit_key = ()
 
     def __post_init__(self):
         if not 1 <= self.k < self.n:
@@ -74,9 +109,23 @@ class GrassmannContext:
     def top_degree(self) -> int:
         return self.k * (self.n - self.k)
 
+    truncation = top_degree
+
     @property
     def point_class(self) -> Partition:
         return (self.cols,) * self.rows
+
+    key_degree = staticmethod(sum)
+
+    @staticmethod
+    def key_name(parts: Partition) -> str:
+        return "s[" + ",".join(str(x) for x in parts) + "]" if parts else ""
+
+    def gen(self) -> ChowElement:
+        return sigma(self, 1)
+
+    def integral(self, x: ChowElement) -> int:
+        return integrate(x)
 
     def fits(self, parts: Partition) -> bool:
         return len(parts) <= self.rows and (not parts or parts[0] <= self.cols)
@@ -109,129 +158,12 @@ class GrassmannContext:
         return f"G({a},{b})"
 
 
-class ChowElement:
-    """Integer combination of Schubert classes of a fixed Grassmannian."""
-
-    __slots__ = ("context", "terms")
-
-    def __init__(self, context: GrassmannContext, terms: Mapping[Partition, int]):
-        clean: dict[Partition, int] = {}
-        for parts, coeff in terms.items():
-            p = as_partition(parts)
-            if not context.fits(p):
-                raise ValueError(f"{p} does not fit the box of {context}")
-            if coeff:
-                clean[p] = int(coeff)
-        self.context = context
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, context: GrassmannContext, terms: Mapping[Partition, int]) -> "ChowElement":
-        """Wrap terms that are already normalized in-box partitions with
-        integer coefficients (kernel output, sums of valid elements);
-        zero coefficients are dropped, nothing is re-validated."""
-        x = cls.__new__(cls)
-        x.context = context
-        x.terms = {p: c for p, c in terms.items() if c}
-        return x
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChowElement)
-            and self.context == other.context
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def _check(self, other: "ChowElement") -> None:
-        if self.context != other.context:
-            raise ValueError("elements belong to different Grassmannians")
-
-    def __neg__(self) -> "ChowElement":
-        return ChowElement._trusted(self.context, {p: -c for p, c in self.terms.items()})
-
-    def __add__(self, other: "ChowElement") -> "ChowElement":
-        self._check(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return ChowElement._trusted(self.context, out)
-
-    def __sub__(self, other: "ChowElement") -> "ChowElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ChowElement._trusted(self.context, {p: c * other for p, c in self.terms.items()})
-        if not isinstance(other, ChowElement):
-            return NotImplemented
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "ChowElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        ctx = self.context
-        constant = self.terms.get((), 0)
-        if constant:
-            rest = ChowElement._trusted(ctx, {p: c for p, c in self.terms.items() if p})
-            return binomial_power(unit(ctx), constant, rest, exponent)
-        weights = [sum(p) for p in self.terms]
-        if exponent and weights and min(weights) * exponent > ctx.top_degree:
-            return zero(ctx)
-        result = unit(ctx)
-        for _ in range(exponent):
-            result = result * self
-            if not result:
-                break
-        return result
-
-    def weight(self) -> int | None:
-        """Common weight of a homogeneous element; ``None`` for zero."""
-        if not self.terms:
-            return None
-        weights = {sum(p) for p in self.terms}
-        if len(weights) > 1:
-            raise ValueError(f"element is not homogeneous: {self}")
-        return weights.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(p) for p in self.terms}) <= 1
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for parts, coeff in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-            name = "s[" + ",".join(str(x) for x in parts) + "]" if parts else "1"
-            if name == "1":
-                chunks.append(str(coeff))
-            elif coeff == 1:
-                chunks.append(name)
-            elif coeff == -1:
-                chunks.append(f"-{name}")
-            else:
-                chunks.append(f"{coeff}*{name}")
-        return " + ".join(chunks).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"ChowElement({self.context}, {self})"
-
-
 def zero(ctx: GrassmannContext) -> ChowElement:
-    return ChowElement(ctx, {})
+    return ctx.zero()
 
 
 def unit(ctx: GrassmannContext) -> ChowElement:
-    return ChowElement(ctx, {(): 1})
+    return ctx.one()
 
 
 def sigma(ctx: GrassmannContext, *parts: int) -> ChowElement:
@@ -269,7 +201,7 @@ def pieri(x: ChowElement, a: int) -> ChowElement:
     """Multiply by the single-row class ``sigma_a`` (horizontal strips)."""
     if a < 1:
         raise ValueError("Pieri index must be a positive integer")
-    ctx = x.context
+    ctx = x.ring
     out: dict[Partition, int] = {}
     for lam, coeff in x.terms.items():
         for mu in _horizontal_strips(lam, a, ctx.rows, ctx.cols):
@@ -290,7 +222,7 @@ def _times_schubert(x: ChowElement, lam: Partition) -> ChowElement:
     """
     if not lam:
         return x
-    ctx = x.context
+    ctx = x.ring
     size = len(lam)
     partial = {0: x}
     for i, part in enumerate(lam):
@@ -333,7 +265,7 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     x._check(y)
     if len(x.terms) < len(y.terms):
         x, y = y, x
-    acc = zero(x.context)
+    acc = zero(x.ring)
     for lam, coeff in y.terms.items():
         acc = acc + coeff * _times_schubert(x, lam)
     return acc
@@ -343,35 +275,10 @@ def integrate(x: ChowElement) -> int:
     """Degree of a top-degree class: the coefficient of the point class."""
     if not x.terms:
         return 0
-    ctx = x.context
+    ctx = x.ring
     if any(sum(p) != ctx.top_degree for p in x.terms):
         raise ValueError("integrate needs a class purely of top degree")
     return x.terms.get(ctx.point_class, 0)
-
-
-@dataclass(frozen=True)
-class SchubertRing(GradedRing):
-    """The Chow ring of a Grassmannian viewed as a coefficient ring."""
-
-    context: GrassmannContext
-
-    @property
-    def truncation(self) -> int:
-        return self.context.top_degree
-
-    def zero(self) -> ChowElement:
-        return zero(self.context)
-
-    def one(self) -> ChowElement:
-        return unit(self.context)
-
-    def degree(self, x: ChowElement):
-        if not isinstance(x, ChowElement) or x.context != self.context:
-            raise ValueError("element does not belong to this ring")
-        return x.weight()
-
-    def integral(self, x: ChowElement) -> int:
-        return integrate(x)
 
 
 def tautological_dual(ctx: GrassmannContext) -> FormalBundle:
@@ -379,6 +286,5 @@ def tautological_dual(ctx: GrassmannContext) -> FormalBundle:
 
     Its Chern classes are the column classes: ``c_i(U*) = sigma_(1^i)``.
     """
-    ring = SchubertRing(ctx)
     cs = tuple(sigma(ctx, *([1] * i)) for i in range(1, ctx.k + 1))
-    return FormalBundle(ring, ctx.k, cs)
+    return FormalBundle(ctx, ctx.k, cs)

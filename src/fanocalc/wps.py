@@ -120,37 +120,29 @@ def singular_strata(w) -> list[SingularStratum]:
     """Maximal singular strata, one per maximal divisibility pattern.
 
     The singular locus is the union over k > 1 of the loci where all
-    coordinates with weight not divisible by k vanish; primes suffice, and
-    strata contained in bigger ones are pruned.
+    coordinates with weight not divisible by k vanish, and strata contained
+    in bigger ones are pruned.  It suffices to take for k the gcds > 1 of
+    sets of weights: every prime p gives the same stratum as the gcd of the
+    weights it divides.  Those gcds are found without factoring, from each
+    weight by taking gcds with the others while they stay above 1.
     """
-    wv = _require_well_formed(w)
-    weights = wv.weights
-    primes = set()
-    for a in weights:
-        m, p = a, 2
-        while p * p <= m:
-            if m % p == 0:
-                primes.add(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.add(m)
-    supports: set[tuple[int, ...]] = set()
-    for p in sorted(primes):
-        coords = tuple(i for i, a in enumerate(weights) if a % p == 0)
-        if coords:
-            supports.add(coords)
+    weights = _require_well_formed(w).weights
+    divisors, todo = set(), [a for a in weights if a > 1]
+    while todo:
+        g = todo.pop()
+        if g not in divisors:
+            divisors.add(g)
+            todo.extend(h for a in weights if 1 < (h := gcd(g, a)) < g)
+    supports = {tuple(i for i, a in enumerate(weights) if a % g == 0) for g in divisors}
     maximal = [
         s
         for s in supports
         if not any(s != t and set(s) <= set(t) for t in supports)
     ]
-    strata = [
+    return [
         SingularStratum(k=gcd(*(weights[i] for i in s)), coords=s)
         for s in sorted(maximal)
     ]
-    return strata
 
 
 def canonical_degree(w) -> int:
@@ -165,7 +157,10 @@ def _minimal_unit_supports(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     These index the coordinate strata meeting the smooth locus; supersets
     only enlarge the value semigroup, so minimal sets carry the binding
     base-point conditions.  A depth-first search grows index sets only while
-    their gcd exceeds 1; a set reaching gcd 1 is minimal iff dropping any one
+    their gcd exceeds 1, and only by indices that lower the gcd: in a minimal
+    set each index lowers the running gcd, or dropping it would keep gcd 1.
+    So a search path is at most one longer than the number of prime factors
+    of its first weight.  A set reaching gcd 1 is minimal iff dropping any one
     index leaves a gcd other than 1 (the gcd can only grow on subsets).
     """
     found: list[tuple[int, ...]] = []
@@ -173,6 +168,8 @@ def _minimal_unit_supports(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     def grow(subset: tuple[int, ...], g: int) -> None:
         for i in range(subset[-1] + 1 if subset else 0, len(weights)):
             extended, h = subset + (i,), gcd(g, weights[i])
+            if h == g:
+                continue
             if h > 1:
                 grow(extended, h)
             elif all(gcd(*(weights[j] for j in extended if j != k)) != 1 for k in extended):

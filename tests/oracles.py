@@ -4,8 +4,10 @@ These deliberately avoid the code paths they check: Schubert products are
 recomputed through monomial expansions of Schur polynomials (semistandard
 tableaux), power bundles through direct enumeration of root multisets over
 actual split bundles, universal polynomials through full monomial
-expansions, and base-point freeness on weighted projective spaces
-through explicit monomial lists and O(m) reachability lists.
+expansions, base-point freeness on weighted projective spaces through
+explicit monomial lists and O(m) reachability lists, minimal coprime
+supports through all subsets of the weights, and singular strata through
+the primes found by trial division.
 """
 
 from __future__ import annotations
@@ -239,3 +241,35 @@ def cotangent_twist_brute(weights: tuple[int, ...], lmax: int = 20):
         ):
             return twist
     return None
+
+
+def minimal_unit_supports_brute(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Index sets whose weights have gcd 1 and contain no smaller such set,
+    found among all subsets, in lexicographic order."""
+    coprime = [
+        subset
+        for size in range(1, len(weights) + 1)
+        for subset in combinations(range(len(weights)), size)
+        if gcd(*(weights[i] for i in subset)) == 1
+    ]
+    return sorted(s for s in coprime if not any(set(t) < set(s) for t in coprime))
+
+
+def singular_strata_by_primes(weights: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """``(k, coords)`` of the maximal singular strata: one index set per prime
+    dividing a weight (primes by trial division up to the square root), the
+    sets contained in others pruned, k the gcd of the supported weights."""
+    primes = set()
+    for a in weights:
+        m, p = a, 2
+        while p * p <= m:
+            if m % p == 0:
+                primes.add(p)
+                while m % p == 0:
+                    m //= p
+            p += 1
+        if m > 1:
+            primes.add(m)
+    supports = {tuple(i for i, a in enumerate(weights) if a % p == 0) for p in primes}
+    maximal = [s for s in supports if not any(s != t and set(s) <= set(t) for t in supports)]
+    return [(gcd(*(weights[i] for i in s)), s) for s in sorted(maximal)]

@@ -1,11 +1,18 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanocalc
 from fanocalc.wps import (
     WeightVector,
+    _minimal_unit_supports,
     canonical_degree,
     cotangent_twist_lmin,
     double_cover_model,
@@ -13,7 +20,13 @@ from fanocalc.wps import (
     normalize,
     singular_strata,
 )
-from oracles import cotangent_twist_brute, generated_by_reachability, generated_on_smooth_locus
+from oracles import (
+    cotangent_twist_brute,
+    generated_by_reachability,
+    generated_on_smooth_locus,
+    minimal_unit_supports_brute,
+    singular_strata_by_primes,
+)
 
 weight_vectors = st.lists(st.integers(1, 9), min_size=2, max_size=6).map(
     lambda ws: WeightVector(tuple(ws))
@@ -26,6 +39,27 @@ def well_formed(min_size, max_size, top):
         .map(lambda ws: tuple(sorted(ws)))
         .filter(lambda ws: WeightVector(ws).is_well_formed())
     )
+
+
+# Products of the primes up to 11: weights that share factors in many patterns.
+smooth_weights = st.lists(
+    st.tuples(*(st.integers(0, 2) for _ in range(5))).map(
+        lambda e: 2 ** e[0] * 3 ** e[1] * 5 ** e[2] * 7 ** e[3] * 11 ** e[4]
+    ),
+    min_size=2,
+    max_size=9,
+).map(tuple)
+
+
+def _cli_json(*argv: str) -> dict:
+    """One ``fanocalc --json`` command in a fresh interpreter, stopped after
+    20 seconds, so that a hang fails the test instead of stalling the suite."""
+    src = str(Path(fanocalc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanocalc.cli", "--json", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=20,
+    )
+    return json.loads(proc.stdout)
 
 
 def test_weight_vector_validation():
@@ -83,6 +117,24 @@ def test_contained_strata_are_pruned():
     # the order-3 locus sits inside the order-2 locus and is absorbed
     strata = singular_strata(WeightVector((1, 1, 6, 2)))
     assert [(s.k, s.coords) for s in strata] == [(2, (2, 3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(smooth_weights, well_formed(2, 7, 400).map(tuple)))
+def test_strata_match_trial_division_oracle(weights):
+    if not WeightVector(weights).is_well_formed():
+        weights = normalize(weights).weights
+    strata = singular_strata(weights)
+    assert [(s.k, s.coords) for s in strata] == singular_strata_by_primes(weights)
+
+
+def test_strata_of_a_large_prime_weight_without_factoring():
+    # trial division would take about 1.5e9 steps on the Mersenne prime 2^61 - 1
+    doc = _cli_json("wps", "sing", f"1,1,{2**61 - 1}")
+    assert doc["result"] == [{"coords": [2], "dimension": 0, "k": 2**61 - 1}]
+    assert [(s.k, s.coords) for s in singular_strata((1, 1, 1000003))] == (
+        singular_strata_by_primes((1, 1, 1000003))
+    )
 
 
 @given(weight_vectors)
@@ -162,6 +214,23 @@ def test_generated_searches_no_further_than_m():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_weights)
+def test_minimal_unit_supports_match_all_subsets(weights):
+    assert sorted(_minimal_unit_supports(weights)) == minimal_unit_supports_brute(weights)
+
+
+def test_many_equal_weights_are_not_an_exponential_search():
+    # every subset of the twos has gcd 2, so only pairs (2, 3) are minimal;
+    # the subprocess runs first, so an exponential search fails by its timeout
+    weights = (2,) * 40 + (3, 3)
+    small = (2,) * 6 + (3, 3)
+    for m in (1, 7):
+        doc = _cli_json("wps", "generated", ",".join(map(str, weights)), "--m", str(m))
+        assert doc["result"] is generated_by_reachability(small, m) is (m != 1)
+    assert len(_minimal_unit_supports(weights)) == 80
 
 
 @given(weight_vectors, st.integers(0, 8), st.integers(0, 8))
