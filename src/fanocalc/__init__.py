@@ -18,16 +18,14 @@ import sys as _sys
 _EXPORTS = {
     "chern": """FormalBundle chern_class dual ext_power line_bundle sym_power top_chern
         trivial_bundle twist_line whitney_sum""",
-    "degree_bound": """E_value MorphismScenario RamificationVerdict SourceInvariants
-        boundedness_verdict cotangent_twist degree_from_multiplier feasibility_witnesses
-        feasible_multipliers generic_iso_exists max_multiplier
-        multiplier_bound_from_negative_lines noether_lefschetz_threshold quadric_degree_bound
-        quadric_multiplier_bound ramification_feasibility source_invariants
-        tangent_twist_hypersurface""",
+    "degree_bound": """E_value RamificationVerdict SourceInvariants boundedness_verdict
+        cotangent_twist degree_from_multiplier feasibility_witnesses feasible_multipliers
+        generic_iso_exists max_multiplier noether_lefschetz_threshold quadric_degree_bound
+        quadric_multiplier_bound ramification_feasibility source_invariants""",
     "fano_db": """FanoDatabase FanoRecord conic_normal_bundle_degrees default_database
         expected_line_family_dim line_normal_bundle_options load_database lookup validate""",
     "riemann_roch": """FanoNumericalInvariants SurfaceIntersectionData ThreefoldIntersectionData
-        assert_integral chi_surface chi_threefold derive_fano_invariants noether_surface_fano""",
+        chi_surface chi_threefold derive_fano_invariants noether_surface_fano""",
     "rings": "GradedRing PolyElement TruncatedPolynomialRing line_ring",
     "schubert": """ChowElement GrassmannContext giambelli integrate multiply pieri sigma
         tautological_dual unit zero""",

@@ -20,9 +20,8 @@ concurrent use because the computation is pure and idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from .rings import GradedRing
@@ -52,9 +51,6 @@ class FormalBundle:
             if c and self.ring.degree(c) != i + 1:
                 raise ValueError(f"c_{i + 1} is not homogeneous of degree {i + 1}")
         object.__setattr__(self, "chern", tuple(cs))
-
-    def chern_class(self, i: int):
-        return chern_class(self, i)
 
 
 def trivial_bundle(ring: GradedRing, rank: int = 1) -> FormalBundle:
@@ -194,23 +190,19 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
     partition above ``alpha`` has weight ``sum_i max_{j >= i} alpha_j``.
     Those partition coefficients are the coefficients of the symmetric
     result on the monomial symmetric functions, which is all Gauss's
-    rewrite needs.
+    rewrite needs.  The factors are generated one at a time, so the time
+    is linear in their number, the new rank.
     """
-    if op == "ext":
-        groups = list(combinations(range(rank), k))
-    else:
-        groups = list(combinations_with_replacement(range(rank), k))
     poly = {(0,) * rank: 1}
-    for g in groups:
-        counts = Counter(g).items()
+    for factor in _root_factors(op, rank, k):
         grown = dict(poly)
         for alpha, coeff in poly.items():
-            for i, c in counts:
+            for i, c in factor:
                 beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
                 if _hull_weight(beta) <= dmax:
                     grown[beta] = grown.get(beta, 0) + c * coeff
         poly = grown
-    top = min(len(groups), dmax)
+    top = min(comb(rank, k) if op == "ext" else comb(rank + k - 1, k), dmax)  # new rank
     components: list[dict] = [{} for _ in range(top + 1)]
     for alpha, coeff in poly.items():
         components[sum(alpha)][alpha] = coeff
@@ -218,6 +210,21 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
         tuple(sorted(_symmetric_to_elementary(components[d], rank).items()))
         for d in range(1, top + 1)
     )
+
+
+def _root_factors(op: str, rank: int, k: int):
+    """The linear factors ``1 + sum_i c_i x_i`` of the root product, one at
+    a time, as the pairs ``(i, c_i)`` with ``c_i > 0``: a k-subset of the
+    roots for ``ext``; for ``sym`` a multiset of k roots, whose counts are
+    the gaps between ``rank - 1`` bars placed among ``k + rank - 1`` slots."""
+    if op == "ext":
+        for subset in combinations(range(rank), k):
+            yield [(i, 1) for i in subset]
+        return
+    slots = k + rank - 1
+    for bars in combinations(range(slots), rank - 1):
+        edges = (-1, *bars, slots)
+        yield [(i, c) for i in range(rank) if (c := edges[i + 1] - edges[i] - 1)]
 
 
 def _hull_weight(alpha: tuple) -> int:

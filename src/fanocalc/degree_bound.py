@@ -55,10 +55,6 @@ class SourceInvariants:
         if self.kappa < -4:
             raise ValueError("a Fano with cyclic Picard group has index at most 4")
 
-    @property
-    def is_fano(self) -> bool:
-        return self.kappa < 0
-
 
 def source_invariants(record: FanoRecord) -> SourceInvariants:
     """Invariants of a classified Fano family viewed as the source X."""
@@ -68,28 +64,6 @@ def source_invariants(record: FanoRecord) -> SourceInvariants:
     return SourceInvariants(
         H3X=record.H3, kappa=-record.index, c2HX=inv.c2H, c3OmegaX=inv.c3Omega
     )
-
-
-@dataclass(frozen=True)
-class MorphismScenario:
-    """A hypothetical finite morphism X -> Y with twist l and multiplier m."""
-
-    X: SourceInvariants
-    Y: FanoRecord
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("pullback multiplier must be at least 1")
-
-    @property
-    def is_realizable(self) -> bool:
-        """Whether m^3 H_X^3 / H_Y^3 is a positive integer."""
-        return (self.m**3 * self.X.H3X) % self.Y.H3 == 0
-
-    def degree(self) -> int:
-        return degree_from_multiplier(self.m, self.X.H3X, self.Y.H3)
 
 
 def cotangent_twist(Y: FanoRecord) -> int:
@@ -185,13 +159,6 @@ class RamificationVerdict:
     kind: str
     bound: int | None = None
 
-    def __str__(self) -> str:
-        if self.kind == BOUND:
-            return f"containment possible only for m <= {self.bound}"
-        if self.kind == INFEASIBLE_FOR_ALL_M:
-            return "containment impossible for every m >= 1"
-        return "no bound: containment arithmetically feasible for all large m"
-
 
 def ramification_feasibility(rY: int, k: int, X: SourceInvariants) -> RamificationVerdict:
     """Arithmetic of the ramification-multiplicity argument.
@@ -220,25 +187,6 @@ def ramification_feasibility(rY: int, k: int, X: SourceInvariants) -> Ramificati
         return RamificationVerdict(ALWAYS_OK)
     # Negative slope: the inequality holds for every sufficiently large m.
     return RamificationVerdict(ALWAYS_OK)
-
-
-def tangent_twist_hypersurface(d: int) -> int:
-    """For a degree-d hypersurface, T_X(d - 2) is globally generated."""
-    if d < 2:
-        raise ValueError("hypersurface degree must be at least 2")
-    return d - 2
-
-
-def multiplier_bound_from_negative_lines(j: int) -> int:
-    """m <= j for any j with T_X(j) globally generated.
-
-    The generic surjection T_X|_D -> O_D(-m) + O_D (or O_D(-2m) + O_D(m))
-    onto the dual conormal pattern of a preimage component needs a negative
-    summand of degree >= -j.
-    """
-    if j < 0:
-        raise ValueError("twist must be nonnegative")
-    return j
 
 
 def generic_iso_exists(src: tuple[int, int], dst: tuple[int, int]) -> bool:
@@ -322,7 +270,7 @@ def noether_lefschetz_threshold(kappa: int) -> int:
     return 3 * kappa + 16
 
 
-def quadric_multiplier_bound(X: SourceInvariants, h_very_ample: bool = True) -> int:
+def quadric_multiplier_bound(X: SourceInvariants) -> int:
     """Bound on m for a finite morphism onto the quadric threefold.
 
     The preimage S of a general hyperplane section carries the split normal
@@ -331,15 +279,16 @@ def quadric_multiplier_bound(X: SourceInvariants, h_very_ample: bool = True) -> 
     That contradicts Noether-Lefschetz on S, so S cannot be ample enough:
     m <= 3 kappa + 16.
     """
-    if not h_very_ample and X.kappa >= 0:
-        raise ValueError("non-very-ample H_X with kappa >= 0 is unsupported here")
     return noether_lefschetz_threshold(X.kappa)
 
 
-def quadric_degree_bound(X: SourceInvariants, h_very_ample: bool = True) -> int:
-    """Largest integral degree m^3 H_X^3 / 2 with m at most the threshold."""
-    m_bound = quadric_multiplier_bound(X, h_very_ample)
-    for m in range(m_bound, 0, -1):
-        if (m**3 * X.H3X) % 2 == 0:
-            return degree_from_multiplier(m, X.H3X, 2)
-    raise ValueError("no multiplier up to the threshold gives an integral degree")
+def quadric_degree_bound(X: SourceInvariants) -> int:
+    """Largest integral degree m^3 H_X^3 / 2 with m at most the threshold.
+
+    m^3 H_X^3 is even unless m and H_X^3 are both odd, so m is the
+    threshold or one less; kappa >= -4 keeps the threshold at least 4.
+    """
+    m = quadric_multiplier_bound(X)
+    if m % 2 and X.H3X % 2:
+        m -= 1
+    return degree_from_multiplier(m, X.H3X, 2)

@@ -195,9 +195,6 @@ class FanoDatabase:
     def records(self) -> list[FanoRecord]:
         return list(self._records.values())
 
-    def validate_all(self) -> dict[str, list[str]]:
-        return {name: validate(rec) for name, rec in self._records.items()}
-
 
 def load_database(path: str | Path | None = None) -> FanoDatabase:
     """Load a classification table; defaults to the packaged one."""

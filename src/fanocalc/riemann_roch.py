@@ -8,8 +8,9 @@ and on a smooth projective threefold,
 
     chi(O(D)) = D^3/6 - K.D^2/4 + D.(K^2 + c_2)/12 + c_1 c_2 / 24.
 
-Values are exact rationals; integrality is asserted separately rather than
-rounded away, since a broken integrality is the best bug detector in this
+Values are exact rationals, never rounded: a non-integral value is
+returned as it is (``rr chi2`` and ``rr chi3`` report whether it is
+integral), since a broken integrality is the best bug detector in this
 kind of code.  The module also derives the standard numerical invariants of
 a Fano threefold of Picard rank one from its index, degree and third Betti
 number.
@@ -64,13 +65,6 @@ def chi_threefold(d: ThreefoldIntersectionData) -> Fraction:
         + Fraction(d.KKD + d.c2D, 12)
         + Fraction(d.c1c2, 24)
     )
-
-
-def assert_integral(value: Fraction) -> int:
-    """Return the value as an int, or raise if it is not an integer."""
-    if value.denominator != 1:
-        raise ValueError(f"expected an integer, got {value}")
-    return value.numerator
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,7 @@ class TruncatedPolynomialRing(GradedRing):
         return x.coefficient((self.truncation,)) * self.top_integral
 
 
-def line_ring(truncation: int, top_integral: int | None = None, name: str = "h") -> TruncatedPolynomialRing:
-    """Ring generated by a single degree-1 class with ``name**(d+1) = 0``."""
-    return TruncatedPolynomialRing((name,), (1,), truncation, top_integral)
+def line_ring(truncation: int, top_integral: int | None = None) -> TruncatedPolynomialRing:
+    """Ring generated by one degree-1 class ``h`` with ``h**(truncation+1) = 0``,
+    the hyperplane class of a projective space of dimension ``truncation``."""
+    return TruncatedPolynomialRing(("h",), (1,), truncation, top_integral)

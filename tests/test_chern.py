@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -251,6 +257,37 @@ PINNED_SHAPES = [
 @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=lambda s: "{}-{}-{}-{}".format(*s))
 def test_universal_polynomials_pinned_shapes(shape):
     assert chern._power_epolys(*shape) == power_epolys_brute(*shape)
+
+
+def test_high_symmetric_power_runs_in_flat_memory():
+    # S^10000 of O(1) + O(2) over P^3 has 10001 root factors, taken one at a
+    # time.  The command runs in a fresh interpreter capped at 512 MiB of
+    # address space, which listing every 10000-tuple of roots first exceeds,
+    # and prints its traced peak after the JSON document.
+    code = (
+        "import resource, tracemalloc\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "tracemalloc.start()\n"
+        "from fanocalc.cli import main\n"
+        "main(['--json', 'chern', 'sym', '--split', '3:1,2', '--k', '10000'])\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(chern.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    document, peak = proc.stdout.splitlines()
+    # S^k(O(a) + O(b)) splits as the sum of O(i a + (k - i) b), 0 <= i <= k
+    e = [1, 0, 0, 0]
+    for i in range(10001):
+        root = i * 1 + (10000 - i) * 2
+        e = [e[0]] + [e[j] + root * e[j - 1] for j in range(1, 4)]
+    h = line_ring(3).gen()
+    expected = {"rank": 10001, "chern": [str(e[j] * h**j) for j in range(1, 4)]}
+    assert json.loads(document)["result"] == expected
+    assert int(peak) < 8 << 20
 
 
 @given(st.lists(st.integers(-2, 2), min_size=1, max_size=3), st.integers(1, 3))

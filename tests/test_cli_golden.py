@@ -155,6 +155,9 @@ bound ramification --ry 1 --k 0 --kappa -1
 bound ramification --ry 1 --k 2 --kappa -5
 bound neg-lines --j 3
 bound neg-lines --hypersurface-degree 4
+bound neg-lines --j 0
+bound neg-lines --hypersurface-degree 2
+bound neg-lines --hypersurface-degree 5
 bound neg-lines --j 3 --hypersurface-degree 4
 bound neg-lines
 bound neg-lines --hypersurface-degree 1

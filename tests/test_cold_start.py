@@ -19,21 +19,24 @@ import fanocalc
 SRC = str(Path(fanocalc.__file__).resolve().parent.parent)
 
 # The names fanocalc exported when its __init__ imported every module eagerly,
-# less SchubertRing: the Grassmannian is now its own coefficient ring.
+# less SchubertRing (the Grassmannian is now its own coefficient ring), and
+# less MorphismScenario, assert_integral, multiplier_bound_from_negative_lines
+# and tangent_twist_hypersurface (no caller; `bound neg-lines` computes its
+# bound itself).
 EXPORTS = """
 ChowElement E_value FanoDatabase FanoNumericalInvariants FanoRecord FormalBundle GradedRing
-GrassmannContext HypersurfaceModel MorphismScenario PolyElement RamificationVerdict
+GrassmannContext HypersurfaceModel PolyElement RamificationVerdict
 SingularStratum SourceInvariants SurfaceIntersectionData
-ThreefoldIntersectionData TruncatedPolynomialRing WeightVector assert_integral
+ThreefoldIntersectionData TruncatedPolynomialRing WeightVector
 boundedness_verdict canonical_degree chern chern_class chi_surface chi_threefold
 conic_normal_bundle_degrees cotangent_twist cotangent_twist_lmin default_database
 degree_bound degree_from_multiplier derive_fano_invariants double_cover_model dual
 expected_line_family_dim ext_power fano_db feasibility_witnesses feasible_multipliers
 generic_iso_exists giambelli integrate is_generated line_bundle line_normal_bundle_options
-line_ring load_database lookup max_multiplier multiplier_bound_from_negative_lines multiply
+line_ring load_database lookup max_multiplier multiply
 noether_lefschetz_threshold noether_surface_fano normalize pieri quadric_degree_bound
 quadric_multiplier_bound ramification_feasibility riemann_roch rings schubert sigma
-singular_strata source_invariants sym_power tangent_twist_hypersurface tautological_dual
+singular_strata source_invariants sym_power tautological_dual
 top_chern trivial_bundle twist_line unit validate whitney_sum wps zero
 """.split()
 
@@ -75,6 +78,12 @@ def test_wps_generated_loads_only_wps():
     assert loaded == {"fanocalc", "fanocalc.cli", "fanocalc.wps"}
 
 
+def test_neg_lines_loads_no_library_module():
+    loaded, doc = _cli("--json", "bound", "neg-lines", "--j", "3")
+    assert doc["result"] == {"j": 3, "m_bound": 3}
+    assert loaded == {"fanocalc", "fanocalc.cli"}
+
+
 def test_lazy_imports_show_under_importtime():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -87,7 +96,7 @@ def test_lazy_imports_show_under_importtime():
 
 def test_exports_are_unchanged_and_resolve():
     assert fanocalc.__all__ == sorted(EXPORTS)
-    assert len(EXPORTS) == 75
+    assert len(EXPORTS) == 71
     for name in EXPORTS:
         value = getattr(fanocalc, name)
         home = getattr(value, "__name__", None) if name in fanocalc._EXPORTS else value.__module__

@@ -9,7 +9,6 @@ from fanocalc.degree_bound import (
     ALWAYS_OK,
     BOUND,
     INFEASIBLE_FOR_ALL_M,
-    MorphismScenario,
     SourceInvariants,
     E_value,
     boundedness_verdict,
@@ -19,13 +18,11 @@ from fanocalc.degree_bound import (
     feasible_multipliers,
     generic_iso_exists,
     max_multiplier,
-    multiplier_bound_from_negative_lines,
     noether_lefschetz_threshold,
     quadric_degree_bound,
     quadric_multiplier_bound,
     ramification_feasibility,
     source_invariants,
-    tangent_twist_hypersurface,
 )
 from fanocalc.fano_db import lookup
 from fanocalc.rings import line_ring
@@ -152,8 +149,6 @@ def test_source_invariants_validation():
         SourceInvariants(H3X=0, kappa=-1, c2HX=24, c3OmegaX=56)
     with pytest.raises(ValueError):
         SourceInvariants(H3X=1, kappa=-5, c2HX=24, c3OmegaX=56)
-    assert SourceInvariants(1, -1, 24, 56).is_fano
-    assert not SourceInvariants(1, 0, 0, 0).is_fano
 
 
 # -- degree arithmetic ---------------------------------------------------------------
@@ -165,16 +160,6 @@ def test_degree_from_multiplier():
         degree_from_multiplier(1, 3, 4)
     with pytest.raises(ValueError):
         degree_from_multiplier(0, 4, 4)
-
-
-def test_morphism_scenario():
-    scenario = MorphismScenario(QUARTIC_X, lookup("V4-quartic"), l=2, m=2)
-    assert scenario.is_realizable
-    assert scenario.degree() == 8
-    skew = MorphismScenario(SourceInvariants(3, -1, 24, 56), lookup("V4-quartic"), 2, 1)
-    assert not skew.is_realizable
-    with pytest.raises(ValueError):
-        MorphismScenario(QUARTIC_X, lookup("V4-quartic"), 2, 0)
 
 
 # -- ramification feasibility ----------------------------------------------------------
@@ -223,26 +208,8 @@ def test_feasibility_matches_direct_inequality(rY, k, kappa):
 @given(st.integers(1, 2), st.integers(1, 12), st.integers(-4, 8))
 def test_fano_with_k_at_least_2r_is_always_infeasible(rY, k, kappa):
     X = SourceInvariants(1, kappa, 0, 0)
-    if X.is_fano and k >= 2 * rY:
+    if kappa < 0 and k >= 2 * rY:
         assert ramification_feasibility(rY, k, X).kind == INFEASIBLE_FOR_ALL_M
-
-
-# -- tangent twists and negative lines ----------------------------------------------------
-
-def test_tangent_twist_of_hypersurfaces():
-    assert tangent_twist_hypersurface(4) == 2
-    assert tangent_twist_hypersurface(2) == 0
-    assert tangent_twist_hypersurface(5) == 3
-    with pytest.raises(ValueError):
-        tangent_twist_hypersurface(1)
-
-
-def test_multiplier_bound_from_negative_lines():
-    assert multiplier_bound_from_negative_lines(2) == 2
-    assert multiplier_bound_from_negative_lines(0) == 0
-    assert multiplier_bound_from_negative_lines(3) == 3
-    with pytest.raises(ValueError):
-        multiplier_bound_from_negative_lines(-1)
 
 
 # -- split maps on rational curves ----------------------------------------------------------
@@ -344,6 +311,19 @@ def test_quadric_bound_odd_degree_source():
 
 def test_quadric_unsupported_combination():
     X = SourceInvariants(H3X=2, kappa=0, c2HX=0, c3OmegaX=0)
-    with pytest.raises(ValueError):
-        quadric_multiplier_bound(X, h_very_ample=False)
     assert quadric_multiplier_bound(X) == 16
+
+
+def _quadric_degree_by_descent(X):
+    """The largest m <= 3 kappa + 16 with m^3 H_X^3 even, found by walking down."""
+    for m in range(noether_lefschetz_threshold(X.kappa), 0, -1):
+        if (m**3 * X.H3X) % 2 == 0:
+            return m**3 * X.H3X // 2
+    raise AssertionError("no multiplier gives an integral degree")
+
+
+def test_quadric_degree_closed_form_matches_descent():
+    for kappa in range(-4, 41):
+        for H3X in range(1, 41):
+            X = SourceInvariants(H3X=H3X, kappa=kappa, c2HX=0, c3OmegaX=0)
+            assert quadric_degree_bound(X) == _quadric_degree_by_descent(X), (kappa, H3X)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from fanocalc.riemann_roch import (
     SurfaceIntersectionData,
     ThreefoldIntersectionData,
-    assert_integral,
     chi_surface,
     chi_threefold,
     derive_fano_invariants,
@@ -62,12 +61,6 @@ def test_chi_surface_integral_under_parity_and_noether(dd, dk, kk, c2_raw):
     dk = dk * 2 + (dd % 2)
     value = chi_surface(SurfaceIntersectionData(dd, dk, kk, c2))
     assert value.denominator == 1
-
-
-def test_assert_integral():
-    assert assert_integral(Fraction(6, 2)) == 3
-    with pytest.raises(ValueError):
-        assert_integral(Fraction(1, 2))
 
 
 def test_noether_surface_constants():
