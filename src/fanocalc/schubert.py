@@ -8,8 +8,12 @@ kernel: the Pieri rule handles products with single-row classes, and the
 Giambelli determinant reduces an arbitrary class to an alternating sum of
 single-row products.  The determinant is expanded row by row over subsets of
 its columns (Laplace), so a class with l rows costs l * 2^(l-1) Pieri steps
-rather than the l * l! of the Leibniz rule.  Out-of-box partitions are the
-zero class, which gives exactly the quotient-ring semantics.
+rather than the l * l! of the Leibniz rule.  The horizontal strips of each
+(lambda, a, box) are tabulated once per process, in a table bounded at
+``STRIP_TABLE_SIZE`` = 2^16 keys (under three full G(7,14) boxes), so
+repeated Pieri steps look their strips up instead of enumerating them again.
+Out-of-box partitions are the zero class, which gives exactly the
+quotient-ring semantics.
 
 ``GrassmannContext`` is this ring as a coefficient ring of
 :mod:`fanocalc.rings` (truncated at the top degree, generated in degree one
@@ -29,6 +33,7 @@ Coefficients are arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .chern import FormalBundle
@@ -174,27 +179,38 @@ def sigma(ctx: GrassmannContext, *parts: int) -> ChowElement:
     return ChowElement(ctx, {p: 1})
 
 
-def _horizontal_strips(lam: Partition, a: int, rows: int, cols: int) -> Iterator[Partition]:
-    """Partitions ``mu`` in the box with ``mu/lam`` a horizontal strip of size ``a``."""
-    length = len(lam)
-    maxlen = min(rows, length + 1)
-    mu = [0] * maxlen
+# Bound on the strip table, in (lam, a, rows, cols) keys.  A full G(7,14)
+# is 24024 keys holding 112848 strips, about 17 MB, so 2**16 keys hold
+# under three such boxes; past the bound the least recently used go first.
+STRIP_TABLE_SIZE = 2**16
 
-    def rec(i: int, remaining: int) -> Iterator[Partition]:
-        if i == maxlen:
-            if remaining == 0:
-                # only a new last row can be empty
-                yield tuple(mu) if mu[-1] else tuple(mu[:-1])
+
+@lru_cache(maxsize=STRIP_TABLE_SIZE)
+def _horizontal_strips(lam: Partition, a: int, rows: int, cols: int) -> tuple[Partition, ...]:
+    """Partitions ``mu`` in the box with ``mu/lam`` a horizontal strip of size ``a``.
+
+    Row i of ``mu`` lies between ``lam_i`` and ``lam_(i-1)`` (the box width
+    for the first row), and only a new last row may stay empty.  A strip
+    has at most one box per column, so the boxes left after row i fit
+    between the last row of ``lam`` and ``lam_i``; that bounds ``mu_i`` from
+    below, and every branch of the search ends in a strip.
+    """
+    length = len(lam)
+    last = min(rows, length + 1) - 1
+    bottom = lam[last] if last < length else 0
+    out: list[Partition] = []
+
+    def rec(i: int, remaining: int, prefix: Partition) -> None:
+        if not remaining:
+            out.append(prefix + lam[i:])
             return
         lo = lam[i] if i < length else 0
         hi = cols if i == 0 else lam[i - 1]
-        hi = min(hi, lo + remaining)
-        for v in range(lo, hi + 1):
-            mu[i] = v
-            yield from rec(i + 1, remaining - (v - lo))
-        mu[i] = 0
+        for part in range(max(lo, bottom + remaining), min(hi, lo + remaining) + 1):
+            rec(i + 1, remaining - (part - lo), prefix + (part,))
 
-    yield from rec(0, a)
+    rec(0, a, ())
+    return tuple(out)
 
 
 def pieri(x: ChowElement, a: int) -> ChowElement:
@@ -202,9 +218,10 @@ def pieri(x: ChowElement, a: int) -> ChowElement:
     if a < 1:
         raise ValueError("Pieri index must be a positive integer")
     ctx = x.ring
+    rows, cols = ctx.rows, ctx.cols
     out: dict[Partition, int] = {}
     for lam, coeff in x.terms.items():
-        for mu in _horizontal_strips(lam, a, ctx.rows, ctx.cols):
+        for mu in _horizontal_strips(lam, a, rows, cols):
             out[mu] = out.get(mu, 0) + coeff
     return ChowElement._trusted(ctx, out)
 
@@ -265,10 +282,11 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     x._check(y)
     if len(x.terms) < len(y.terms):
         x, y = y, x
-    acc = zero(x.ring)
+    out: dict[Partition, int] = {}
     for lam, coeff in y.terms.items():
-        acc = acc + coeff * _times_schubert(x, lam)
-    return acc
+        for mu, c in _times_schubert(x, lam).terms.items():
+            out[mu] = out.get(mu, 0) + coeff * c
+    return ChowElement._trusted(x.ring, out)
 
 
 def integrate(x: ChowElement) -> int:

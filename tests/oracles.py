@@ -2,12 +2,13 @@
 
 These deliberately avoid the code paths they check: Schubert products are
 recomputed through monomial expansions of Schur polynomials (semistandard
-tableaux), power bundles through direct enumeration of root multisets over
-actual split bundles, universal polynomials through full monomial
-expansions, base-point freeness on weighted projective spaces through
-explicit monomial lists and O(m) reachability lists, minimal coprime
-supports through all subsets of the weights, and singular strata through
-the primes found by trial division.
+tableaux), horizontal strips by filtering every partition of the box
+through the interlacing inequalities, power bundles through direct
+enumeration of root multisets over actual split bundles, universal
+polynomials through full monomial expansions, base-point freeness on
+weighted projective spaces through explicit monomial lists and O(m)
+reachability lists, minimal coprime supports through all subsets of the
+weights, and singular strata through the primes found by trial division.
 """
 
 from __future__ import annotations
@@ -94,6 +95,23 @@ def schubert_product(k: int, cols: int, lam: tuple[int, ...], mu: tuple[int, ...
     product = _poly_mul(schur_monomials(tuple(lam), k), schur_monomials(tuple(mu), k))
     expansion = schur_expand(product, k)
     return {nu: c for nu, c in expansion.items() if not nu or nu[0] <= cols}
+
+
+def horizontal_strips_brute(lam: tuple[int, ...], a: int, rows: int, cols: int) -> list:
+    """Every partition mu of the rows x cols box with |mu| - |lam| = a and
+    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ..., which makes mu/lam a horizontal
+    strip of size a."""
+    padded = tuple(lam) + (0,) * (rows - len(lam))
+    out = []
+    # a descending range makes every combination weakly decreasing
+    for mu in combinations_with_replacement(range(cols, -1, -1), rows):
+        if sum(mu) - sum(padded) != a:
+            continue
+        if all(mu[i] >= padded[i] for i in range(rows)) and all(
+            padded[i] >= mu[i + 1] for i in range(rows - 1)
+        ):
+            out.append(tuple(x for x in mu if x))
+    return out
 
 
 # -- power bundles of split bundles -----------------------------------------

@@ -178,6 +178,21 @@ def test_lines_on_hypersurfaces_of_degree_2n_minus_3(n, count):
     assert integrate(top_chern(sym_power(tautological_dual(ctx), 2 * n - 3))) == count
 
 
+def test_three_planes_on_a_cubic_sevenfold():
+    # projective 3-planes of a general cubic in P^8: the zero locus of
+    # S^3 U* (rank 20) on the 20-dimensional G(3,8)
+    ctx = GrassmannContext.from_projective(3, 8)
+    assert integrate(top_chern(sym_power(tautological_dual(ctx), 3))) == 321489
+
+
+def test_two_spinor_tenfolds_in_g510():
+    # S^2 U* on G(5,10) vanishes on the 5-planes isotropic for a quadric:
+    # two spinor tenfolds, each of degree 12 in h with sigma_1 = 2h
+    ctx = GrassmannContext(5, 10)
+    c15 = top_chern(sym_power(tautological_dual(ctx), 2))
+    assert integrate(c15 * sigma(ctx, 1) ** 10) == 2 * 2**10 * 12 == 24576
+
+
 def test_ext_of_rank2_is_determinant():
     ring = TruncatedPolynomialRing(("c1", "c2"), (1, 2), truncation=4)
     c1, c2 = ring.gens

@@ -52,6 +52,7 @@ schubert giambelli --gr 2,5 --partition ""
 schubert giambelli --gr 1,4 --partition 5
 schubert giambelli --gr 1,4 --partition x
 chern top --taut 1,3 --sym 3 --integrate
+chern top --taut 3,8 --sym 3 --integrate
 chern top --taut 1,4 --sym 3
 chern top --taut 1,4 --ext 2 --integrate
 chern top --taut 1,3

@@ -18,7 +18,7 @@ from fanocalc.schubert import (
     unit,
     zero,
 )
-from oracles import schubert_product
+from oracles import horizontal_strips_brute, schubert_product
 
 G24 = GrassmannContext(2, 4)
 G25 = GrassmannContext(2, 5)
@@ -98,6 +98,39 @@ def test_pieri_matches_tableau_oracle_exhaustively(ctx):
         for a in range(1, ctx.cols + 1):
             expected = schubert_product(ctx.k, ctx.cols, lam, (a,))
             assert pieri(sigma(ctx, *lam), a).terms == expected
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_strip_table_matches_interlacing_oracle_exhaustively(n):
+    for k in range(1, n):
+        ctx = GrassmannContext(k, n)
+        for lam in ctx.partitions():
+            for a in range(ctx.cols + 2):
+                strips = schubert._horizontal_strips(lam, a, ctx.rows, ctx.cols)
+                assert isinstance(strips, tuple)
+                assert len(set(strips)) == len(strips)
+                assert set(strips) == set(horizontal_strips_brute(lam, a, ctx.rows, ctx.cols))
+
+
+def test_pieri_steps_are_counted_on_a_filled_strip_table(monkeypatch):
+    # With every strip of G(2,4) and G(2,5) already tabulated, the products
+    # below hit the table only, and still make one Pieri step per factor.
+    for ctx in (G24, G25):
+        for lam in ctx.partitions():
+            for a in range(1, ctx.cols + 1):
+                schubert._horizontal_strips(lam, a, ctx.rows, ctx.cols)
+    table = schubert._horizontal_strips.cache_info()
+    assert table.maxsize is not None and table.maxsize == schubert.STRIP_TABLE_SIZE
+    pieris = []
+    real_pieri = schubert.pieri
+    monkeypatch.setattr(schubert, "pieri", lambda x, a: pieris.append(a) or real_pieri(x, a))
+    assert sigma(G24, 1) ** 4 == 2 * sigma(G24, 2, 2)
+    assert len(pieris) == 4
+    pieris.clear()
+    assert integrate(sigma(G25, 1) ** G25.top_degree) == 5
+    assert len(pieris) == G25.top_degree
+    after = schubert._horizontal_strips.cache_info()
+    assert after.misses == table.misses and after.hits > table.hits
 
 
 # -- Giambelli ----------------------------------------------------------------
