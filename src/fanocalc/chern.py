@@ -2,7 +2,8 @@
 
 A :class:`FormalBundle` is a rank together with Chern classes ``c_1..c_t``
 living in a truncated graded coefficient ring (see :mod:`fanocalc.rings`).
-Whitney sums, duals and line twists follow the usual closed formulas.
+Whitney sums and line twists are identities of the total Chern class, taken
+by the ring's own product (Fulton, *Intersection Theory*, section 3.2).
 Symmetric and exterior powers go through universal integer polynomials:
 apply the functor to formal Chern roots ``x_1..x_r``, rewrite the resulting
 symmetric functions in the elementary symmetric polynomials ``e_1..e_r``
@@ -78,18 +79,11 @@ def top_chern(b: FormalBundle):
 
 
 def whitney_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
-    """Direct sum: ranks add, total Chern classes multiply (truncated)."""
+    """Direct sum: ranks add and total classes multiply, ``c(E+F) = c(E) c(F)``."""
     if a.ring != b.ring:
         raise ValueError("bundles live over different rings")
-    rank = a.rank + b.rank
-    t = min(rank, a.ring.truncation)
-    cs = []
-    for i in range(1, t + 1):
-        acc = a.ring.zero()
-        for p in range(0, i + 1):
-            acc = acc + chern_class(a, p) * chern_class(b, i - p)
-        cs.append(acc)
-    return FormalBundle(a.ring, rank, tuple(cs))
+    one = a.ring.one()
+    return _from_total(a.rank + b.rank, sum(a.chern, one) * sum(b.chern, one))
 
 
 def dual(b: FormalBundle) -> FormalBundle:
@@ -99,25 +93,28 @@ def dual(b: FormalBundle) -> FormalBundle:
 
 
 def twist_line(b: FormalBundle, t) -> FormalBundle:
-    """Tensor with a line bundle whose first Chern class is ``t``.
-
-    Chern roots shift by ``t``:
-    ``c_i(E@L) = sum_j C(rank-j, i-j) c_j(E) t^(i-j)``.
-    """
+    """Tensor with the line bundle of first Chern class ``t`` (0 returns ``b``):
+    the total class ``sum_j c_j(b) u^(rank-j)``, ``u = 1 + t``, is Horner's rule
+    in ``u`` over the stored ``c_1..c_s``, times ``u^(rank-s)``."""
+    if not t:
+        return b
     ring = b.ring
-    if t and ring.degree(t) != 1:
+    if ring.degree(t) != 1:
         raise ValueError("twist class must be homogeneous of degree 1")
-    r = b.rank
-    cs = []
-    for i in range(1, min(r, ring.truncation) + 1):
-        acc = ring.zero()
-        for j in range(0, i + 1):
-            coeff = comb(r - j, i - j)
-            if coeff == 0:
-                continue
-            acc = acc + coeff * (chern_class(b, j) * t ** (i - j))
-        cs.append(acc)
-    return FormalBundle(ring, r, tuple(cs))
+    u = ring.one() + t
+    total = ring.one()
+    for c in b.chern:
+        total = total * u + c
+    return _from_total(b.rank, total * u ** (b.rank - len(b.chern)))
+
+
+def _from_total(rank: int, total) -> FormalBundle:
+    """The bundle of this rank with total Chern class ``total``."""
+    ring = total.ring
+    parts: list[dict] = [{} for _ in range(min(rank, ring.truncation) + 1)]
+    for key, c in total.terms.items():
+        parts[ring.key_degree(key)][key] = c
+    return FormalBundle(ring, rank, tuple(total._new(p) for p in parts[1:]))
 
 
 def sym_power(b: FormalBundle, k: int) -> FormalBundle:
@@ -145,34 +142,35 @@ def ext_power(b: FormalBundle, k: int) -> FormalBundle:
 # -- universal polynomials -------------------------------------------------
 
 def _substitute_all(epolys, b: FormalBundle) -> tuple:
-    cs = [chern_class(b, j) for j in range(0, b.rank + 1)]
+    """Substitute ``e_j -> c_j(b)``, zero beyond the stored classes, into each
+    e-polynomial; every term's product starts from its first factor."""
+    ring = b.ring
     powers: dict[int, list] = {}
 
     def power(j: int, m: int):
         """``c_j ** m`` for ``m >= 1``, each power built once per call."""
-        built = powers.setdefault(j, [cs[j]])
+        if j > len(b.chern):
+            return ring.zero()
+        built = powers.setdefault(j, [b.chern[j - 1]])
         while len(built) < m:
-            built.append(built[-1] * cs[j])
+            built.append(built[-1] * built[0])
         return built[m - 1]
 
-    return tuple(_substitute(ep, power, b.ring) for ep in epolys)
+    def substitute(epoly):
+        total = ring.zero()
+        for emon, coeff in epoly:
+            term = None
+            for j, mult in enumerate(emon, start=1):
+                if mult:
+                    factor = power(j, mult)
+                    if not factor:
+                        break
+                    term = factor if term is None else term * factor
+            else:
+                total = total + coeff * term
+        return total
 
-
-def _substitute(epoly, power, ring):
-    total = ring.zero()
-    for emon, coeff in epoly:
-        term = ring.one()
-        for j, mult in enumerate(emon, start=1):
-            if mult == 0:
-                continue
-            cj_power = power(j, mult)
-            if not cj_power:
-                term = ring.zero()
-                break
-            term = term * cj_power
-        if term:
-            total = total + coeff * term
-    return total
+    return tuple(map(substitute, epolys))
 
 
 @lru_cache(maxsize=None)

@@ -10,9 +10,10 @@ single-row products.  The determinant is expanded row by row over subsets of
 its columns (Laplace), so a class with l rows costs l * 2^(l-1) Pieri steps
 rather than the l * l! of the Leibniz rule.  The horizontal strips of each
 (lambda, a, box) are tabulated once per process, in a table bounded at
-``STRIP_TABLE_SIZE`` = 2^16 keys (under three full G(7,14) boxes), so
-repeated Pieri steps look their strips up instead of enumerating them again.
-Out-of-box partitions are the zero class, which gives exactly the
+``STRIP_TABLE_SIZE`` = 2^16 keys, so repeated Pieri steps look their strips
+up instead of enumerating them again.  The bound is in keys, not bytes: a
+full G(7,14) is 24024 keys and 16.7 MB, while 2^16 keys of G(8,16) held
+63.8 MB.  Out-of-box partitions are the zero class, which gives exactly the
 quotient-ring semantics.
 
 ``GrassmannContext`` is this ring as a coefficient ring of
@@ -179,9 +180,10 @@ def sigma(ctx: GrassmannContext, *parts: int) -> ChowElement:
     return ChowElement(ctx, {p: 1})
 
 
-# Bound on the strip table, in (lam, a, rows, cols) keys.  A full G(7,14)
-# is 24024 keys holding 112848 strips, about 17 MB, so 2**16 keys hold
-# under three such boxes; past the bound the least recently used go first.
+# Bound on the strip table, in (lam, a, rows, cols) keys, not in strips,
+# whose number per key grows with the box: a full G(7,14) is 24024 keys
+# holding 112848 strips, 16.7 MB under tracemalloc, while 2**16 keys of
+# G(8,16) held 63.8 MB.  Past the bound the least recently used go first.
 STRIP_TABLE_SIZE = 2**16
 
 

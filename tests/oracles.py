@@ -5,7 +5,8 @@ recomputed through monomial expansions of Schur polynomials (semistandard
 tableaux), horizontal strips by filtering every partition of the box
 through the interlacing inequalities, power bundles through direct
 enumeration of root multisets over actual split bundles, universal
-polynomials through full monomial expansions, base-point freeness on
+polynomials through full monomial expansions, direct sums and line twists
+through the index formulas for each Chern class, base-point freeness on
 weighted projective spaces through explicit monomial lists and O(m)
 reachability lists, minimal coprime supports through all subsets of the
 weights, and singular strata through the primes found by trial division.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 
 
 # -- Schur polynomials from semistandard tableaux ---------------------------
@@ -111,6 +112,40 @@ def horizontal_strips_brute(lam: tuple[int, ...], a: int, rows: int, cols: int) 
             padded[i] >= mu[i + 1] for i in range(rows - 1)
         ):
             out.append(tuple(x for x in mu if x))
+    return out
+
+
+# -- direct sums and line twists, one Chern class at a time -------------------
+
+def _padded_classes(b) -> list:
+    """``c_0..c_rank`` of a bundle: the unit, the stored classes, then zeros."""
+    return [b.ring.one(), *b.chern] + [b.ring.zero()] * (b.rank - len(b.chern))
+
+
+def whitney_convolution(a, b) -> list:
+    """``c_1..c_min(rank, truncation)`` of a direct sum by the index
+    convolution ``c_i = sum_p c_p(a) c_(i-p)(b)``."""
+    ca, cb = _padded_classes(a), _padded_classes(b)
+    out = []
+    for i in range(1, min(a.rank + b.rank, a.ring.truncation) + 1):
+        acc = a.ring.zero()
+        for p in range(max(0, i - b.rank), min(i, a.rank) + 1):
+            acc = acc + ca[p] * cb[i - p]
+        out.append(acc)
+    return out
+
+
+def twist_binomial(b, t) -> list:
+    """``c_1..c_min(rank, truncation)`` of the twist by a line bundle with
+    first Chern class ``t`` by the binomial rule
+    ``c_i = sum_j C(rank-j, i-j) c_j t^(i-j)``."""
+    cs = _padded_classes(b)
+    out = []
+    for i in range(1, min(b.rank, b.ring.truncation) + 1):
+        acc = b.ring.zero()
+        for j in range(0, i + 1):
+            acc = acc + comb(b.rank - j, i - j) * (cs[j] * t ** (i - j))
+        out.append(acc)
     return out
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fanocalc import chern
+from fanocalc import chern, schubert
 from fanocalc.chern import (
     FormalBundle,
     chern_class,
@@ -23,7 +23,7 @@ from fanocalc.chern import (
 )
 from fanocalc.rings import TruncatedPolynomialRing, line_ring
 from fanocalc.schubert import GrassmannContext, integrate, sigma, tautological_dual
-from oracles import power_epolys_brute, split_power_chern
+from oracles import power_epolys_brute, split_power_chern, twist_binomial, whitney_convolution
 
 P3 = line_ring(3, top_integral=1)
 H = P3.gen()
@@ -34,6 +34,35 @@ def split_bundle(ring, multiples):
     h = ring.gen()
     for a in multiples:
         bundle = whitney_sum(bundle, line_bundle(ring, a * h))
+    return bundle
+
+
+def classes(b):
+    """``c_1..c_min(rank, truncation)`` of a bundle, zero classes included."""
+    return [chern_class(b, i) for i in range(1, min(b.rank, b.ring.truncation) + 1)]
+
+
+def total_class(b):
+    return sum(b.chern, b.ring.one())
+
+
+# Summands on a Grassmannian: U*, its dual U, the trivial line O, and the
+# lines O(m sigma_1).
+PIECES = st.one_of(st.sampled_from(["U*", "U", "O"]), st.integers(-2, 2))
+
+
+def grassmann_sum(ctx, pieces):
+    bundle = trivial_bundle(ctx, 0)
+    for piece in pieces:
+        if piece == "U*":
+            summand = tautological_dual(ctx)
+        elif piece == "U":
+            summand = dual(tautological_dual(ctx))
+        elif piece == "O":
+            summand = trivial_bundle(ctx, 1)
+        else:
+            summand = line_bundle(ctx, piece * sigma(ctx, 1))
+        bundle = whitney_sum(bundle, summand)
     return bundle
 
 
@@ -67,12 +96,34 @@ def test_whitney_rejects_ring_mismatch():
 def test_whitney_total_class_multiplies(xs, ys):
     ring = line_ring(4)
     a, b = split_bundle(ring, xs), split_bundle(ring, ys)
-    total = whitney_sum(a, b)
-    for i in range(1, ring.truncation + 1):
-        direct = ring.zero()
-        for p in range(0, i + 1):
-            direct = direct + chern_class(a, p) * chern_class(b, i - p)
-        assert chern_class(total, i) == direct
+    assert classes(whitney_sum(a, b)) == whitney_convolution(a, b)
+
+
+@given(st.sampled_from([GrassmannContext(2, 5), GrassmannContext(3, 6)]),
+       st.lists(PIECES, max_size=4), st.lists(PIECES, max_size=3), st.integers(-3, 3))
+def test_sums_and_twists_match_index_formulas_on_grassmannians(ctx, xs, ys, m):
+    # up to four copies of U* exceed the truncation of G(2,5) and G(3,6)
+    a, b = grassmann_sum(ctx, xs), grassmann_sum(ctx, ys)
+    assert classes(whitney_sum(a, b)) == whitney_convolution(a, b)
+    t = m * sigma(ctx, 1)
+    assert classes(twist_line(a, t)) == twist_binomial(a, t)
+    for zero in (0, ctx.zero()):
+        assert twist_line(a, zero) == a
+        assert classes(a) == twist_binomial(a, zero)
+
+
+@given(st.integers(1, 3), st.lists(st.integers(-2, 2), min_size=4, max_size=8),
+       st.lists(st.integers(-2, 2), max_size=3), st.integers(-2, 2))
+def test_sums_and_twists_of_rank_above_the_truncation(dim, xs, ys, m):
+    ring = line_ring(dim)
+    a, b = split_bundle(ring, xs), split_bundle(ring, ys)
+    assert classes(whitney_sum(a, b)) == whitney_convolution(a, b)
+    t = m * ring.gen()
+    assert classes(twist_line(a, t)) == twist_binomial(a, t)
+    assert twist_line(a, t) == split_bundle(ring, [x + m for x in xs])
+    for zero in (0, ring.zero()):
+        assert twist_line(a, zero) == a
+        assert classes(a) == twist_binomial(a, zero)
 
 
 # -- duals ----------------------------------------------------------------------
@@ -101,6 +152,13 @@ def test_twist_rank2_closed_form_symbolically():
 def test_twist_by_zero_is_identity():
     b = FormalBundle(P3, 2, (3 * H, 2 * H**2))
     assert twist_line(b, P3.zero()) == b
+    assert twist_line(b, 0) == b
+
+
+def test_twist_of_a_high_symmetric_power_stays_cheap():
+    # rank 10001 on P^3: the zero classes above c_3 cost one binomial power
+    b = sym_power(split_bundle(P3, [1, 2]), 10000)
+    assert classes(twist_line(b, H)) == twist_binomial(b, H)
 
 
 def test_twist_line_bundle():
@@ -178,11 +236,20 @@ def test_lines_on_hypersurfaces_of_degree_2n_minus_3(n, count):
     assert integrate(top_chern(sym_power(tautological_dual(ctx), 2 * n - 3))) == count
 
 
-def test_three_planes_on_a_cubic_sevenfold():
+def test_three_planes_on_a_cubic_sevenfold(monkeypatch):
     # projective 3-planes of a general cubic in P^8: the zero locus of
     # S^3 U* (rank 20) on the 20-dimensional G(3,8)
     ctx = GrassmannContext.from_projective(3, 8)
+    one, multiply, with_unit = schubert.unit(ctx), schubert.multiply, []
+
+    def counting(x, y):
+        with_unit.append(one in (x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(schubert, "multiply", counting)
     assert integrate(top_chern(sym_power(tautological_dual(ctx), 3))) == 321489
+    # every e-monomial's product starts from its first factor, never the unit
+    assert len(with_unit) == 864 and not any(with_unit)
 
 
 def test_two_spinor_tenfolds_in_g510():
@@ -303,6 +370,37 @@ def test_high_symmetric_power_runs_in_flat_memory():
     expected = {"rank": 10001, "chern": [str(e[j] * h**j) for j in range(1, 4)]}
     assert json.loads(document)["result"] == expected
     assert int(peak) < 8 << 20
+
+
+@pytest.mark.parametrize("op,power_fn,expected", [
+    ("sym", sym_power, (30, 420, 3640)), ("ext", ext_power, (20, 180, 960)),
+])
+def test_square_powers_of_five_hyperplane_lines_on_p3(op, power_fn, expected):
+    # S^2 and Lambda^2 of O(1)^5 are O(2)^15 and O(2)^10: ranks above the truncation 3
+    got = power_fn(split_bundle(P3, [1] * 5), 2)
+    assert got.chern == tuple(c * H**i for i, c in enumerate(expected, start=1))
+    assert list(got.chern) == split_power_chern(P3, [H] * 5, 2, op)
+
+
+def test_square_powers_of_three_copies_of_u_dual_on_g24():
+    # U* + U* + U* has rank 6 on G(2,4), whose truncation is 4; with
+    # S^2(A + B) = S^2 A + A B + S^2 B and A A = S^2 A + Lambda^2 A
+    ctx = GrassmannContext(2, 4)
+    u = tautological_dual(ctx)
+    thrice = whitney_sum(u, whitney_sum(u, u))
+    s2, l2 = total_class(sym_power(u, 2)), total_class(ext_power(u, 2))
+    assert total_class(sym_power(thrice, 2)) == s2**6 * l2**3
+    assert total_class(ext_power(thrice, 2)) == s2**3 * l2**6
+
+
+@given(st.lists(st.integers(-2, 2), min_size=4, max_size=7), st.integers(1, 3),
+       st.sampled_from(["sym", "ext"]))
+def test_powers_of_rank_above_the_truncation_match_root_enumeration(multiples, k, op):
+    ring = line_ring(3)
+    h = ring.gen()
+    power_fn = sym_power if op == "sym" else ext_power
+    got = power_fn(split_bundle(ring, multiples), k)
+    assert classes(got) == split_power_chern(ring, [a * h for a in multiples], k, op)
 
 
 @given(st.lists(st.integers(-2, 2), min_size=1, max_size=3), st.integers(1, 3))

@@ -60,6 +60,7 @@ chern top --split 3:1,1,1 --integrate
 chern top --split 3:1,1 --sym 2 --ext 2
 chern sym --taut 1,3 --k 2
 chern sym --split 2:1,2 --k 3
+chern sym --split 3:1,1,1,1,1 --k 2
 chern sym --taut 1,3 --k 0
 chern ext --taut 2,5 --k 2
 chern ext --split 3:0,1,2 --k 2
