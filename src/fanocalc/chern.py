@@ -13,7 +13,11 @@ most the truncation degree, and Gauss's rewrite runs in the basis of
 monomial symmetric functions ``m_lambda``, so no symmetric function is ever
 expanded into all the plain monomials of r variables (Macdonald, *Symmetric
 Functions and Hall Polynomials*, I.2 and I.6).  Every coefficient is an
-exact integer; no division ever occurs.  The universal polynomials are
+exact integer; no division ever occurs.  Validation happens once, at the
+public :class:`FormalBundle` constructor (and ``line_bundle``,
+``trivial_bundle``); the kernels here build classes that are homogeneous
+by construction and wrap them through ``_bundle`` without re-checking
+their degrees.  The universal polynomials are
 memoized per (functor, rank, power, truncation degree), which is safe under
 concurrent use because the computation is pure and idempotent.
 """
@@ -33,7 +37,11 @@ class FormalBundle:
     """A rank and a list of Chern classes ``c_1..c_t`` over a graded ring.
 
     Missing entries (``t < rank``) are zero; trailing zero classes are
-    stripped so equal bundles compare equal.
+    stripped so equal bundles compare equal.  This constructor validates
+    its input: a nonnegative rank, at most ``min(rank, truncation)``
+    classes, and ``c_i`` homogeneous of degree ``i``.  The kernels of this
+    module build their results through ``_bundle`` instead, which only
+    strips trailing zeros: their classes are homogeneous by construction.
     """
 
     ring: GradedRing
@@ -43,15 +51,28 @@ class FormalBundle:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        cs = list(self.chern)
-        while cs and not cs[-1]:
-            cs.pop()
+        cs = _stripped(self.chern)
         if len(cs) > min(self.rank, self.ring.truncation):
             raise ValueError("more Chern classes than rank or truncation allows")
         for i, c in enumerate(cs):
             if c and self.ring.degree(c) != i + 1:
                 raise ValueError(f"c_{i + 1} is not homogeneous of degree {i + 1}")
-        object.__setattr__(self, "chern", tuple(cs))
+        object.__setattr__(self, "chern", cs)
+
+
+def _stripped(chern) -> tuple:
+    """The classes without their trailing zeros."""
+    cs = list(chern)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _bundle(ring: GradedRing, rank: int, chern) -> FormalBundle:
+    """A kernel's result: trailing zero classes stripped, nothing re-checked."""
+    b = object.__new__(FormalBundle)
+    b.__dict__.update(ring=ring, rank=rank, chern=_stripped(chern))
+    return b
 
 
 def trivial_bundle(ring: GradedRing, rank: int = 1) -> FormalBundle:
@@ -80,7 +101,7 @@ def top_chern(b: FormalBundle):
 
 def whitney_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
     """Direct sum: ranks add and total classes multiply, ``c(E+F) = c(E) c(F)``."""
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise ValueError("bundles live over different rings")
     one = a.ring.one()
     return _from_total(a.rank + b.rank, sum(a.chern, one) * sum(b.chern, one))
@@ -89,7 +110,7 @@ def whitney_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
 def dual(b: FormalBundle) -> FormalBundle:
     """Dual bundle: ``c_i -> (-1)^i c_i``."""
     cs = tuple(c if (i + 1) % 2 == 0 else -c for i, c in enumerate(b.chern))
-    return FormalBundle(b.ring, b.rank, cs)
+    return _bundle(b.ring, b.rank, cs)
 
 
 def twist_line(b: FormalBundle, t) -> FormalBundle:
@@ -114,7 +135,7 @@ def _from_total(rank: int, total) -> FormalBundle:
     parts: list[dict] = [{} for _ in range(min(rank, ring.truncation) + 1)]
     for key, c in total.terms.items():
         parts[ring.key_degree(key)][key] = c
-    return FormalBundle(ring, rank, tuple(total._new(p) for p in parts[1:]))
+    return _bundle(ring, rank, [total._new(p) for p in parts[1:]])
 
 
 def sym_power(b: FormalBundle, k: int) -> FormalBundle:
@@ -125,7 +146,7 @@ def sym_power(b: FormalBundle, k: int) -> FormalBundle:
         raise ValueError("power must be a positive integer")
     rank = comb(b.rank + k - 1, k)
     epolys = _power_epolys("sym", b.rank, k, b.ring.truncation)
-    return FormalBundle(b.ring, rank, _substitute_all(epolys, b))
+    return _bundle(b.ring, rank, _substitute_all(epolys, b))
 
 
 def ext_power(b: FormalBundle, k: int) -> FormalBundle:
@@ -136,7 +157,7 @@ def ext_power(b: FormalBundle, k: int) -> FormalBundle:
         raise ValueError(f"exterior power {k} exceeds rank {b.rank}")
     rank = comb(b.rank, k)
     epolys = _power_epolys("ext", b.rank, k, b.ring.truncation)
-    return FormalBundle(b.ring, rank, _substitute_all(epolys, b))
+    return _bundle(b.ring, rank, _substitute_all(epolys, b))
 
 
 # -- universal polynomials -------------------------------------------------
@@ -197,8 +218,11 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
         for alpha, coeff in poly.items():
             for i, c in factor:
                 beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                if _hull_weight(beta) <= dmax:
-                    grown[beta] = grown.get(beta, 0) + c * coeff
+                kept = grown.get(beta)
+                if kept is not None:  # every kept key passed the bound; none cancels
+                    grown[beta] = kept + c * coeff
+                elif _hull_weight(beta) <= dmax:
+                    grown[beta] = c * coeff
         poly = grown
     top = min(comb(rank, k) if op == "ext" else comb(rank + k - 1, k), dmax)  # new rank
     components: list[dict] = [{} for _ in range(top + 1)]
@@ -284,15 +308,35 @@ def _m_times_e(lam: tuple, j: int, nvars: int) -> tuple:
     """``m_lam * e_j`` in the m-basis, as ``(nu, coeff)`` pairs.
 
     The coefficient of ``m_nu`` counts the j-subsets S of the variables for
-    which ``nu - 1_S`` is a permutation of ``lam``.
+    which ``nu - 1_S`` is a permutation of ``lam``.  Such a ``nu`` raises
+    ``t_v`` of the ``a_v`` parts of ``lam`` equal to ``v`` (zeros included)
+    by one, with ``sum_v t_v = j``; S is then the choice, for each value w,
+    of which ``t_(w-1)`` of the ``b_w = a_w - t_w + t_(w-1)`` parts of
+    ``nu`` equal to ``w`` were raised, so the coefficient is the product of
+    binomials ``prod_w C(b_w, t_(w-1))`` (Macdonald, I.2).
     """
-    subsets = list(combinations(range(nvars), j))
-    target = sorted(lam)
-    out: dict = {}
-    for t in subsets:
-        nu = tuple(sorted((lam[i] + (i in t) for i in range(nvars)), reverse=True))
-        if nu not in out:
-            out[nu] = sum(
-                sorted(nu[i] - (i in s) for i in range(nvars)) == target for s in subsets
-            )
-    return tuple(out.items())
+    values = sorted(set(lam), reverse=True)
+    counts = [lam.count(v) for v in values]
+    out = []
+    for raised in _bounded_compositions(j, counts):
+        nu: list = []
+        coeff = 1
+        above = 0  # unraised parts of lam equal to v + 1
+        for i, (v, a, t) in enumerate(zip(values, counts, raised)):
+            coeff *= comb(t + above, t)
+            nu += [v + 1] * t + [v] * (a - t)
+            above = a - t if i + 1 < len(values) and values[i + 1] == v - 1 else 0
+        out.append((tuple(nu), coeff))
+    return tuple(out)
+
+
+def _bounded_compositions(total: int, caps: list):
+    """Every tuple ``t`` with ``0 <= t_i <= caps[i]`` and ``sum t = total``."""
+    if not caps:
+        if not total:
+            yield ()
+        return
+    rest = sum(caps[1:])
+    for t in range(max(0, total - rest), min(total, caps[0]) + 1):
+        for tail in _bounded_compositions(total - t, caps[1:]):
+            yield (t, *tail)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, isqrt
 from typing import Iterable, Iterator
 
 from . import wps
@@ -106,23 +106,53 @@ def max_multiplier(X: SourceInvariants, Y: FanoRecord, l: int) -> int:
 
         E(Y,l) H_X^3 m^3  <=  H_Y^3 (c3OmegaX + l m c2HX + l^2 m^2 kappa H_X^3),
 
-    fails for all m beyond a Cauchy-style root bound since the cubic side
-    dominates; returns 0 when no m >= 1 passes.  Integrality of the would-be
-    degree is a separate arithmetic filter, not part of this inequality.
+    fails for all large m since the cubic side dominates; returns 0 when no
+    m >= 1 passes.  Integrality of the would-be degree is a separate
+    arithmetic filter, not part of this inequality.
     """
     E = E_value(Y, l)
     if E <= 0:
         raise ValueError(f"E({Y.name},{l}) = {E} is not positive")
-    a = E * X.H3X
-    b = Y.H3 * X.kappa * X.H3X * l * l
-    c = Y.H3 * X.c2HX * l
-    d = Y.H3 * X.c3OmegaX
-    limit = 2 + max(abs(b), abs(c), abs(d)) // a  # beyond this the cubic wins
-    best = 0
-    for m in range(1, limit + 1):
-        if a * m**3 - b * m * m - c * m - d <= 0:
-            best = m
-    return best
+    return _last_nonpositive(
+        E * X.H3X,
+        Y.H3 * X.kappa * X.H3X * l * l,
+        Y.H3 * X.c2HX * l,
+        Y.H3 * X.c3OmegaX,
+    )
+
+
+def _last_nonpositive(a: int, b: int, c: int, d: int) -> int:
+    """Largest integer m >= 1 with ``a m^3 - b m^2 - c m - d <= 0`` (``a > 0``),
+    0 if there is none, by exact bisection on the cubic's monotone pieces.
+
+    The cubic rises up to its smaller critical point, falls to the larger,
+    and rises after; the floor of the larger is ``(b + isqrt(b^2 + 3ac)) //
+    3a``, exact.  If the last rising piece passes at its first integer, a
+    bisection up to the Cauchy root bound finds the answer.  Otherwise the
+    falling piece takes its least value at its right end, so one check
+    there decides it; if that fails too, every integer of the falling piece
+    fails, the passing m below it form a prefix of the first rising piece,
+    and a bisection finds its end.
+    """
+    lo, hi = 1, 2 + max(abs(b), abs(c), abs(d)) // a  # beyond hi the cubic wins
+    disc = b * b + 3 * a * c
+    if disc > 0:  # there is a falling piece
+        right = (b + isqrt(disc)) // (3 * a)  # floor of the larger critical point
+        if right >= 1:
+            m = right + 1
+            if ((a * m - b) * m - c) * m - d <= 0:
+                lo = m
+            elif ((a * right - b) * right - c) * right - d <= 0:
+                return right
+            else:
+                hi = right - 1
+    while lo <= hi:  # the passing m of [lo, hi] form a prefix
+        m = (lo + hi) // 2
+        if ((a * m - b) * m - c) * m - d <= 0:
+            lo = m + 1
+        else:
+            hi = m - 1
+    return hi
 
 
 def degree_from_multiplier(m: int, H3X: int, H3Y: int) -> int:

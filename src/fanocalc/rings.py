@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add, mul
 from typing import Iterable
 
 
@@ -41,7 +42,7 @@ class GradedRing:
 
         Raises ``ValueError`` on a mixed-degree element.
         """
-        if not isinstance(x, GradedElement) or x.ring != self:
+        if not isinstance(x, GradedElement) or (x.ring is not self and x.ring != self):
             raise ValueError("element does not belong to this ring")
         return x.degree()
 
@@ -74,7 +75,9 @@ class GradedElement:
         return x
 
     def _check(self, other: "GradedElement") -> None:
-        if self.ring != other.ring:
+        """Same ring or raise; identity first, since the dataclass ``==``
+        builds two field tuples."""
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("elements belong to different rings")
 
     def __bool__(self) -> bool:
@@ -191,15 +194,24 @@ class PolyElement(GradedElement):
             return NotImplemented
         self._check(other)
         ring = self.ring
-        degs = ring.degrees
+        key_degree, top = ring.key_degree, ring.truncation
+        # the right factor's terms by degree, so each left term stops at the
+        # first one that would pass the truncation
+        right = [(key_degree(e2), e2, c2) for e2, c2 in other.terms.items()]
+        right.sort()
         out: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(x * d for x, d in zip(e, degs)) > ring.truncation:
-                    continue
-                out[e] = out.get(e, 0) + c1 * c2
-        return PolyElement._trusted(ring, out)
+            room = top - key_degree(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                c = out.get(e, 0) + c1 * c2
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+        return self._new(out)
 
     def coefficient(self, exponents: Iterable[int]) -> int:
         return self.terms.get(tuple(exponents), 0)
@@ -237,7 +249,7 @@ class TruncatedPolynomialRing(GradedRing):
         return (0,) * len(self.variables)
 
     def key_degree(self, exps: tuple[int, ...]) -> int:
-        return sum(x * d for x, d in zip(exps, self.degrees))
+        return sum(map(mul, exps, self.degrees))
 
     def key_name(self, exps: tuple[int, ...]) -> str:
         parts = []

@@ -5,8 +5,10 @@ recomputed through monomial expansions of Schur polynomials (semistandard
 tableaux), horizontal strips by filtering every partition of the box
 through the interlacing inequalities, power bundles through direct
 enumeration of root multisets over actual split bundles, universal
-polynomials through full monomial expansions, direct sums and line twists
-through the index formulas for each Chern class, base-point freeness on
+polynomials through full monomial expansions, products of monomial and
+elementary symmetric functions by counting subsets, direct sums and line
+twists through the index formulas for each Chern class, the multiplier
+search through a scan of every candidate, base-point freeness on
 weighted projective spaces through explicit monomial lists and O(m)
 reachability lists, minimal coprime supports through all subsets of the
 weights, and singular strata through the primes found by trial division.
@@ -222,6 +224,35 @@ def power_epolys_brute(op: str, rank: int, k: int, dmax: int) -> tuple:
                     residue.pop(mono, None)
         out.append(tuple(sorted(epoly.items())))
     return tuple(out)
+
+
+def m_times_e_brute(lam: tuple[int, ...], j: int, nvars: int) -> dict:
+    """``m_lam * e_j`` in the m-basis as ``{nu: coeff}``: the coefficient of
+    ``m_nu`` counts the j-subsets S of the variables for which ``nu - 1_S``
+    is a permutation of ``lam``, found by sorting every candidate."""
+    subsets = list(combinations(range(nvars), j))
+    target = sorted(lam)
+    out: dict = {}
+    for t in subsets:
+        nu = tuple(sorted((lam[i] + (i in t) for i in range(nvars)), reverse=True))
+        if nu not in out:
+            out[nu] = sum(
+                sorted(nu[i] - (i in s) for i in range(nvars)) == target for s in subsets
+            )
+    return out
+
+
+# -- degree certificates --------------------------------------------------------
+
+def max_multiplier_scan(a: int, b: int, c: int, d: int) -> int:
+    """Largest m >= 1 with ``a m^3 - b m^2 - c m - d <= 0`` (``a > 0``), 0 if
+    none, by checking every m up to the Cauchy root bound."""
+    limit = 2 + max(abs(b), abs(c), abs(d)) // a
+    best = 0
+    for m in range(1, limit + 1):
+        if a * m**3 - b * m * m - c * m - d <= 0:
+            best = m
+    return best
 
 
 # -- weighted projective spaces ----------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,13 @@ from fanocalc.chern import (
 )
 from fanocalc.rings import TruncatedPolynomialRing, line_ring
 from fanocalc.schubert import GrassmannContext, integrate, sigma, tautological_dual
-from oracles import power_epolys_brute, split_power_chern, twist_binomial, whitney_convolution
+from oracles import (
+    m_times_e_brute,
+    power_epolys_brute,
+    split_power_chern,
+    twist_binomial,
+    whitney_convolution,
+)
 
 P3 = line_ring(3, top_integral=1)
 H = P3.gen()
@@ -89,6 +96,27 @@ def test_euler_sequence_quotient_for_projective_space():
 def test_whitney_rejects_ring_mismatch():
     with pytest.raises(ValueError):
         whitney_sum(trivial_bundle(P3, 1), trivial_bundle(line_ring(4), 1))
+    with pytest.raises(ValueError):
+        whitney_sum(trivial_bundle(P3, 1), tautological_dual(GrassmannContext(2, 4)))
+
+
+def test_equal_rings_built_apart_still_combine():
+    # the identity test is only a shortcut: equal rings that are distinct
+    # objects still pass the ring check
+    first, second = line_ring(4), line_ring(4)
+    assert first is not second and first == second
+    a = split_bundle(first, [1, 2])
+    b = split_bundle(second, [-1])
+    assert whitney_sum(a, b) == split_bundle(first, [1, 2, -1])
+    assert whitney_sum(b, a) == split_bundle(second, [-1, 1, 2])
+    g, h = GrassmannContext(2, 5), GrassmannContext(2, 5)
+    assert g is not h
+    assert whitney_sum(tautological_dual(g), tautological_dual(h)).chern == (
+        2 * sigma(g, 1),
+        sigma(g, 1) ** 2 + 2 * sigma(g, 1, 1),
+        2 * sigma(g, 1) * sigma(g, 1, 1),
+        sigma(g, 1, 1) ** 2,
+    )
 
 
 @given(st.lists(st.integers(-3, 3), min_size=0, max_size=3),
@@ -408,6 +436,73 @@ def test_dual_commutes_with_sym(multiples, k):
     ring = line_ring(4)
     b = split_bundle(ring, multiples)
     assert dual(sym_power(b, k)) == sym_power(dual(b), k)
+
+
+# -- the trusted constructor ----------------------------------------------------
+
+def bundle_outputs(bundles, t, k):
+    """Every kernel output built from the given bundles: sums, twists by
+    ``t``, duals, and powers up to ``k`` (exterior ones up to the rank)."""
+    out = []
+    for a in bundles:
+        out += [dual(a), twist_line(a, t)]
+        out += [whitney_sum(a, b) for b in bundles]
+        if a.rank:
+            out += [sym_power(a, p) for p in range(1, k + 1)]
+            out += [ext_power(a, p) for p in range(1, min(k, a.rank) + 1)]
+    return out
+
+
+def assert_revalidates(b):
+    # the public constructor re-checks rank, class count and degrees, and
+    # strips trailing zeros; a kernel output must already satisfy all of it
+    assert FormalBundle(b.ring, b.rank, b.chern) == b
+    assert not b.chern or b.chern[-1]
+
+
+@given(st.integers(1, 5), st.lists(st.integers(-3, 3), max_size=4),
+       st.lists(st.integers(-3, 3), max_size=2), st.integers(-3, 3), st.integers(1, 3))
+def test_kernel_bundles_pass_public_validation_on_line_rings(dim, xs, ys, m, k):
+    ring = line_ring(dim)
+    bundles = [split_bundle(ring, xs), split_bundle(ring, ys), trivial_bundle(ring, len(ys))]
+    for b in bundle_outputs(bundles, m * ring.gen(), k):
+        assert_revalidates(b)
+
+
+@given(st.sampled_from([GrassmannContext(2, 5), GrassmannContext(3, 6)]),
+       st.lists(PIECES, max_size=3), st.lists(PIECES, max_size=2), st.integers(-2, 2),
+       st.integers(1, 2))
+def test_kernel_bundles_pass_public_validation_on_grassmannians(ctx, xs, ys, m, k):
+    u = tautological_dual(ctx)
+    assert_revalidates(u)
+    bundles = [grassmann_sum(ctx, xs), grassmann_sum(ctx, ys)]
+    for b in bundle_outputs(bundles, m * sigma(ctx, 1), k):
+        assert_revalidates(b)
+
+
+def test_cancelled_top_classes_are_stripped():
+    # O(1) + O(-1) on P^3: c_1 cancels, c_2 = -h^2 survives; O(1) twisted
+    # by -h is trivial, so the sum and the twist both strip their zeros
+    b = split_bundle(P3, [1, -1])
+    assert b.chern == (P3.zero(), -(H**2))
+    assert twist_line(line_bundle(P3, H), -H).chern == ()
+    assert dual(trivial_bundle(P3, 2)).chern == ()
+
+
+# -- m_lambda * e_j ------------------------------------------------------------------
+
+def test_m_times_e_matches_subset_counting():
+    # every weakly decreasing lambda with up to six parts, each at most 3,
+    # against every e_j, e_0 and one beyond the number of variables included
+    cases = 0
+    for nvars in range(1, 7):
+        for lam in combinations_with_replacement(range(3, -1, -1), nvars):
+            for j in range(nvars + 2):
+                got = chern._m_times_e(lam, j, nvars)
+                assert len({nu for nu, _ in got}) == len(got)
+                assert dict(got) == m_times_e_brute(lam, j, nvars), (lam, j)
+                cases += 1
+    assert cases == 1426
 
 
 # -- accessors -------------------------------------------------------------------

@@ -85,6 +85,14 @@ def test_bound_E_defaults_to_cotangent_twist():
     assert result.result == {"E": 16, "twist": 3, "verdict": "bounded"}
 
 
+def test_bound_max_m_answers_for_a_huge_c3():
+    # a scan up to the root bound would visit about 4.5e18 multipliers
+    result = run(["bound", "max-m", "--target", "V4-quartic", "--twist", "2", "--h3x", "1",
+                  "--kappa", "-1", "--c2hx", "1", "--c3x", str(10**20)])
+    assert result.status == "ok"
+    assert result.result == {"m_max": 1656503, "twist": 2}
+
+
 def test_wps_lmin_command():
     result = run(["wps", "lmin", "1,1,1,1,2"])
     assert result.result == 3

@@ -23,9 +23,11 @@ from fanocalc.degree_bound import (
     quadric_multiplier_bound,
     ramification_feasibility,
     source_invariants,
+    _last_nonpositive,
 )
 from fanocalc.fano_db import lookup
 from fanocalc.rings import line_ring
+from oracles import max_multiplier_scan
 
 QUARTIC_X = SourceInvariants(H3X=4, kappa=-1, c2HX=24, c3OmegaX=56)
 
@@ -121,6 +123,67 @@ def test_multiplier_two_fails_for_the_quartic_self_map():
 def test_large_c3_gives_cube_root_scale():
     X = SourceInvariants(H3X=4, kappa=-1, c2HX=24, c3OmegaX=10**6)
     assert max_multiplier(X, lookup("V4-quartic"), 2) == 22
+
+
+@given(st.integers(1, 60), st.integers(-3000, 3000), st.integers(-3000, 3000),
+       st.integers(-3000, 3000))
+def test_multiplier_bisection_matches_the_scan(a, b, c, d):
+    assert _last_nonpositive(a, b, c, d) == max_multiplier_scan(a, b, c, d)
+
+
+@pytest.mark.parametrize("coefficients, expected", [
+    ((1, 0, 0, 8), 2),  # m^3 <= 8: no falling piece
+    ((1, 0, 0, 0), 0),  # m^3 <= 0: nothing passes
+    ((1, 3, 6, -8), 4),  # (m + 2)(m - 1)(m - 4): on the last rising piece
+    ((1, 9, -15, -25), 5),  # (m + 1)(m - 5)^2: the falling piece's right end
+    ((1, 23, -161, 303), 3),  # (m - 3)((m - 10)^2 + 1): the first rising piece
+])
+def test_multiplier_bisection_pieces(coefficients, expected):
+    assert _last_nonpositive(*coefficients) == expected == max_multiplier_scan(*coefficients)
+
+
+@given(st.integers(1, 5), st.lists(st.integers(-30, 30), min_size=3, max_size=3))
+def test_multiplier_bisection_on_three_integer_roots(a, roots):
+    # a (m - r1)(m - r2)(m - r3) <= 0 exactly for m <= r1 or r2 <= m <= r3
+    r1, r2, r3 = sorted(roots)
+    b, c, d = a * (r1 + r2 + r3), -a * (r1 * r2 + r1 * r3 + r2 * r3), a * r1 * r2 * r3
+    assert _last_nonpositive(a, b, c, d) == max(0, r3)
+
+
+@given(st.integers(1, 5), st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 40))
+def test_multiplier_bisection_with_one_real_root(a, r, s, q):
+    # a (m - r)((m - s)^2 + q) <= 0 exactly for m <= r, even when the cubic
+    # falls and rises again beyond r (s > r, q small)
+    b = a * (r + 2 * s)
+    c = -a * (2 * r * s + s * s + q)
+    d = a * r * (s * s + q)
+    assert _last_nonpositive(a, b, c, d) == max(0, r)
+
+
+@given(st.integers(1, 64), st.integers(-4, 2), st.integers(-200, 200),
+       st.integers(-5000, 5000), st.sampled_from(["V4-quartic", "A2"]), st.integers(1, 3))
+def test_max_multiplier_matches_the_scan(h3x, kappa, c2hx, c3x, target, l):
+    Y = lookup(target)
+    if E_value(Y, l) <= 0:
+        return
+    X = SourceInvariants(H3X=h3x, kappa=kappa, c2HX=c2hx, c3OmegaX=c3x)
+    a = E_value(Y, l) * h3x
+    b, c, d = Y.H3 * kappa * h3x * l * l, Y.H3 * c2hx * l, Y.H3 * c3x
+    assert max_multiplier(X, Y, l) == max_multiplier_scan(a, b, c, d)
+
+
+def test_max_multiplier_for_huge_invariants_is_exact():
+    # the scan's bound here is about 4.5e18 candidates; the bisection
+    # takes a few dozen steps
+    X = SourceInvariants(H3X=1, kappa=-1, c2HX=1, c3OmegaX=10**20)
+    Y = lookup("V4-quartic")
+    m = max_multiplier(X, Y, 2)
+    E = E_value(Y, 2)
+
+    def passes(m):
+        return E * m**3 <= Y.H3 * (X.c3OmegaX + 2 * m * X.c2HX + 4 * m * m * X.kappa)
+
+    assert m == 1656503 and passes(m) and not passes(m + 1)
 
 
 def test_max_multiplier_requires_positive_E():

@@ -125,6 +125,38 @@ def test_foreign_elements_rejected():
     other = line_ring(5)
     with pytest.raises(ValueError):
         RING.gens[0] + other.gen()
+    with pytest.raises(ValueError):
+        RING.gens[0] * other.gen()
+    with pytest.raises(ValueError):
+        line_ring(4).gen() * other.gen()
+    with pytest.raises(ValueError):
+        RING.degree(other.gen())
+    with pytest.raises(ValueError):
+        RING.degree(3)
+
+
+def test_equal_rings_built_apart_combine():
+    # ring checks try identity first, then fall back to equality
+    first, second = line_ring(4), line_ring(4)
+    assert first is not second
+    x, y = 2 * first.gen(), second.one() + second.gen()
+    assert (x + y).terms == {(0,): 1, (1,): 3}
+    assert (x * y).terms == {(1,): 2, (2,): 2}
+    assert (y * x) == x * y and (y + x) == x + y
+    assert first.degree(second.gen() ** 2) == 2 and second.degree(x) == 1
+
+
+@given(ring_elements(), ring_elements())
+def test_product_matches_full_expansion(x, y):
+    # every pair of terms, then the truncation; cancelled keys disappear
+    full: dict = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            full[e] = full.get(e, 0) + c1 * c2
+    product = x * y
+    assert product.terms == PolyElement(RING, full).terms
+    assert all(product.terms.values())
 
 
 def test_display():
