@@ -135,7 +135,7 @@ def _from_total(rank: int, total) -> FormalBundle:
     parts: list[dict] = [{} for _ in range(min(rank, ring.truncation) + 1)]
     for key, c in total.terms.items():
         parts[ring.key_degree(key)][key] = c
-    return _bundle(ring, rank, [total._new(p) for p in parts[1:]])
+    return _bundle(ring, rank, [total._new(ring, p) for p in parts[1:]])
 
 
 def sym_power(b: FormalBundle, k: int) -> FormalBundle:

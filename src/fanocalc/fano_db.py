@@ -10,7 +10,6 @@ diffable; the loader refuses tables containing an invalid record.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -199,14 +198,8 @@ class FanoDatabase:
 def load_database(path: str | Path | None = None) -> FanoDatabase:
     """Load a classification table; defaults to the packaged one."""
     if path is None:
-        text = (
-            importlib.resources.files("fanocalc")
-            .joinpath("data/fano_threefolds.tsv")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return FanoDatabase(parse_table(text))
+        path = Path(__file__).with_name("data") / "fano_threefolds.tsv"
+    return FanoDatabase(parse_table(Path(path).read_text(encoding="utf-8")))
 
 
 @lru_cache(maxsize=1)

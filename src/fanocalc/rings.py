@@ -5,7 +5,11 @@ ring: addition, multiplication, integer scaling, a grading, and a truncation
 degree above which all products vanish.  ``GradedRing`` fixes that interface
 and ``GradedElement`` implements everything but the ring product once: an
 element is a map from basis keys to nonzero integers, and the ring tells the
-degree and the printed name of a key.  ``TruncatedPolynomialRing`` is the
+degree and the printed name of a key.  The terms never hold a zero.  The
+public constructors (``PolyElement``, ``ChowElement``) validate keys and drop
+zero coefficients; a kernel builds its dict itself, deletes a key at the
+``+=`` that cancels its coefficient, and wraps the result once, uncopied,
+through ``GradedElement._new``.  ``TruncatedPolynomialRing`` is the
 workhorse instance (weighted polynomial generators, products cut off above
 the truncation degree); the Grassmannian of ``schubert`` is the other one,
 its own Chow ring with Schubert classes as keys.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable
 
 
@@ -31,11 +35,11 @@ class GradedRing:
 
     def zero(self):
         """The zero element."""
-        return self.element._trusted(self, {})
+        return self.element._new(self, {})
 
     def one(self):
         """The multiplicative unit."""
-        return self.element._trusted(self, {self.unit_key: 1})
+        return self.element._new(self, {self.unit_key: 1})
 
     def degree(self, x):
         """Degree of a homogeneous element, ``None`` for zero.
@@ -53,24 +57,22 @@ class GradedElement:
     Elements support ``+``, ``-``, ``*`` (the ring product, which each
     subclass defines, and scaling by Python ints), ``**`` with nonnegative
     integer exponents, ``==`` and truthiness (zero is falsy).
+
+    ``terms`` never holds a zero coefficient, so equality is equality of
+    dicts.  A subclass's public constructor validates its input; ``_new`` is
+    the one trusted constructor, which wraps a zero-free dict of valid keys
+    without copying it, and every kernel deletes a cancelled key where it
+    adds the coefficient that cancels.
     """
 
     __slots__ = ("ring", "terms")
 
     @classmethod
-    def _trusted(cls, ring: GradedRing, terms: dict) -> "GradedElement":
-        """Wrap terms that are already valid keys of ``ring`` with integer
-        coefficients (kernel output); zero coefficients are dropped, nothing
-        is re-validated."""
+    def _new(cls, ring: GradedRing, terms: dict) -> "GradedElement":
+        """Wrap ``terms`` as an element of ``ring``, neither copied nor
+        checked: the caller guarantees valid keys and no zero coefficient."""
         x = cls.__new__(cls)
         x.ring = ring
-        x.terms = {key: c for key, c in terms.items() if c}
-        return x
-
-    def _new(self, terms: dict) -> "GradedElement":
-        """An element of the same ring from terms with no zero coefficient."""
-        x = self.__class__.__new__(self.__class__)
-        x.ring = self.ring
         x.terms = terms
         return x
 
@@ -93,7 +95,7 @@ class GradedElement:
     __hash__ = None
 
     def __neg__(self) -> "GradedElement":
-        return self._new({key: -c for key, c in self.terms.items()})
+        return self._new(self.ring, {key: -c for key, c in self.terms.items()})
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._check(other)
@@ -104,13 +106,13 @@ class GradedElement:
                 out[key] = c
             else:
                 del out[key]
-        return self._new(out)
+        return self._new(self.ring, out)
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + (-other)
 
     def _scaled(self, n: int) -> "GradedElement":
-        return self._new({key: c * n for key, c in self.terms.items()} if n else {})
+        return self._new(self.ring, {key: c * n for key, c in self.terms.items()} if n else {})
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -128,7 +130,7 @@ class GradedElement:
         ring = self.ring
         constant = self.terms.get(ring.unit_key, 0)
         if constant:
-            rest = self._new({key: c for key, c in self.terms.items() if key != ring.unit_key})
+            rest = self - constant * ring.one()
             total, term = ring.one()._scaled(constant**exponent), rest
             for i in range(1, exponent + 1):
                 if not term:
@@ -182,10 +184,18 @@ class PolyElement(GradedElement):
     __slots__ = ()
 
     def __init__(self, ring: "TruncatedPolynomialRing", terms: dict):
+        width, top = len(ring.variables), ring.truncation
+        clean = {}
+        for e, c in terms.items():
+            if type(e) is not tuple or len(e) != width or not all(
+                type(x) is int and x >= 0 for x in e
+            ):
+                raise ValueError(f"{e!r} is not a tuple of {width} nonnegative int exponents")
+            c = index(c)
+            if c and ring.key_degree(e) <= top:
+                clean[e] = c
         self.ring = ring
-        self.terms = {
-            e: int(c) for e, c in terms.items() if c and ring.key_degree(e) <= ring.truncation
-        }
+        self.terms = clean
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -211,7 +221,7 @@ class PolyElement(GradedElement):
                     out[e] = c
                 else:
                     del out[e]
-        return self._new(out)
+        return self._new(ring, out)
 
     def coefficient(self, exponents: Iterable[int]) -> int:
         return self.terms.get(tuple(exponents), 0)

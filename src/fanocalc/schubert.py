@@ -11,10 +11,9 @@ its columns (Laplace), so a class with l rows costs l * 2^(l-1) Pieri steps
 rather than the l * l! of the Leibniz rule.  The horizontal strips of each
 (lambda, a, box) are tabulated once per process, in a table bounded at
 ``STRIP_TABLE_SIZE`` = 2^16 keys, so repeated Pieri steps look their strips
-up instead of enumerating them again.  The bound is in keys, not bytes: a
-full G(7,14) is 24024 keys and 16.7 MB, while 2^16 keys of G(8,16) held
-63.8 MB.  Out-of-box partitions are the zero class, which gives exactly the
-quotient-ring semantics.
+up instead of enumerating them again; the comment above that constant says
+what the bound costs in memory.  Out-of-box partitions are the zero class,
+which gives exactly the quotient-ring semantics.
 
 ``GrassmannContext`` is this ring as a coefficient ring of
 :mod:`fanocalc.rings` (truncated at the top degree, generated in degree one
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 from .chern import FormalBundle
@@ -66,8 +66,9 @@ class ChowElement(GradedElement):
             p = as_partition(parts)
             if not ring.fits(p):
                 raise ValueError(f"{p} does not fit the box of {ring}")
+            coeff = index(coeff)
             if coeff:
-                clean[p] = int(coeff)
+                clean[p] = coeff
         self.ring = ring
         self.terms = clean
 
@@ -224,8 +225,12 @@ def pieri(x: ChowElement, a: int) -> ChowElement:
     out: dict[Partition, int] = {}
     for lam, coeff in x.terms.items():
         for mu in _horizontal_strips(lam, a, rows, cols):
-            out[mu] = out.get(mu, 0) + coeff
-    return ChowElement._trusted(ctx, out)
+            c = out.get(mu, 0) + coeff
+            if c:
+                out[mu] = c
+            else:
+                del out[mu]
+    return ChowElement._new(ctx, out)
 
 
 def _times_schubert(x: ChowElement, lam: Partition) -> ChowElement:
@@ -258,13 +263,13 @@ def _times_schubert(x: ChowElement, lam: Partition) -> ChowElement:
                 sign = -1 if (used >> (j + 1)).bit_count() % 2 else 1
                 out = sums.setdefault(used | bit, {})
                 for mu, coeff in moved.terms.items():
-                    out[mu] = out.get(mu, 0) + sign * coeff
-        partial = {}
-        for used, terms in sums.items():
-            term = ChowElement._trusted(ctx, terms)
-            if term:
-                partial[used] = term
-    return partial.get((1 << size) - 1, zero(ctx))
+                    c = out.get(mu, 0) + sign * coeff
+                    if c:
+                        out[mu] = c
+                    else:
+                        del out[mu]
+        partial = {used: ChowElement._new(ctx, terms) for used, terms in sums.items() if terms}
+    return partial.get((1 << size) - 1) or ctx.zero()
 
 
 def giambelli(ctx: GrassmannContext, parts: Iterable[int]) -> ChowElement:
@@ -287,8 +292,12 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     out: dict[Partition, int] = {}
     for lam, coeff in y.terms.items():
         for mu, c in _times_schubert(x, lam).terms.items():
-            out[mu] = out.get(mu, 0) + coeff * c
-    return ChowElement._trusted(x.ring, out)
+            c = out.get(mu, 0) + coeff * c
+            if c:
+                out[mu] = c
+            else:
+                del out[mu]
+    return ChowElement._new(x.ring, out)
 
 
 def integrate(x: ChowElement) -> int:

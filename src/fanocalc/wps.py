@@ -46,14 +46,7 @@ class WeightVector:
         return len(self.weights) - 1
 
     def is_well_formed(self) -> bool:
-        w = self.weights
-        if gcd(*w) != 1:
-            return False
-        for i in range(len(w)):
-            others = w[:i] + w[i + 1 :]
-            if gcd(*others) != 1:
-                return False
-        return True
+        return normalize(self) == self
 
     def __str__(self) -> str:
         return "P(" + ",".join(str(a) for a in self.weights) + ")"

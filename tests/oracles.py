@@ -11,7 +11,8 @@ twists through the index formulas for each Chern class, the multiplier
 search through a scan of every candidate, base-point freeness on
 weighted projective spaces through explicit monomial lists and O(m)
 reachability lists, minimal coprime supports through all subsets of the
-weights, and singular strata through the primes found by trial division.
+weights, singular strata through the primes found by trial division, and
+well-formedness through the gcd of every n of the n + 1 weights.
 """
 
 from __future__ import annotations
@@ -256,6 +257,13 @@ def max_multiplier_scan(a: int, b: int, c: int, d: int) -> int:
 
 
 # -- weighted projective spaces ----------------------------------------------
+
+def well_formed_brute(weights: tuple[int, ...]) -> bool:
+    """P(a_0, ..., a_n) is well formed iff the gcd of all the weights, and the
+    gcd of every n of them, is 1."""
+    n = len(weights) - 1
+    return gcd(*weights) == 1 and all(gcd(*subset) == 1 for subset in combinations(weights, n))
+
 
 def degree_m_exponents(weights: tuple[int, ...], m: int):
     """All exponent vectors of weighted degree m."""

@@ -1,5 +1,12 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fanocalc
 from fanocalc.fano_db import (
     FAMILY_NAMES,
     FanoDatabase,
@@ -151,6 +158,27 @@ def test_load_from_explicit_path(tmp_path):
     )
     db = load_database(table)
     assert db.names() == ["Q3"]
+
+
+def test_packaged_table_loads_from_a_copied_package(tmp_path):
+    # the table is found next to the package's own files, wherever they are
+    shutil.copytree(
+        Path(fanocalc.__file__).parent, tmp_path / "fanocalc",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    code = (
+        "import fanocalc\n"
+        "from fanocalc.fano_db import default_database\n"
+        "print(fanocalc.__file__)\n"
+        "print(len(default_database().names()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout.split("\n")
+    assert Path(out[0]).parent == tmp_path / "fanocalc"
+    assert out[1] == "19"
 
 
 # -- normal bundle tables --------------------------------------------------------

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fanocalc.rings import PolyElement, TruncatedPolynomialRing, line_ring
+from fanocalc.schubert import ChowElement, GrassmannContext
 
 RING = TruncatedPolynomialRing(("a", "b"), (1, 2), truncation=5)
 
@@ -163,3 +165,32 @@ def test_display():
     a, b = RING.gens
     assert str(2 * a + a * b - RING.one()) == "-1 + 2*a + a*b"
     assert str(RING.zero()) == "0"
+
+
+# -- the validating constructor ------------------------------------------------
+
+def test_key_of_wrong_length_rejected():
+    # {(1, 2): 5} on a one-generator ring printed as 5*h but was not 5*h
+    with pytest.raises(ValueError):
+        PolyElement(line_ring(3), {(1, 2): 5})
+
+
+def test_negative_exponent_rejected():
+    # {(-1,): 1} was h^-1, printed as 1 and had degree -1
+    with pytest.raises(ValueError):
+        PolyElement(line_ring(3), {(-1,): 1})
+
+
+def test_empty_key_rejected():
+    # {(): 1} printed as 1 but was not the unit
+    with pytest.raises(ValueError):
+        PolyElement(line_ring(3), {(): 1})
+
+
+def test_inexact_coefficients_rejected():
+    # int() once truncated 2.5 to 2 and stored Fraction(1, 2) as a zero term
+    for c in (2.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            PolyElement(line_ring(3), {(1,): c})
+        with pytest.raises(TypeError):
+            ChowElement(GrassmannContext(2, 4), {(1,): c})

@@ -233,6 +233,67 @@ def test_grading(lam, mu):
         assert sum(parts) == sum(lam) + sum(mu)
 
 
+# -- cancellation inside the kernels -------------------------------------------
+
+def bilinear_expansion(ctx, x, y_terms):
+    """``x * sum(d * sigma_mu)`` term by term through the tableau oracle,
+    with cancelled coefficients dropped."""
+    out: dict = {}
+    for lam, c in x.terms.items():
+        for mu, d in y_terms.items():
+            for nu, e in schubert_product(ctx.k, ctx.cols, lam, mu).items():
+                out[nu] = out.get(nu, 0) + c * d * e
+    return {nu: c for nu, c in out.items() if c}
+
+
+@st.composite
+def cancelling_elements(draw, ctx):
+    """A mixed-sign element plus c * (sigma_lam - sigma_mu) with lam and mu of
+    one weight, whose products share terms that cancel."""
+    same_weight = st.sampled_from(list(ctx.partitions(draw(st.integers(0, ctx.top_degree)))))
+    lam, mu, c = draw(same_weight), draw(same_weight), draw(st.integers(-5, 5))
+    return draw(elements(ctx)) + c * (sigma(ctx, *lam) - sigma(ctx, *mu))
+
+
+@st.composite
+def pieri_cases(draw):
+    ctx = draw(st.sampled_from([G25, G36]))
+    return ctx, draw(cancelling_elements(ctx)), draw(st.integers(1, ctx.cols))
+
+
+@st.composite
+def element_pairs(draw):
+    ctx = draw(st.sampled_from([G25, G36]))
+    return ctx, draw(cancelling_elements(ctx)), draw(cancelling_elements(ctx))
+
+
+@given(pieri_cases())
+def test_pieri_of_mixed_signs_is_zero_free_and_bilinear(case):
+    ctx, x, a = case
+    product = pieri(x, a)
+    assert all(product.terms.values())
+    assert product.terms == bilinear_expansion(ctx, x, {(a,): 1})
+
+
+@given(element_pairs())
+def test_multiply_of_mixed_signs_is_zero_free_and_bilinear(case):
+    ctx, x, y = case
+    product = multiply(x, y)
+    assert all(product.terms.values())
+    assert product.terms == bilinear_expansion(ctx, x, y.terms)
+
+
+def test_cancelled_classes_leave_no_key():
+    # s1 * (s2 - s11) = (s3 + s21) - (s21 + s111) on G(3,6)
+    difference = sigma(G36, 2) - sigma(G36, 1, 1)
+    expected = sigma(G36, 3) - sigma(G36, 1, 1, 1)
+    for product in (pieri(difference, 1), multiply(sigma(G36, 1), difference)):
+        assert product == expected
+        assert (2, 1) not in product.terms
+    # the Giambelli expansion s1 * (s1*s1 - s2) cancels s3 in its partial sum
+    assert multiply(sigma(G36, 1), sigma(G36, 1, 1)).terms == {(2, 1): 1, (1, 1, 1): 1}
+
+
 # -- integration and duality --------------------------------------------------
 
 def test_integrate_examples():

@@ -26,6 +26,7 @@ from oracles import (
     generated_on_smooth_locus,
     minimal_unit_supports_brute,
     singular_strata_by_primes,
+    well_formed_brute,
 )
 
 weight_vectors = st.lists(st.integers(1, 9), min_size=2, max_size=6).map(
@@ -90,8 +91,14 @@ def test_normalize_mixed_reductions():
 @given(weight_vectors)
 def test_normalize_idempotent_and_well_formed(w):
     once = normalize(w)
+    assert well_formed_brute(once.weights)
     assert once.is_well_formed()
     assert normalize(once) == once
+
+
+@given(weight_vectors)
+def test_is_well_formed_matches_definition(w):
+    assert w.is_well_formed() == well_formed_brute(w.weights)
 
 
 # -- singular strata -------------------------------------------------------------
