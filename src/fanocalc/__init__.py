@@ -28,7 +28,7 @@ _EXPORTS = {
         chi_surface chi_threefold derive_fano_invariants noether_surface_fano""",
     "rings": "GradedRing PolyElement TruncatedPolynomialRing line_ring",
     "schubert": """ChowElement GrassmannContext giambelli integrate multiply pieri sigma
-        tautological_dual unit zero""",
+        tautological_dual""",
     "wps": """HypersurfaceModel SingularStratum WeightVector canonical_degree cotangent_twist_lmin
         double_cover_model is_generated normalize singular_strata""",
 }

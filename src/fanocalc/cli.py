@@ -127,7 +127,7 @@ def parse_schubert_expr(ctx: fc.GrassmannContext, text: str) -> fc.ChowElement:
         while peek() == "*":
             take()
             node = node * parse_factor()
-        return node * fc.unit(ctx) if isinstance(node, int) else node
+        return node * ctx.one() if isinstance(node, int) else node
 
     node = parse_term()
     while peek() == "+":

@@ -5,14 +5,15 @@ ring: addition, multiplication, integer scaling, a grading, and a truncation
 degree above which all products vanish.  ``GradedRing`` fixes that interface
 and ``GradedElement`` implements everything but the ring product once: an
 element is a map from basis keys to nonzero integers, and the ring tells the
-degree and the printed name of a key.  The terms never hold a zero.  The
-public constructors (``PolyElement``, ``ChowElement``) validate keys and drop
-zero coefficients; a kernel builds its dict itself, deletes a key at the
-``+=`` that cancels its coefficient, and wraps the result once, uncopied,
-through ``GradedElement._new``.  ``TruncatedPolynomialRing`` is the
-workhorse instance (weighted polynomial generators, products cut off above
-the truncation degree); the Grassmannian of ``schubert`` is the other one,
-its own Chow ring with Schubert classes as keys.
+degree, the printed name and the rule of a key.  The terms never hold a
+zero.  The one public constructor, ``GradedElement(ring, terms)``, puts
+each key in the ring's canonical form and adds the coefficients of equal
+keys; a kernel builds its dict itself, deletes a key at the ``+=`` that
+cancels it, and wraps it once, uncopied, through ``GradedElement._new``.
+``TruncatedPolynomialRing`` is the workhorse instance (weighted polynomial
+generators, products cut off above the truncation degree); the
+Grassmannian of ``schubert`` is the other one, its own Chow ring with
+Schubert classes as keys.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from operator import add, index, mul
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 class GradedRing:
     """Commutative graded ring, truncated above degree ``truncation``.
 
     A ring names its element class (``element``) and the key of its unit
-    (``unit_key``), and grades and prints keys (``key_degree``,
-    ``key_name``); the keys other than the unit have positive degree.
+    (``unit_key``), and grades, prints and checks keys (``key_degree``,
+    ``key_name``, ``key``: the canonical form, ``None`` for a key that is
+    zero, or ``ValueError``); the keys other than the unit have positive degree.
     """
 
     truncation: int
@@ -59,13 +61,31 @@ class GradedElement:
     integer exponents, ``==`` and truthiness (zero is falsy).
 
     ``terms`` never holds a zero coefficient, so equality is equality of
-    dicts.  A subclass's public constructor validates its input; ``_new`` is
-    the one trusted constructor, which wraps a zero-free dict of valid keys
-    without copying it, and every kernel deletes a cancelled key where it
-    adds the coefficient that cancels.
+    dicts.  ``ring.element(ring, terms)`` is the one public constructor
+    (``ring.key`` per key, ``operator.index`` per coefficient, equal keys
+    added, a cancelled key deleted); ``_new`` is the one trusted constructor,
+    which wraps a zero-free dict of valid keys without copying it, and every
+    kernel deletes a cancelled key where it adds the coefficient that cancels.
     """
 
     __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: GradedRing, terms: Mapping) -> None:
+        if type(self) is not ring.element:
+            raise TypeError(f"{type(ring).__name__} elements are {ring.element.__name__}s")
+        key = ring.key
+        out: dict = {}
+        for raw, c in terms.items():
+            k, c = key(raw), index(c)
+            if k is None:
+                continue
+            c += out.get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                out.pop(k, None)
+        self.ring = ring
+        self.terms = out
 
     @classmethod
     def _new(cls, ring: GradedRing, terms: dict) -> "GradedElement":
@@ -183,20 +203,6 @@ class PolyElement(GradedElement):
 
     __slots__ = ()
 
-    def __init__(self, ring: "TruncatedPolynomialRing", terms: dict):
-        width, top = len(ring.variables), ring.truncation
-        clean = {}
-        for e, c in terms.items():
-            if type(e) is not tuple or len(e) != width or not all(
-                type(x) is int and x >= 0 for x in e
-            ):
-                raise ValueError(f"{e!r} is not a tuple of {width} nonnegative int exponents")
-            c = index(c)
-            if c and ring.key_degree(e) <= top:
-                clean[e] = c
-        self.ring = ring
-        self.terms = clean
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self._scaled(other)
@@ -261,6 +267,15 @@ class TruncatedPolynomialRing(GradedRing):
     def key_degree(self, exps: tuple[int, ...]) -> int:
         return sum(map(mul, exps, self.degrees))
 
+    def key(self, exps) -> tuple[int, ...] | None:
+        """A tuple of nonnegative ints, one per generator; ``None`` above the truncation."""
+        width = len(self.variables)
+        if type(exps) is not tuple or len(exps) != width or not all(
+            type(x) is int and x >= 0 for x in exps
+        ):
+            raise ValueError(f"{exps!r} is not a tuple of {width} nonnegative int exponents")
+        return exps if self.key_degree(exps) <= self.truncation else None
+
     def key_name(self, exps: tuple[int, ...]) -> str:
         parts = []
         for name, e in zip(self.variables, exps):
@@ -273,8 +288,6 @@ class TruncatedPolynomialRing(GradedRing):
     def gen(self, index: int = 0) -> PolyElement:
         exps = [0] * len(self.variables)
         exps[index] = 1
-        if self.degrees[index] > self.truncation:
-            return self.zero()
         return PolyElement(self, {tuple(exps): 1})
 
     @property

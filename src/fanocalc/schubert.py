@@ -12,14 +12,15 @@ rather than the l * l! of the Leibniz rule.  The horizontal strips of each
 (lambda, a, box) are tabulated once per process, in a table bounded at
 ``STRIP_TABLE_SIZE`` = 2^16 keys, so repeated Pieri steps look their strips
 up instead of enumerating them again; the comment above that constant says
-what the bound costs in memory.  Out-of-box partitions are the zero class,
-which gives exactly the quotient-ring semantics.
+what the bound costs in memory.  A partition outside the box is zero where
+the ring computes it (``sigma`` and products give zero), while the
+constructor and ``giambelli`` raise on it, as on a part that is not an int.
 
 ``GrassmannContext`` is this ring as a coefficient ring of
 :mod:`fanocalc.rings` (truncated at the top degree, generated in degree one
 by ``sigma_1``), so formal bundles live over it directly.  ``ChowElement``
-takes sums, scaling, powers and printing from ``rings.GradedElement`` and
-adds only its validating constructor and the product.
+takes its constructor, sums, scaling, powers and printing from
+``rings.GradedElement`` and adds only the product.
 
 Two indexing conventions are around.  Internally everything is *linear*:
 ``G(k, n)`` parametrizes k-dimensional linear subspaces of an n-dimensional
@@ -34,8 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
-from typing import Iterable, Iterator, Mapping
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator
 
 from .chern import FormalBundle
 from .rings import GradedElement, GradedRing
@@ -44,8 +45,10 @@ Partition = tuple[int, ...]
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Normalize to a weakly decreasing tuple of positive parts."""
-    p = tuple(int(x) for x in parts)
+    """Normalize to a weakly decreasing tuple of positive ``int`` parts."""
+    p = tuple(parts)
+    if not all(type(x) is int for x in p):
+        raise ValueError(f"partition parts must be ints, got {p!r}")
     while p and p[-1] == 0:
         p = p[:-1]
     if any(x < 0 for x in p):
@@ -59,18 +62,6 @@ class ChowElement(GradedElement):
     """Integer combination of Schubert classes of a fixed Grassmannian."""
 
     __slots__ = ()
-
-    def __init__(self, ring: "GrassmannContext", terms: Mapping[Partition, int]):
-        clean: dict[Partition, int] = {}
-        for parts, coeff in terms.items():
-            p = as_partition(parts)
-            if not ring.fits(p):
-                raise ValueError(f"{p} does not fit the box of {ring}")
-            coeff = index(coeff)
-            if coeff:
-                clean[p] = coeff
-        self.ring = ring
-        self.terms = clean
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -124,6 +115,13 @@ class GrassmannContext(GradedRing):
 
     key_degree = staticmethod(sum)
 
+    def key(self, parts: Iterable[int]) -> Partition:
+        """``parts`` as an in-box partition, or ``ValueError``."""
+        p = as_partition(parts)
+        if not self.fits(p):
+            raise ValueError(f"{p} does not fit the box of {self}")
+        return p
+
     @staticmethod
     def key_name(parts: Partition) -> str:
         return "s[" + ",".join(str(x) for x in parts) + "]" if parts else ""
@@ -139,46 +137,27 @@ class GrassmannContext(GradedRing):
 
     def complement(self, parts: Partition) -> Partition:
         """The partition pairing with ``parts`` to the point class."""
-        if not self.fits(parts):
-            raise ValueError(f"{parts} does not fit the {self.rows}x{self.cols} box")
-        padded = tuple(parts) + (0,) * (self.rows - len(parts))
+        p = self.key(parts)
+        padded = p + (0,) * (self.rows - len(p))
         return as_partition(self.cols - padded[i] for i in range(self.rows - 1, -1, -1))
 
     def partitions(self, weight: int | None = None) -> Iterator[Partition]:
-        """All in-box partitions, optionally restricted to one weight."""
-
-        def rec(maxpart: int, rows_left: int, acc: list) -> Iterator[Partition]:
-            yield tuple(acc)
-            if rows_left == 0:
-                return
-            for part in range(1, maxpart + 1):
-                acc.append(part)
-                yield from rec(part, rows_left - 1, acc)
-                acc.pop()
-
-        for p in rec(self.cols, self.rows, []):
+        """All in-box partitions, optionally restricted to one weight: the
+        weakly decreasing choices of ``rows`` parts from ``cols, ..., 0``,
+        less their trailing zeros."""
+        for p in combinations_with_replacement(range(self.cols, -1, -1), self.rows):
             if weight is None or sum(p) == weight:
-                yield p
+                yield p[: len(p) - p.count(0)]
 
     def __str__(self) -> str:
         a, b = self.to_projective()
         return f"G({a},{b})"
 
 
-def zero(ctx: GrassmannContext) -> ChowElement:
-    return ctx.zero()
-
-
-def unit(ctx: GrassmannContext) -> ChowElement:
-    return ctx.one()
-
-
 def sigma(ctx: GrassmannContext, *parts: int) -> ChowElement:
     """The Schubert class ``sigma_parts``; out-of-box partitions give zero."""
     p = as_partition(parts)
-    if not ctx.fits(p):
-        return zero(ctx)
-    return ChowElement(ctx, {p: 1})
+    return ChowElement._new(ctx, {p: 1}) if ctx.fits(p) else ctx.zero()
 
 
 # Bound on the strip table, in (lam, a, rows, cols) keys, not in strips,
@@ -278,10 +257,7 @@ def giambelli(ctx: GrassmannContext, parts: Iterable[int]) -> ChowElement:
     Rejects partitions outside the box (unlike :func:`sigma`, which treats
     them as zero) so the determinant identity is tested on genuine classes.
     """
-    lam = as_partition(parts)
-    if not ctx.fits(lam):
-        raise ValueError(f"{lam} does not fit the box of {ctx}")
-    return _times_schubert(unit(ctx), lam)
+    return _times_schubert(ctx.one(), ctx.key(parts))
 
 
 def multiply(x: ChowElement, y: ChowElement) -> ChowElement:

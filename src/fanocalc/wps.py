@@ -28,12 +28,14 @@ from math import gcd
 
 @dataclass(frozen=True)
 class WeightVector:
-    """The weights ``(a_0, ..., a_n)`` of a weighted projective space."""
+    """The ``int`` weights ``(a_0, ..., a_n)`` of a weighted projective space."""
 
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        w = tuple(int(a) for a in self.weights)
+        w = tuple(self.weights)
+        if not all(type(a) is int for a in w):
+            raise ValueError(f"weights must be ints, got {w!r}")
         if len(w) < 2:
             raise ValueError("need at least two weights")
         if any(a < 1 for a in w):

@@ -11,8 +11,10 @@ twists through the index formulas for each Chern class, the multiplier
 search through a scan of every candidate, base-point freeness on
 weighted projective spaces through explicit monomial lists and O(m)
 reachability lists, minimal coprime supports through all subsets of the
-weights, singular strata through the primes found by trial division, and
-well-formedness through the gcd of every n of the n + 1 weights.
+weights, singular strata through the primes found by trial division,
+well-formedness through the gcd of every n of the n + 1 weights, and the
+partitions of a box by weight through the q-Pascal recurrence of the
+Gaussian binomials.
 """
 
 from __future__ import annotations
@@ -116,6 +118,21 @@ def horizontal_strips_brute(lam: tuple[int, ...], a: int, rows: int, cols: int) 
         ):
             out.append(tuple(x for x in mu if x))
     return out
+
+
+@cache
+def gaussian_binomial(n: int, k: int) -> tuple[int, ...]:
+    """Coefficients of the Gaussian binomial [n choose k]_q, lowest degree
+    first; the coefficient of q^w counts the partitions of weight w in a
+    k x (n - k) box.  Built by q-Pascal: [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k == 0 or k == n:
+        return (1,)
+    out = [0] * (k * (n - k) + 1)
+    for w, c in enumerate(gaussian_binomial(n - 1, k - 1)):
+        out[w] += c
+    for w, c in enumerate(gaussian_binomial(n - 1, k)):
+        out[w + k] += c
+    return tuple(out)
 
 
 # -- direct sums and line twists, one Chern class at a time -------------------

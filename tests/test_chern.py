@@ -268,7 +268,7 @@ def test_three_planes_on_a_cubic_sevenfold(monkeypatch):
     # projective 3-planes of a general cubic in P^8: the zero locus of
     # S^3 U* (rank 20) on the 20-dimensional G(3,8)
     ctx = GrassmannContext.from_projective(3, 8)
-    one, multiply, with_unit = schubert.unit(ctx), schubert.multiply, []
+    one, multiply, with_unit = ctx.one(), schubert.multiply, []
 
     def counting(x, y):
         with_unit.append(one in (x, y))

@@ -5,7 +5,7 @@ import pytest
 import fanocalc
 from fanocalc import schubert
 from fanocalc.cli import MAX_M_VALUES, MAX_POWER_BITS, build_parser, main, parse_schubert_expr, run
-from fanocalc.schubert import GrassmannContext, sigma, unit
+from fanocalc.schubert import GrassmannContext, sigma
 
 G25 = GrassmannContext(2, 5)
 
@@ -22,13 +22,13 @@ def test_expr_sum_and_product():
 
 
 def test_expr_integer_literal():
-    assert parse_schubert_expr(G25, "2") == 2 * unit(G25)
+    assert parse_schubert_expr(G25, "2") == 2 * G25.one()
 
 
 def test_expr_integer_terms_meet_the_unit_class():
-    assert parse_schubert_expr(G25, "2^3 + s[1]") == 8 * unit(G25) + sigma(G25, 1)
+    assert parse_schubert_expr(G25, "2^3 + s[1]") == 8 * G25.one() + sigma(G25, 1)
     assert parse_schubert_expr(G25, "s[1]*2^2*3") == 12 * sigma(G25, 1)
-    assert parse_schubert_expr(G25, "0^0") == unit(G25)
+    assert parse_schubert_expr(G25, "0^0") == G25.one()
 
 
 def test_expr_integer_powers_make_no_products(monkeypatch):
@@ -49,7 +49,7 @@ def test_expr_integer_powers_make_no_products(monkeypatch):
 def test_expr_integer_power_bit_limit():
     # 2^e has e + 1 bits: the limit itself passes, one bit more is refused
     at_limit = parse_schubert_expr(G25, f"2^{MAX_POWER_BITS - 1}")
-    assert at_limit == 2 ** (MAX_POWER_BITS - 1) * unit(G25)
+    assert at_limit == 2 ** (MAX_POWER_BITS - 1) * G25.one()
     for expr in (f"2^{MAX_POWER_BITS}", f"3*4^{MAX_POWER_BITS // 2}", f"2^{MAX_POWER_BITS // 2}^2"):
         with pytest.raises(ValueError, match="exceeds"):
             parse_schubert_expr(G25, expr)

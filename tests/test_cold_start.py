@@ -22,7 +22,8 @@ SRC = str(Path(fanocalc.__file__).resolve().parent.parent)
 # less SchubertRing (the Grassmannian is now its own coefficient ring), and
 # less MorphismScenario, assert_integral, multiplier_bound_from_negative_lines
 # and tangent_twist_hypersurface (no caller; `bound neg-lines` computes its
-# bound itself).
+# bound itself), and less unit and zero (`ctx.one()` and `ctx.zero()` are the
+# Grassmannian's own unit and zero).
 EXPORTS = """
 ChowElement E_value FanoDatabase FanoNumericalInvariants FanoRecord FormalBundle GradedRing
 GrassmannContext HypersurfaceModel PolyElement RamificationVerdict
@@ -37,7 +38,7 @@ line_ring load_database lookup max_multiplier multiply
 noether_lefschetz_threshold noether_surface_fano normalize pieri quadric_degree_bound
 quadric_multiplier_bound ramification_feasibility riemann_roch rings schubert sigma
 singular_strata source_invariants sym_power tautological_dual
-top_chern trivial_bundle twist_line unit validate whitney_sum wps zero
+top_chern trivial_bundle twist_line validate whitney_sum wps
 """.split()
 
 
@@ -96,7 +97,7 @@ def test_lazy_imports_show_under_importtime():
 
 def test_exports_are_unchanged_and_resolve():
     assert fanocalc.__all__ == sorted(EXPORTS)
-    assert len(EXPORTS) == 71
+    assert len(EXPORTS) == 69
     for name in EXPORTS:
         value = getattr(fanocalc, name)
         home = getattr(value, "__name__", None) if name in fanocalc._EXPORTS else value.__module__

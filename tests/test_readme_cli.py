@@ -1,5 +1,6 @@
-"""The CLI examples of README.md run, and the counts they quote hold."""
+"""The examples of README.md run, and the counts they quote hold."""
 
+import doctest
 import re
 import shlex
 from pathlib import Path
@@ -23,6 +24,16 @@ def _cli_examples() -> list[tuple[str, str]]:
 
 
 EXAMPLES = _cli_examples()
+
+
+def test_readme_library_example_runs():
+    """The ``>>>`` block under ``## Library overview`` passes as a doctest."""
+    section = README.read_text(encoding="utf-8").split("\n## Library overview\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", str(README), 0)
+    results = doctest.DocTestRunner().run(test)
+    assert results.attempted >= 5
+    assert results.failed == 0
 
 
 def test_readme_has_cli_examples():

@@ -187,6 +187,27 @@ def test_empty_key_rejected():
         PolyElement(line_ring(3), {(): 1})
 
 
+def test_generator_above_the_truncation_is_zero():
+    ring = TruncatedPolynomialRing(("a", "b"), (1, 3), truncation=2)
+    assert ring.gens[1] == ring.zero()
+    assert ring.gens[1].terms == {}
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 4)), st.integers(-7, 7)))
+def test_keys_above_truncation_are_dropped(terms):
+    a, b = RING.gens
+    x = PolyElement(RING, terms)
+    in_range = [(i, j, c) for (i, j), c in terms.items() if i + 2 * j <= RING.truncation]
+    assert x == sum((c * a**i * b**j for i, j, c in in_range), RING.zero())
+    assert all(x.terms.values())
+    assert all(RING.key_degree(e) <= RING.truncation for e in x.terms)
+
+
+def test_polynomial_constructor_is_for_its_ring():
+    with pytest.raises(TypeError):
+        PolyElement(GrassmannContext(2, 4), {(1,): 1})
+
+
 def test_inexact_coefficients_rejected():
     # int() once truncated 2.5 to 2 and stored Fraction(1, 2) as a zero term
     for c in (2.5, Fraction(1, 2)):

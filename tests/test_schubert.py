@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fanocalc import schubert
+from fanocalc.rings import GradedElement, line_ring
 from fanocalc.schubert import (
     ChowElement,
     GrassmannContext,
@@ -15,10 +16,8 @@ from fanocalc.schubert import (
     pieri,
     sigma,
     tautological_dual,
-    unit,
-    zero,
 )
-from oracles import horizontal_strips_brute, schubert_product
+from oracles import gaussian_binomial, horizontal_strips_brute, schubert_product
 
 G24 = GrassmannContext(2, 4)
 G25 = GrassmannContext(2, 5)
@@ -73,6 +72,79 @@ def test_elements_reject_out_of_box_terms():
         ChowElement(G24, {(3,): 1})
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_partitions_are_counted_by_gaussian_binomials(n):
+    for k in range(1, n):
+        ctx = GrassmannContext(k, n)
+        every = list(ctx.partitions())
+        assert len(every) == len(set(every)) == comb(n, k)
+        assert all(ctx.fits(p) and as_partition(p) == p for p in every)
+        counts = gaussian_binomial(n, k)
+        assert len(counts) == ctx.top_degree + 1
+        for w in range(-1, ctx.top_degree + 2):
+            by_weight = list(ctx.partitions(w))
+            assert len(by_weight) == (counts[w] if 0 <= w < len(counts) else 0)
+            assert all(sum(p) == w for p in by_weight)
+
+
+# -- the public constructor -----------------------------------------------------
+
+def test_equal_keys_add():
+    # the key (2,1,0) once overwrote (2,1) instead of adding to it
+    assert ChowElement(G36, {(2, 1, 0): 1, (2, 1): 1}).terms == {(2, 1): 2}
+    assert ChowElement(G36, {(2, 1, 0): 1, (2, 1): 1}) == 2 * sigma(G36, 2, 1)
+
+
+def test_equal_keys_cancel_to_zero():
+    x = ChowElement(G24, {(1, 0): 2, (1,): -2})
+    assert not x
+    assert x.terms == {}
+
+
+def test_inexact_parts_rejected():
+    # int() once truncated 2.2 to 2, 1.9 to 1, '2' to 2 and True to 1
+    with pytest.raises(ValueError):
+        ChowElement(G36, {(2.2, 1): 4})
+    with pytest.raises(ValueError):
+        sigma(G36, 1.9, 1)
+    with pytest.raises(ValueError):
+        as_partition(["2", True])
+
+
+def test_constructor_is_for_the_ring_element_class():
+    with pytest.raises(TypeError):
+        ChowElement(line_ring(3), {(1,): 1})
+    with pytest.raises(TypeError):
+        GradedElement(G24, {(1,): 1})
+
+
+@st.composite
+def padded_terms(draw, ctx):
+    """Raw terms whose keys pad partitions with trailing zeros, so that one
+    partition may come under several keys, and the sum they stand for."""
+    entries = draw(st.lists(
+        st.tuples(boxed_partitions(ctx), st.integers(0, ctx.rows + 1), st.integers(-4, 4)),
+        max_size=6,
+    ))
+    terms: dict = {}
+    expected = ctx.zero()
+    for lam, pad, c in entries:
+        key = lam + (0,) * pad
+        terms[key] = terms.get(key, 0) + c
+        expected = expected + c * sigma(ctx, *lam)
+    return terms, expected
+
+
+@pytest.mark.parametrize("ctx", [G25, G36])
+@given(data=st.data())
+def test_padded_keys_give_the_sum_of_their_classes(ctx, data):
+    terms, expected = data.draw(padded_terms(ctx))
+    x = ChowElement(ctx, terms)
+    assert x == expected
+    assert all(x.terms.values())
+    assert all(ctx.key(p) == p for p in x.terms)
+
+
 # -- Pieri --------------------------------------------------------------------
 
 def test_pieri_square_of_hyperplane_class():
@@ -84,7 +156,7 @@ def test_pieri_kills_s22_times_s2():
 
 
 def test_pieri_on_zero_is_zero():
-    assert not pieri(zero(G25), 3)
+    assert not pieri(G25.zero(), 3)
 
 
 def test_pieri_rejects_nonpositive_index():
@@ -171,11 +243,11 @@ def test_s11_times_s2():
 
 def test_unit_is_identity():
     x = 3 * sigma(G25, 2, 1) - sigma(G25, 1)
-    assert unit(G25) * x == x
+    assert G25.one() * x == x
 
 
 def test_zero_absorbs():
-    assert not zero(G25) * sigma(G25, 2)
+    assert not G25.zero() * sigma(G25, 2)
 
 
 def test_context_mismatch_rejected():
@@ -300,7 +372,7 @@ def test_integrate_examples():
     assert integrate(sigma(G25, 1, 1) * sigma(G25, 2) * sigma(G25, 2)) == 1
     assert integrate(sigma(G25, 1) ** 6) == 5
     assert integrate(sigma(G25, 3, 3)) == 1
-    assert integrate(zero(G25)) == 0
+    assert integrate(G25.zero()) == 0
 
 
 def test_power_beyond_top_degree_is_zero_without_products(monkeypatch):
@@ -313,12 +385,12 @@ def test_power_beyond_top_degree_is_zero_without_products(monkeypatch):
 
     monkeypatch.setattr(schubert, "pieri", counting_pieri)
     assert not sigma(G24, 1) ** 300000
-    assert not zero(G24) ** 300000
+    assert not G24.zero() ** 300000
     assert len(calls) == 0
     assert sigma(G24, 1) ** 4 == 2 * sigma(G24, 2, 2)
     assert len(calls) == 4
-    assert unit(G24) ** 3 == unit(G24)
-    assert zero(G24) ** 0 == unit(G24)
+    assert G24.one() ** 3 == G24.one()
+    assert G24.zero() ** 0 == G24.one()
 
 
 def counting_multiply(monkeypatch):
@@ -336,14 +408,14 @@ def counting_multiply(monkeypatch):
 def test_power_with_weight_zero_part_makes_at_most_top_degree_products(monkeypatch):
     expected = sum(
         (comb(20000, i) * sigma(G25, 1) ** i for i in range(G25.top_degree + 1)),
-        zero(G25),
+        G25.zero(),
     )
     calls = counting_multiply(monkeypatch)
-    assert (unit(G25) + sigma(G25, 1)) ** 20000 == expected
+    assert (G25.one() + sigma(G25, 1)) ** 20000 == expected
     assert len(calls) <= G25.top_degree
     calls.clear()
-    assert unit(G25) ** 10**9 == unit(G25)
-    assert (3 * unit(G25)) ** 40 == 3**40 * unit(G25)
+    assert G25.one() ** 10**9 == G25.one()
+    assert (3 * G25.one()) ** 40 == 3**40 * G25.one()
     assert len(calls) == 0
 
 
@@ -362,7 +434,7 @@ def test_plucker_power_is_one_pieri_step_per_factor(monkeypatch):
 )
 def test_power_equals_repeated_product(terms, exponent):
     x = ChowElement(G24, terms)
-    chain = unit(G24)
+    chain = G24.one()
     for _ in range(exponent):
         chain = multiply(chain, x)
     assert x**exponent == chain

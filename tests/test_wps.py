@@ -70,6 +70,17 @@ def test_weight_vector_validation():
         WeightVector((1, 0))
 
 
+def test_weights_must_be_exact_ints():
+    # int() once made P(2.7, 1) into P(2,1), P('3', 1) into P(3,1), and
+    # answered is_generated((1.5, 2, 3), 1) for P(1,2,3)
+    for weights in ((2.7, 1), ("3", 1), (True, 1, 1), (2.0, 1)):
+        with pytest.raises(ValueError):
+            WeightVector(weights)
+    with pytest.raises(ValueError):
+        is_generated((1.5, 2, 3), 1)
+    assert WeightVector([1, 2]).weights == (1, 2)
+
+
 # -- normalization -------------------------------------------------------------
 
 def test_normalize_global_gcd():
