@@ -53,3 +53,68 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+class _Record:
+    """Base of the package's immutable records, in place of a frozen dataclass:
+    importing ``dataclasses`` (with ``inspect``) and decorating each class
+    cost a process more time than most commands compute.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute of a field's name is its default; a ``list``, ``dict`` or
+    ``set`` default, which every instance would share, is refused.  Each
+    subclass gets one compiled ``__init__``, binding the fields positionally
+    or by name and then calling ``__post_init__`` if the class has one, and
+    a ``__hash__`` of the fields in order.  Instances refuse assignment and
+    deletion (a ``__post_init__`` that normalizes a field writes it with
+    ``object.__setattr__``), ``==`` compares the fields of two instances of
+    one class, and ``repr`` is ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        namespace = vars(cls)
+        fields = tuple(namespace.get("__annotations__", ()))
+        defaults = []
+        for name in fields:
+            if name in namespace:
+                default = namespace[name]
+                if isinstance(default, (list, dict, set)):
+                    raise TypeError(f"{cls.__name__}.{name}: mutable default {default!r}")
+                defaults.append(default)
+            elif defaults:
+                raise TypeError(f"{cls.__name__}.{name}: field without a default after one with")
+        body = [f"    d[{name!r}] = {name}" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("    self.__post_init__()")
+        source = (
+            f"def __init__(self, {', '.join(fields)}):\n    d = self.__dict__\n"
+            + "\n".join(body)
+            + "\ndef __hash__(self):\n    return hash(("
+            + "".join(f"self.{name}, " for name in fields)
+            + "))\n"
+        )
+        made: dict = {}
+        exec(source, {}, made)
+        made["__init__"].__defaults__ = tuple(defaults)
+        for method in made.values():
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+        cls._fields = fields
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -24,16 +24,15 @@ concurrent use because the computation is pure and idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from . import _Record
 from .rings import GradedRing
 
 
-@dataclass(frozen=True)
-class FormalBundle:
+class FormalBundle(_Record):
     """A rank and a list of Chern classes ``c_1..c_t`` over a graded ring.
 
     Missing entries (``t < rank``) are zero; trailing zero classes are

@@ -30,19 +30,24 @@ import json
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, is_dataclass
 
 import fanocalc as fc
 
 
-@dataclass
-class CommandResult:
+class CommandResult(fc._Record):
     command: str
     status: str
-    inputs: dict = field(default_factory=dict)
+    inputs: dict = None
     result: object = None
-    provenance: list = field(default_factory=list)
+    provenance: list = None
     message: str | None = None
+
+    def __post_init__(self):
+        # a fresh {} and [] per result, never one shared default
+        if self.inputs is None:
+            object.__setattr__(self, "inputs", {})
+        if self.provenance is None:
+            object.__setattr__(self, "provenance", [])
 
     def to_json(self) -> str:
         doc = {"command": self.command, "status": self.status}
@@ -175,15 +180,15 @@ _FORMS = (
 
 
 def _plain(value):
-    """The JSON-ready form of a result; dataclasses become their fields."""
+    """The JSON-ready form of a result; a record becomes the dict of its fields."""
     if isinstance(value, (int, str)) or value is None:
         return value
     for module, name, form in _FORMS:
         loaded = sys.modules.get(module)
         if loaded is not None and isinstance(value, getattr(loaded, name)):
             return form(value)
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, fc._Record):
+        return {name: _plain(getattr(value, name)) for name in value._fields}
     if isinstance(value, Mapping):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):

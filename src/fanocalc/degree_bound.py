@@ -22,12 +22,11 @@ infinitesimal Noether-Lefschetz theorem on the quadric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import floor, isqrt
-from typing import Iterable, Iterator
 
-from . import wps
+from . import _Record, wps
 from .fano_db import (
     FanoRecord,
     conic_normal_bundle_degrees,
@@ -36,8 +35,7 @@ from .fano_db import (
 from .riemann_roch import derive_fano_invariants
 
 
-@dataclass(frozen=True)
-class SourceInvariants:
+class SourceInvariants(_Record):
     """Numerical invariants of the source threefold X.
 
     ``kappa`` is the integer with K_X = kappa.H_X; ``c2HX = c_2(T_X).H_X``;
@@ -176,8 +174,7 @@ BOUND = "bound"
 INFEASIBLE_FOR_ALL_M = "infeasible_for_all_m"
 
 
-@dataclass(frozen=True)
-class RamificationVerdict:
+class RamificationVerdict(_Record):
     """Feasibility of f^{-1}(S) lying inside the critical locus.
 
     ``infeasible_for_all_m``: impossible for every m >= 1 (the good case:
@@ -228,8 +225,7 @@ def generic_iso_exists(src: tuple[int, int], dst: tuple[int, int]) -> bool:
     return c >= a and d >= b
 
 
-@dataclass(frozen=True)
-class FeasibilityWitness:
+class FeasibilityWitness(_Record):
     """One normal-bundle configuration passing the generic-isomorphism test."""
 
     component: str

@@ -10,12 +10,12 @@ diffable; the loader refuses tables containing an invalid record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from collections.abc import Mapping
 from functools import lru_cache
-from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
 
+from . import _Record
 from .wps import WeightVector
 
 FAMILY_NAMES = (
@@ -41,8 +41,7 @@ FAMILY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FanoRecord:
+class FanoRecord(_Record):
     """One family of the classification."""
 
     name: str
@@ -52,7 +51,7 @@ class FanoRecord:
     b3: int | None
     very_ample: bool
     h0_H: int
-    facts: Mapping[str, str] = field(default_factory=dict)
+    facts: Mapping[str, str] = MappingProxyType({})
     description: str = ""
 
     def __post_init__(self):
@@ -195,11 +194,12 @@ class FanoDatabase:
         return list(self._records.values())
 
 
-def load_database(path: str | Path | None = None) -> FanoDatabase:
+def load_database(path: str | os.PathLike | None = None) -> FanoDatabase:
     """Load a classification table; defaults to the packaged one."""
     if path is None:
-        path = Path(__file__).with_name("data") / "fano_threefolds.tsv"
-    return FanoDatabase(parse_table(Path(path).read_text(encoding="utf-8")))
+        path = os.path.join(os.path.dirname(__file__), "data", "fano_threefolds.tsv")
+    with open(path, encoding="utf-8") as table:
+        return FanoDatabase(parse_table(table.read()))
 
 
 @lru_cache(maxsize=1)

@@ -18,12 +18,12 @@ number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _Record
 
-@dataclass(frozen=True)
-class SurfaceIntersectionData:
+
+class SurfaceIntersectionData(_Record):
     """Intersection numbers of a divisor D on a surface.
 
     ``DD = D^2``, ``DK = D.K``, ``KK = K^2``, ``c2`` the topological Euler
@@ -37,8 +37,7 @@ class SurfaceIntersectionData:
     c2: int
 
 
-@dataclass(frozen=True)
-class ThreefoldIntersectionData:
+class ThreefoldIntersectionData(_Record):
     """Intersection numbers of a divisor D on a threefold.
 
     ``D3 = D^3``, ``KD2 = K.D^2``, ``KKD = K^2.D``, ``c2D = c_2.D`` and
@@ -67,8 +66,7 @@ def chi_threefold(d: ThreefoldIntersectionData) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class FanoSurfaceConstants:
+class FanoSurfaceConstants(_Record):
     c2: int
     K2: int
 
@@ -84,8 +82,7 @@ def noether_surface_fano() -> FanoSurfaceConstants:
     return FanoSurfaceConstants(c2=c2, K2=12 - c2)
 
 
-@dataclass(frozen=True)
-class FanoNumericalInvariants:
+class FanoNumericalInvariants(_Record):
     """Numerical invariants of a Fano threefold of Picard rank one.
 
     ``c2H = c_2(T).H``, ``c3Omega = c_3(Omega) = b_3 - 4`` (the sign

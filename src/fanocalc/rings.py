@@ -18,10 +18,11 @@ Schubert classes as keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from math import comb
 from operator import add, index, mul
-from typing import Iterable, Mapping
+
+from . import _Record
 
 
 class GradedRing:
@@ -53,16 +54,26 @@ class GradedRing:
         return x.degree()
 
 
+def _integer(x) -> int:
+    """``x`` as an int through ``operator.index``, or ``TypeError``; a bool is
+    refused, as it is for a partition part or an exponent."""
+    if type(x) is bool:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return index(x)
+
+
 class GradedElement:
     """Integer combination of the basis keys of a :class:`GradedRing`.
 
     Elements support ``+``, ``-``, ``*`` (the ring product, which each
-    subclass defines, and scaling by Python ints), ``**`` with nonnegative
-    integer exponents, ``==`` and truthiness (zero is falsy).
+    subclass defines, and scaling by integers), ``**`` with nonnegative
+    integer exponents, ``==`` and truthiness (zero is falsy).  Coefficients,
+    scalars and exponents all pass one rule, ``_integer``: ``operator.index``,
+    with bools refused.
 
     ``terms`` never holds a zero coefficient, so equality is equality of
     dicts.  ``ring.element(ring, terms)`` is the one public constructor
-    (``ring.key`` per key, ``operator.index`` per coefficient, equal keys
+    (``ring.key`` per key, ``_integer`` per coefficient, equal keys
     added, a cancelled key deleted); ``_new`` is the one trusted constructor,
     which wraps a zero-free dict of valid keys without copying it, and every
     kernel deletes a cancelled key where it adds the coefficient that cancels.
@@ -76,7 +87,7 @@ class GradedElement:
         key = ring.key
         out: dict = {}
         for raw, c in terms.items():
-            k, c = key(raw), index(c)
+            k, c = key(raw), _integer(c)
             if k is None:
                 continue
             c += out.get(k, 0)
@@ -97,8 +108,8 @@ class GradedElement:
         return x
 
     def _check(self, other: "GradedElement") -> None:
-        """Same ring or raise; identity first, since the dataclass ``==``
-        builds two field tuples."""
+        """Same ring or raise; identity first, which spares the record ``==``
+        over the ring's fields."""
         if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("elements belong to different rings")
 
@@ -135,9 +146,13 @@ class GradedElement:
         return self._new(self.ring, {key: c * n for key, c in self.terms.items()} if n else {})
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self._scaled(other)
-        return NotImplemented
+        """``n * x`` for an integer ``n``; the product of two elements is
+        each subclass's ``__mul__``, which sends a scalar here."""
+        try:
+            n = _integer(other)
+        except TypeError:
+            return NotImplemented
+        return self._scaled(n)
 
     def __pow__(self, exponent: int) -> "GradedElement":
         """A power of an element with a unit part is a binomial sum: the rest
@@ -145,7 +160,11 @@ class GradedElement:
         vanishing power, at most one product per degree.  Otherwise the power
         is zero without a product once the least degree times the exponent
         passes the truncation, and a chain of products below that."""
-        if not isinstance(exponent, int) or exponent < 0:
+        try:
+            exponent = _integer(exponent)
+        except TypeError:
+            exponent = -1
+        if exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         ring = self.ring
         constant = self.terms.get(ring.unit_key, 0)
@@ -204,10 +223,8 @@ class PolyElement(GradedElement):
     __slots__ = ()
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scaled(other)
         if not isinstance(other, PolyElement):
-            return NotImplemented
+            return self.__rmul__(other)
         self._check(other)
         ring = self.ring
         key_degree, top = ring.key_degree, ring.truncation
@@ -230,11 +247,12 @@ class PolyElement(GradedElement):
         return self._new(ring, out)
 
     def coefficient(self, exponents: Iterable[int]) -> int:
-        return self.terms.get(tuple(exponents), 0)
+        """The coefficient of a monomial, checked by ``ring.key``."""
+        key = self.ring.key(tuple(exponents))
+        return 0 if key is None else self.terms.get(key, 0)
 
 
-@dataclass(frozen=True)
-class TruncatedPolynomialRing(GradedRing):
+class TruncatedPolynomialRing(GradedRing, _Record):
     """Integer polynomials in weighted generators, truncated above a degree.
 
     ``variables`` names the generators, ``degrees`` their (positive) weights.

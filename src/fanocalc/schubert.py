@@ -33,11 +33,11 @@ Coefficients are arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator
 
+from . import _Record
 from .chern import FormalBundle
 from .rings import GradedElement, GradedRing
 
@@ -64,15 +64,12 @@ class ChowElement(GradedElement):
     __slots__ = ()
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scaled(other)
         if not isinstance(other, ChowElement):
-            return NotImplemented
+            return self.__rmul__(other)
         return multiply(self, other)
 
 
-@dataclass(frozen=True)
-class GrassmannContext(GradedRing):
+class GrassmannContext(GradedRing, _Record):
     """Grassmannian of ``k``-dimensional subspaces of an ``n``-dimensional
     space, and its Chow ring: the keys are in-box partitions, the unit is the
     empty one, and ``sigma_1`` generates in degree one."""

@@ -20,14 +20,14 @@ give the proven search limit of ``cotangent_twist_lmin``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 
+from . import _Record
 
-@dataclass(frozen=True)
-class WeightVector:
+
+class WeightVector(_Record):
     """The ``int`` weights ``(a_0, ..., a_n)`` of a weighted projective space."""
 
     weights: tuple[int, ...]
@@ -88,8 +88,7 @@ def _require_well_formed(w) -> WeightVector:
     return wv
 
 
-@dataclass(frozen=True)
-class SingularStratum:
+class SingularStratum(_Record):
     """A maximal coordinate stratum of the singular locus.
 
     ``coords`` are the indices allowed to be nonzero; ``k`` is the order of
@@ -259,8 +258,7 @@ def cotangent_twist_lmin(w) -> int:
     return limit
 
 
-@dataclass(frozen=True)
-class HypersurfaceModel:
+class HypersurfaceModel(_Record):
     """A (complete-intersection) hypersurface model in a weighted space."""
 
     ambient: WeightVector

@@ -42,22 +42,33 @@ top_chern trivial_bundle twist_line validate whitney_sum wps
 """.split()
 
 
-def _loaded_after(code: str) -> tuple[set[str], str]:
-    """The fanocalc modules and ``fractions`` loaded by a fresh interpreter
+def _modules_after(code: str, *options: str) -> tuple[set[str], str]:
+    """Every module a fresh interpreter, started with ``options``, has loaded
     after running ``code``, and what ``code`` printed."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *options, "-c", probe],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     *printed, modules = proc.stdout.splitlines()
-    loaded = {m for m in json.loads(modules) if m.split(".")[0] in ("fanocalc", "fractions")}
-    return loaded, "\n".join(printed)
+    return set(json.loads(modules)), "\n".join(printed)
+
+
+def _loaded_after(code: str) -> tuple[set[str], str]:
+    """The fanocalc modules and ``fractions`` loaded by a fresh interpreter
+    after running ``code``, and what ``code`` printed."""
+    modules, printed = _modules_after(code)
+    return {m for m in modules if m.split(".")[0] in ("fanocalc", "fractions")}, printed
+
+
+def _main(argv) -> str:
+    return f"from fanocalc.cli import main\nmain({list(argv)!r})"
 
 
 def _cli(*argv: str) -> tuple[set[str], dict]:
-    loaded, printed = _loaded_after(f"from fanocalc.cli import main\nmain({list(argv)!r})")
+    loaded, printed = _loaded_after(_main(argv))
     return loaded, json.loads(printed)
 
 
@@ -83,6 +94,27 @@ def test_neg_lines_loads_no_library_module():
     loaded, doc = _cli("--json", "bound", "neg-lines", "--j", "3")
     assert doc["result"] == {"j": 3, "m_bound": 3}
     assert loaded == {"fanocalc", "fanocalc.cli"}
+
+
+# No command needs these: the records need no ``dataclasses`` (which brings
+# ``inspect``, ``ast``, ``dis`` and ``tokenize``), the annotations no
+# ``typing``, and the table's file name no ``pathlib``.
+NEVER_LOADED = {"dataclasses", "inspect", "typing", "pathlib"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--json", "bound", "E", "--target", "V4-quartic", "--twist", "2"),
+        ("--json", "db", "list"),
+        ("--json", "wps", "generated", "1,2,3", "--m", "7"),
+    ],
+)
+def test_commands_load_no_dataclasses_inspect_typing_or_pathlib(argv):
+    # -S: no site hook (a .pth file) imports any of them before the command
+    modules, printed = _modules_after(_main(argv), "-S")
+    assert json.loads(printed)["status"] == "ok"
+    assert not modules & NEVER_LOADED
 
 
 def test_lazy_imports_show_under_importtime():

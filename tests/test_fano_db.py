@@ -156,8 +156,17 @@ def test_load_from_explicit_path(tmp_path):
     table.write_text(
         "# tiny\nQ3\t3\t2\t-\t0\ttrue\t5\t-\tquadric\n", encoding="utf-8"
     )
-    db = load_database(table)
-    assert db.names() == ["Q3"]
+    # a pathlib.Path, a str and any other os.PathLike
+    for path in (table, str(table), _PathLike(str(table))):
+        assert load_database(path).names() == ["Q3"]
+
+
+class _PathLike:
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __fspath__(self) -> str:
+        return self.path
 
 
 def test_packaged_table_loads_from_a_copied_package(tmp_path):

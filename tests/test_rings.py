@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fanocalc.rings import PolyElement, TruncatedPolynomialRing, line_ring
-from fanocalc.schubert import ChowElement, GrassmannContext
+from fanocalc.schubert import ChowElement, GrassmannContext, sigma
 
 RING = TruncatedPolynomialRing(("a", "b"), (1, 2), truncation=5)
 
@@ -215,3 +215,60 @@ def test_inexact_coefficients_rejected():
             PolyElement(line_ring(3), {(1,): c})
         with pytest.raises(TypeError):
             ChowElement(GrassmannContext(2, 4), {(1,): c})
+
+
+# -- one integer rule: coefficients, scalars and exponents ---------------------
+
+SIGMA_1 = sigma(GrassmannContext(2, 4), 1)
+
+
+def test_bool_times_element_is_refused():
+    # True * s1 was s1
+    with pytest.raises(TypeError):
+        True * SIGMA_1
+    with pytest.raises(TypeError):
+        True * RING.gens[0]
+
+
+def test_element_times_bool_is_refused():
+    # s1 * False was 0
+    with pytest.raises(TypeError):
+        SIGMA_1 * False
+    with pytest.raises(TypeError):
+        RING.gens[0] * False
+
+
+def test_bool_exponent_is_refused():
+    # s1 ** True was s1
+    with pytest.raises(ValueError):
+        SIGMA_1 ** True
+    with pytest.raises(ValueError):
+        RING.gens[0] ** False
+
+
+def test_coefficient_lookup_checks_its_key():
+    # coefficient([1.0]) was 1, though the constructor refuses the key (1.0,)
+    h = line_ring(3).gen()
+    with pytest.raises(ValueError):
+        h.coefficient([1.0])
+    with pytest.raises(ValueError):
+        h.coefficient([True])
+    assert h.coefficient([1]) == 1 and h.coefficient((4,)) == 0
+
+
+def test_bool_coefficient_is_refused():
+    with pytest.raises(TypeError):
+        PolyElement(line_ring(3), {(1,): True})
+
+
+def test_integer_like_scalars_and_exponents_pass_operator_index():
+    class Two:
+        def __index__(self):
+            return 2
+
+    h = line_ring(3).gen()
+    assert Two() * h == h * Two() == 2 * h
+    assert h ** Two() == h * h
+    assert SIGMA_1 * Two() == 2 * SIGMA_1
+    with pytest.raises(TypeError):
+        2.0 * h
