@@ -8,13 +8,15 @@ mutually exclusive group, and flag sets shared by several commands (``GR``,
 ``BUNDLE``, ``TARGET``, ``VERY_AMPLE``) are declared once.
 ``run`` passes every result through ``_plain``, the one serializer.
 
-A process pays only for the command it runs.  ``build_parser`` builds the
-top-level parser and one parser per group; a group's op parsers, and an
-op's flags, are added from the table only when argparse selects them
-(``_SelectedSubParsers``).  Importing this module loads no library module:
-handlers reach the library through the lazy package namespace
-(``fc.multiply``), which imports a module on first use, and ``_plain``
-recognizes result types only from modules already loaded.
+The grammar is ``fanocalc [--json] [--db PATH] [-h] GROUP OP [ARGS]``, read
+level by level with nothing built in advance (no parser per group or op):
+a process looks at the table row of its own op only.  Flags
+match by exact name (``--name value`` or ``--name=value``; a negative number
+is a value; the last repeat wins; ``--`` ends the flags), and every dest of
+the op is in ``inputs``, at its default when unset.  Importing this module
+loads no library module: handlers reach the library through the lazy
+package namespace (``fc.multiply``), which imports a module on first use,
+and ``_plain`` recognizes result types only from modules already loaded.
 
 ``--json`` switches the output to a single-line machine-readable document
 with fields ``{command, status, inputs, result, provenance}``, or
@@ -25,11 +27,11 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from collections.abc import Mapping
+from types import SimpleNamespace
 
 import fanocalc as fc
 
@@ -564,77 +566,152 @@ COMMANDS = {
 
 # -- parser -----------------------------------------------------------------
 
+TOP_FLAGS = (
+    _arg("--json", action="store_true", help="machine-readable output"),
+    _arg("--db", help="path to an alternative classification table"),
+)
+# A negative number, or a word with a space, is a value and never a flag.
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
 class UsageError(SystemExit):
-    """An argparse usage error, raised (exit code 2) instead of printed, so
-    that ``main`` can report it as text or as a JSON document."""
+    """A usage error, raised (exit code 2) instead of printed, so that ``main``
+    can report it as text or as a JSON document.  ``prog`` names the level
+    that refused it: ``fanocalc``, ``fanocalc GROUP`` or ``fanocalc GROUP OP``."""
 
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
+    def __init__(self, prog: str, usage: str, message: str):
         super().__init__(2)
-        self.parser = parser
-        self.message = message
+        self.prog, self.usage, self.message = prog, usage, message
+
+    def print_usage(self, file) -> None:
+        print(f"usage: {self.usage}", file=file)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(self, message)
+def _dest(names: tuple, kwargs: dict) -> str:
+    return kwargs.get("dest") or names[0].lstrip("-").replace("-", "_")
 
 
-class _SelectedSubParsers(argparse._SubParsersAction):
-    """Subparsers filled on selection: when argparse picks a choice,
-    ``fill(name, parser)`` adds that parser's contents just before it parses
-    the rest of the command line.  Choices never picked stay empty."""
-
-    def __init__(self, *args, fill, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._fill = fill
-        self._filled = set()
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        if name not in self._filled:
-            self._filled.add(name)
-            self._fill(name, self.choices[name])
-        super().__call__(parser, namespace, values, option_string)
+# The value of a store_true or store_false flag when it is not given.
+_UNSET = {"store_true": False, "store_false": True}
 
 
-def _add_ops(group: str, parser: argparse.ArgumentParser) -> None:
-    ops = parser.add_subparsers(
-        dest="op", required=True, action=_SelectedSubParsers, fill=_add_flags
-    )
-    for command, (handler, _flags) in COMMANDS.items():
-        head, _, op = command.partition(" ")
-        if head == group:
-            ops.add_parser(op).set_defaults(func=handler, command=command)
+class _Level:
+    """One level of the command line: ``prog``, its flags (a table row) and,
+    above an op, the words that choose the next level (``choices``)."""
+
+    def __init__(self, prog: str, row: tuple, choices: dict | None = None, word: str = ""):
+        self.prog, self.choices, self.word = prog, choices, word
+        # (names, keywords, group); the flags of one list share a group, of which one may be given
+        self.flags = [(names, kwargs, id(flag)) for flag in row
+                      for names, kwargs in (flag if isinstance(flag, list) else (flag,))]
+        self.options = {name: f for f in self.flags for name in f[0] if name.startswith("-")}
+        self.positionals = [f[0][0] for f in self.flags if f[0][0] not in self.options]
+
+    def _is_flag(self, arg: str) -> bool:
+        if not arg.startswith("-") or arg == "-":
+            return False
+        return arg.partition("=")[0] in self.options or not (_NUMBER.match(arg) or " " in arg)
+
+    def error(self, message: str) -> UsageError:
+        return UsageError(self.prog, self.usage(), message)
+
+    def read(self, argv: list[str], args: SimpleNamespace):
+        """Read this level's part of ``argv`` into ``args``.  Above an op, return
+        the chosen word and the arguments after it, which the next level reads."""
+        for names, kwargs, _ in self.flags:  # the first default declared for a dest wins
+            dest = _dest(names, kwargs)
+            if names[0] in self.options and not hasattr(args, dest):
+                setattr(args, dest, kwargs.get("default", _UNSET.get(kwargs.get("action"))))
+        words, chosen, flags_ended, i = [], {}, False, 0
+        while i < len(argv):
+            arg, i = argv[i], i + 1
+            if arg == "--" and not flags_ended:
+                flags_ended = True
+            elif flags_ended or not self._is_flag(arg):
+                if self.choices is None:
+                    words.append(arg)
+                    continue
+                if arg not in self.choices:
+                    raise self.error(f"argument {self.word}: invalid choice: {arg!r}")
+                return arg, argv[i:]
+            elif arg in ("-h", "--help"):
+                self.help()
+            elif arg.partition("=")[0] not in self.options:
+                raise self.error(f"unrecognized arguments: {arg}")
+            else:
+                name, eq, value = arg.partition("=")
+                names, kwargs, group = self.options[name]
+                flag = names[0]
+                if chosen.setdefault(group, flag) != flag:
+                    raise self.error(f"argument {flag}: not allowed with argument {chosen[group]}")
+                if "action" in kwargs:
+                    if eq:
+                        raise self.error(f"argument {flag}: ignored explicit argument {value!r}")
+                    value = not _UNSET[kwargs["action"]]
+                elif not eq:
+                    if i == len(argv) or self._is_flag(argv[i]):
+                        raise self.error(f"argument {flag}: expected one argument")
+                    value, i = argv[i], i + 1
+                if "type" in kwargs:
+                    try:
+                        value = kwargs["type"](value)
+                    except ValueError:
+                        kind = kwargs["type"].__name__
+                        raise self.error(f"argument {flag}: invalid {kind} value: {value!r}")
+                setattr(args, _dest(names, kwargs), value)
+        given = chosen.values()
+        missing = [f[0][0] for f in self.flags if f[1].get("required") and f[0][0] not in given]
+        missing += [self.word] if self.choices else self.positionals[len(words):]
+        if missing:
+            raise self.error("the following arguments are required: " + ", ".join(missing))
+        if len(words) > len(self.positionals):
+            raise self.error("unrecognized arguments: " + " ".join(words[len(self.positionals):]))
+        args.__dict__.update(zip(self.positionals, words))
+
+    def _form(self, names: tuple, kwargs: dict) -> str:
+        if "action" in kwargs or names[0] in self.positionals:
+            return names[0]
+        return f"{names[0]} {_dest(names, kwargs).upper()}"
+
+    def usage(self) -> str:
+        parts = [self.prog, "[-h]"]
+        for names, kwargs, _ in self.flags:
+            bare = kwargs.get("required") or names[0] in self.positionals
+            parts.append(self._form(names, kwargs) if bare else f"[{self._form(names, kwargs)}]")
+        if self.choices:
+            parts.append("{" + ",".join(self.choices) + "} ...")
+        return " ".join(parts)
+
+    def help(self):
+        """Print the usage, the words to choose from and the flags; exit 0."""
+        rows = [*(self.choices or {}).items(), ("-h, --help", "show this help message and exit")]
+        rows += [(self._form(names, kw), kw.get("help", "")) for names, kw, _ in self.flags]
+        print(f"usage: {self.usage()}\n")
+        print("\n".join(f"  {left:<24} {right}".rstrip() for left, right in rows))
+        raise SystemExit(0)
 
 
-def _add_flags(op: str, parser: argparse.ArgumentParser) -> None:
-    for flag in COMMANDS[parser.get_default("command")][1]:
-        if isinstance(flag, list):  # a mutually exclusive group
-            exclusive = parser.add_mutually_exclusive_group()
-            for names, kwargs in flag:
-                exclusive.add_argument(*names, **kwargs)
-        else:
-            parser.add_argument(*flag[0], **flag[1])
+class _Parser:
+    """``fanocalc [--json] [--db PATH] [-h] GROUP OP [ARGS]``, read level by
+    level from ``GROUPS`` and ``COMMANDS``; it keeps no state between parses."""
+
+    def parse_args(self, argv: list[str]) -> SimpleNamespace:
+        args = SimpleNamespace()
+        group, rest = _Level("fanocalc", TOP_FLAGS, GROUPS, "group").read(argv, args)
+        ops = {c.partition(" ")[2]: "" for c in COMMANDS if c.partition(" ")[0] == group}
+        op, rest = _Level(f"fanocalc {group}", (), ops, "op").read(rest, args)
+        args.command = f"{group} {op}"
+        args.func, flags = COMMANDS[args.command]
+        _Level(f"fanocalc {args.command}", flags).read(rest, args)
+        return args
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser and one parser per group; the op parsers of a
-    group and the flags of an op are added when argparse selects them."""
-    parser = _Parser(
-        prog="fanocalc",
-        description="Exact Schubert calculus, Chern classes and Fano morphism bounds.",
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--db", help="path to an alternative classification table")
-    groups = parser.add_subparsers(
-        dest="group", required=True, action=_SelectedSubParsers, fill=_add_ops
-    )
-    for group, summary in GROUPS.items():
-        groups.add_parser(group, help=summary)
-    return parser
+def build_parser() -> _Parser:
+    """The command-line parser; it reads only the table row of the command it parses."""
+    return _Parser()
 
 
-_PRIVATE_ARGS = {"func", "command", "group", "op", "json", "db"}
+_PRIVATE_ARGS = {"func", "command", "json", "db"}
 
 
 def run(argv: list[str]) -> CommandResult:
@@ -669,12 +746,12 @@ def main(argv: list[str] | None = None) -> int:
         result = run(argv)
     except UsageError as exc:
         if use_json:
-            # The prog of a subparser is "fanocalc group op": report the group and op reached.
-            command = exc.parser.prog.partition(" ")[2]
+            # The prog of an op is "fanocalc group op": report the group and op reached.
+            command = exc.prog.partition(" ")[2]
             print(CommandResult(command, "error", message=exc.message).to_json())
         else:
-            exc.parser.print_usage(sys.stderr)
-            print(f"{exc.parser.prog}: error: {exc.message}", file=sys.stderr)
+            exc.print_usage(sys.stderr)
+            print(f"{exc.prog}: error: {exc.message}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

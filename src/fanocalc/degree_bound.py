@@ -23,8 +23,7 @@ infinitesimal Noether-Lefschetz theorem on the quadric.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt
 
 from . import _Record, wps
 from .fano_db import (
@@ -202,12 +201,12 @@ def ramification_feasibility(rY: int, k: int, X: SourceInvariants) -> Ramificati
         raise ValueError("target index must be 1 or 2")
     if k < 1:
         raise ValueError("the surface multiple k must be positive")
-    slope = Fraction(k, 2) - rY
+    # With slope k/2 - rY = (k - 2 rY)/2 > 0 the bound is m <= 2 kappa / (k - 2 rY).
+    slope = k - 2 * rY
     if slope > 0:
-        bound = Fraction(X.kappa) / slope
-        if bound < 1:
+        if 2 * X.kappa < slope:
             return RamificationVerdict(INFEASIBLE_FOR_ALL_M)
-        return RamificationVerdict(BOUND, floor(bound))
+        return RamificationVerdict(BOUND, (2 * X.kappa) // slope)
     if slope == 0:
         if X.kappa < 0:
             return RamificationVerdict(INFEASIBLE_FOR_ALL_M)

@@ -18,8 +18,6 @@ number.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _Record
 
 
@@ -51,19 +49,27 @@ class ThreefoldIntersectionData(_Record):
     c1c2: int
 
 
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)``.  Only the two evaluators below
+    build a Fraction, so ``fractions`` (which brings ``decimal``) is imported
+    on their first call, which also rebinds this name to the class itself:
+    the degree certificates never load it, and later calls pay no import."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(numerator, denominator)
+
+
 def chi_surface(d: SurfaceIntersectionData) -> Fraction:
-    """``D(D-K)/2 + (K^2 + c2)/12`` as an exact rational."""
-    return Fraction(d.DD - d.DK, 2) + Fraction(d.KK + d.c2, 12)
+    """``D(D-K)/2 + (K^2 + c2)/12`` as an exact rational, over one denominator."""
+    return _fraction(6 * (d.DD - d.DK) + d.KK + d.c2, 12)
 
 
 def chi_threefold(d: ThreefoldIntersectionData) -> Fraction:
-    """``D^3/6 - K.D^2/4 + D.(K^2+c_2)/12 + c_1c_2/24`` as an exact rational."""
-    return (
-        Fraction(d.D3, 6)
-        - Fraction(d.KD2, 4)
-        + Fraction(d.KKD + d.c2D, 12)
-        + Fraction(d.c1c2, 24)
-    )
+    """``D^3/6 - K.D^2/4 + D.(K^2+c_2)/12 + c_1c_2/24`` as an exact rational,
+    over one denominator."""
+    return _fraction(4 * d.D3 - 6 * d.KD2 + 2 * (d.KKD + d.c2D) + d.c1c2, 24)
 
 
 class FanoSurfaceConstants(_Record):

@@ -1,10 +1,26 @@
+import argparse
 import json
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fanocalc
 from fanocalc import schubert
-from fanocalc.cli import MAX_M_VALUES, MAX_POWER_BITS, build_parser, main, parse_schubert_expr, run
+from fanocalc.cli import (
+    COMMANDS,
+    GROUPS,
+    MAX_M_VALUES,
+    MAX_POWER_BITS,
+    TOP_FLAGS,
+    UsageError,
+    build_parser,
+    main,
+    parse_schubert_expr,
+    run,
+)
 from fanocalc.schubert import GrassmannContext, sigma
 
 G25 = GrassmannContext(2, 5)
@@ -233,7 +249,7 @@ def test_feasible_m_scans_the_longest_allowed_range(monkeypatch, capsys):
 
 
 def test_one_parser_parses_twice():
-    # The op parser and its flags are added on the first selection only.
+    # The parser keeps nothing of one parse for the next.
     parser = build_parser()
     for m in (7, 8):
         args = parser.parse_args(["wps", "generated", "1,2,3", "--m", str(m)])
@@ -267,3 +283,168 @@ def test_giambelli_command():
 def test_chern_twist_split_command():
     result = run(["chern", "twist", "--split", "3:0,0", "--t", "2"])
     assert result.result == {"rank": 2, "chern": ["4*h", "4*h^2"]}
+
+
+# -- the parser against argparse ----------------------------------------------------
+
+def test_abbreviated_flags_are_unknown(capsys):
+    # --js once parsed as --json, yet the answer came out as text
+    assert main(["--js", "db", "list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fanocalc: error: unrecognized arguments: --js" in captured.err
+    assert main(["--json", "bound", "E", "--tar", "A2"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["command"], doc["status"]) == ("bound E", "error")
+
+
+def test_equals_form_and_negative_values():
+    spaced = run(["bound", "max-m", "--target", "V4-quartic", "--twist", "2", "--h3x", "1",
+                  "--kappa", "-1", "--c2hx", "1", "--c3x", "-3"])
+    joined = run(["bound", "max-m", "--target=V4-quartic", "--twist=2", "--h3x=1",
+                  "--kappa=-1", "--c2hx=1", "--c3x=-3"])
+    assert spaced.status == "ok" and spaced == joined
+    assert run(["wps", "generated", "--m", "7", "--", "1,2,3"]).result is True
+    assert run(["bound", "neg-lines", "--j", "1", "--j", "2"]).inputs["j"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,prog",
+    [
+        ([], "fanocalc"),
+        (["--db"], "fanocalc"),
+        (["bogus"], "fanocalc"),
+        (["schubert"], "fanocalc schubert"),
+        (["schubert", "--bogus", "integrate"], "fanocalc schubert"),
+        (["schubert", "integrate", "--gr", "1,4", "--expr", "s[1]", "--bogus"],
+         "fanocalc schubert integrate"),
+        (["schubert", "integrate", "--gr", "1,4", "--expr=s[1]", "s[2]"],
+         "fanocalc schubert integrate"),
+        (["db", "lookup"], "fanocalc db lookup"),
+        (["chern", "top", "--taut", "1,3", "--integrate=yes"], "fanocalc chern top"),
+    ],
+)
+def test_usage_errors_name_the_level_reached(capsys, argv, prog):
+    with pytest.raises(UsageError) as exc:
+        run(argv)
+    assert (exc.value.code, exc.value.prog) == (2, prog)
+    exc.value.print_usage(sys.stdout)
+    assert capsys.readouterr().out.startswith(f"usage: {prog} [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv,prog",
+    [(["-h"], "fanocalc"), (["--json", "--help"], "fanocalc"), (["bound", "-h"], "fanocalc bound")],
+)
+def test_help_at_the_top_and_group_levels(capsys, argv, prog):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {prog} [-h]")
+    assert "show this help message and exit" in out
+    assert ("machine-readable output" in out) == (prog == "fanocalc")
+
+
+class _ReferenceError(Exception):
+    pass
+
+
+class _Reference(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ReferenceError(self.prog, message)
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """argparse, built eagerly from the same table rows, with exact flag names only."""
+    top = _Reference(prog="fanocalc", allow_abbrev=False)
+    for names, kwargs in TOP_FLAGS:
+        top.add_argument(*names, **kwargs)
+    groups = top.add_subparsers(dest="group", required=True)
+    ops = {g: groups.add_parser(g, allow_abbrev=False).add_subparsers(dest="op", required=True)
+           for g in GROUPS}
+    for command, (_handler, flags) in COMMANDS.items():
+        group, _, op = command.partition(" ")
+        parser = ops[group].add_parser(op, allow_abbrev=False)
+        parser.set_defaults(command=command)
+        for flag in flags:
+            target = parser.add_mutually_exclusive_group() if isinstance(flag, list) else parser
+            for names, kwargs in flag if isinstance(flag, list) else [flag]:
+                target.add_argument(*names, **kwargs)
+    return top
+
+
+REFERENCE = _reference_parser()
+# Values a flag or a positional may get: ints, negative ints, non-ints, flag-like words.
+VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1,4", "s[1]^2", "3:1,2", "V4-quartic", "x", "1.5", "", "-a b", "a=b", "-x"]),
+)
+
+
+def _times(draw, required: bool) -> int:
+    """How often a flag is given: a required one is rarely missing, an optional
+    one often; a few come twice, and the last of them counts."""
+    return draw(st.sampled_from([0] + [1] * 8 + [2] if required else [0, 0, 0, 1, 1, 2]))
+
+
+@st.composite
+def _argvs(draw, command):
+    """An argv for ``command``: its flags in random order and form, some of them
+    repeated, missing or (two of an exclusive list) clashing, maybe an unknown
+    flag, and maybe one positional too few or too many."""
+    chunks, positionals = [], []
+    for flag in COMMANDS[command][1]:
+        for names, kwargs in flag if isinstance(flag, list) else [flag]:
+            if not names[0].startswith("-"):
+                positionals.append(draw(VALUES))
+                continue
+            for _ in range(_times(draw, kwargs.get("required"))):
+                if "action" in kwargs:
+                    chunks.append([names[0]])
+                elif draw(st.booleans()):
+                    chunks.append([names[0], draw(VALUES)])
+                else:
+                    chunks.append([f"{names[0]}={draw(VALUES)}"])
+    if draw(st.integers(0, 9)) == 0:
+        chunks.append(["--bogus"])
+    if positionals and draw(st.integers(0, 9)) == 0:
+        positionals.pop()
+    if draw(st.integers(0, 9)) == 0:
+        positionals.append("extra")
+    chunks = draw(st.permutations(chunks))
+    for word in positionals:  # a positional may stand between any two flags
+        chunks.insert(draw(st.integers(0, len(chunks))), [word])
+    if positionals and draw(st.booleans()):  # or come last, after "--"
+        chunks.remove([positionals[-1]])
+        chunks.append(["--", positionals[-1]])
+    head = draw(st.sampled_from([[], ["--json"], ["--db", "t.tsv"], ["--json", "--db=t.tsv"]]))
+    return [*head, *command.split(" "), *sum(chunks, [])]
+
+
+def _no_handler(args):
+    return None, []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@given(data=st.data())
+def test_parser_agrees_with_argparse(command, data):
+    """Either both parse, to the same namespace and the same ``inputs``, or both
+    refuse at the same level.  argparse reports an unknown flag or an extra
+    positional at the top (``fanocalc``); this parser at the op that met it."""
+    argv = data.draw(_argvs(command))
+    try:
+        expected = vars(REFERENCE.parse_args(argv))
+    except _ReferenceError as exc:
+        prog, message = exc.args
+        with pytest.raises(UsageError) as refused:
+            run(argv)
+        if not message.startswith("unrecognized arguments"):
+            assert refused.value.prog == prog
+        return
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed.pop("func") is COMMANDS[command][0]
+    del expected["group"], expected["op"]
+    assert parsed == expected
+    with mock.patch.dict(COMMANDS, {command: (_no_handler, COMMANDS[command][1])}):
+        result = run(argv)
+    inputs = {k: v for k, v in expected.items() if k not in ("command", "json", "db")}
+    assert (result.status, result.command, result.inputs) == ("ok", command, inputs)

@@ -3,9 +3,9 @@
 Every command of ``CORPUS`` runs through ``main`` twice, in text mode and
 with ``--json``; standard output, standard error and the exit code must
 equal the row recorded in ``tests/golden/cli.json``.  Usage errors and
-``--help`` pin only the exit code (argparse's wording differs between
-Python versions), plus, under ``--json``, the ``command`` and ``status`` of
-the error document.  Regenerate the file after an intended change with
+``--help`` pin only the exit code (the parser's own wording of a message or
+a help text may change without changing the command line), plus, under
+``--json``, the ``command`` and ``status`` of the error document.  Regenerate the file after an intended change with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -259,7 +259,7 @@ def test_every_subcommand_has_a_corpus_entry():
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_subcommand_parser_builds(capsys, command):
-    # Op parsers and their flags are built only when selected: build each one.
+    # Every op prints its own usage and flags.
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([*command.split(" "), "--help"])
     assert exc.value.code == 0

@@ -98,8 +98,12 @@ def test_neg_lines_loads_no_library_module():
 
 # No command needs these: the records need no ``dataclasses`` (which brings
 # ``inspect``, ``ast``, ``dis`` and ``tokenize``), the annotations no
-# ``typing``, and the table's file name no ``pathlib``.
-NEVER_LOADED = {"dataclasses", "inspect", "typing", "pathlib"}
+# ``typing``, the table's file name no ``pathlib``, and the command line,
+# read straight from the command table, no ``argparse`` (which brings
+# ``gettext``, ``locale`` and ``shutil``).
+NEVER_LOADED = {
+    "dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext", "locale", "shutil",
+}
 
 
 @pytest.mark.parametrize(
@@ -115,6 +119,29 @@ def test_commands_load_no_dataclasses_inspect_typing_or_pathlib(argv):
     modules, printed = _modules_after(_main(argv), "-S")
     assert json.loads(printed)["status"] == "ok"
     assert not modules & NEVER_LOADED
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--json", "bound", "E", "--target", "V4-quartic", "--twist", "2"),
+        ("--json", "bound", "quadric", "--h3x", "2", "--kappa", "-1"),
+    ],
+)
+def test_certificates_load_no_fractions(argv):
+    # Only the Riemann-Roch evaluators build a Fraction (``fractions`` brings ``decimal``).
+    modules, printed = _modules_after(_main(argv), "-S")
+    assert json.loads(printed)["status"] == "ok"
+    assert not modules & {"fractions", "decimal", "_decimal"}
+    loaded, _ = _loaded_after(_main(argv))
+    assert "fractions" not in loaded and "fanocalc.degree_bound" in loaded
+
+
+def test_chi3_loads_fractions():
+    loaded, doc = _cli("--json", "rr", "chi3", "--d3", "4", "--kd2", "-4", "--kkd", "4",
+                       "--c2d", "24", "--c1c2", "24")
+    assert doc["result"] == {"chi": "5", "integral": True}
+    assert "fractions" in loaded
 
 
 def test_lazy_imports_show_under_importtime():

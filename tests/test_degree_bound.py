@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -266,6 +268,30 @@ def test_feasibility_matches_direct_inequality(rY, k, kappa):
     else:
         # no upper bound: large multipliers stay feasible
         assert 59 in feasible
+
+
+def _rational_verdict(rY, k, kappa):
+    """The verdict of ``kappa >= m (k/2 - rY)`` computed in rationals."""
+    slope = Fraction(k, 2) - rY
+    if slope > 0:
+        bound = Fraction(kappa) / slope
+        return (INFEASIBLE_FOR_ALL_M, None) if bound < 1 else (BOUND, math.floor(bound))
+    if slope == 0 and kappa < 0:
+        return (INFEASIBLE_FOR_ALL_M, None)
+    return (ALWAYS_OK, None)
+
+
+def test_ramification_verdicts_match_the_rational_reference():
+    # every case of the ranges above, so each boundary 2 kappa = m (k - 2 rY) is met
+    for rY, k, kappa in itertools.product((1, 2), range(1, 13), range(-4, 9)):
+        verdict = ramification_feasibility(rY, k, SourceInvariants(1, kappa, 0, 0))
+        assert (verdict.kind, verdict.bound) == _rational_verdict(rY, k, kappa)
+
+
+@given(st.integers(1, 2), st.integers(1, 10**6), st.integers(-4, 10**6))
+def test_large_ramification_verdicts_match_the_rational_reference(rY, k, kappa):
+    verdict = ramification_feasibility(rY, k, SourceInvariants(1, kappa, 0, 0))
+    assert (verdict.kind, verdict.bound) == _rational_verdict(rY, k, kappa)
 
 
 @given(st.integers(1, 2), st.integers(1, 12), st.integers(-4, 8))

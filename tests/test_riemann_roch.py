@@ -63,6 +63,24 @@ def test_chi_surface_integral_under_parity_and_noether(dd, dk, kk, c2_raw):
     assert value.denominator == 1
 
 
+BIG = st.integers(-10**6, 10**6)
+
+
+@given(BIG, BIG, BIG, BIG)
+def test_chi_surface_is_the_two_term_sum(dd, dk, kk, c2):
+    value = chi_surface(SurfaceIntersectionData(dd, dk, kk, c2))
+    assert type(value) is Fraction
+    assert value == Fraction(dd - dk, 2) + Fraction(kk + c2, 12)
+
+
+@given(BIG, BIG, BIG, BIG, BIG)
+def test_chi_threefold_is_the_four_term_sum(d3, kd2, kkd, c2d, c1c2):
+    value = chi_threefold(ThreefoldIntersectionData(d3, kd2, kkd, c2d, c1c2))
+    assert type(value) is Fraction
+    expected = Fraction(d3, 6) - Fraction(kd2, 4) + Fraction(kkd + c2d, 12) + Fraction(c1c2, 24)
+    assert value == expected
+
+
 def test_noether_surface_constants():
     constants = noether_surface_fano()
     assert constants.K2 == 9
