@@ -21,8 +21,9 @@ and ``_plain`` recognizes result types only from modules already loaded.
 ``--json`` switches the output to a single-line machine-readable document
 with fields ``{command, status, inputs, result, provenance}``, or
 ``{command, status, message}`` on an error; usage errors print such a
-document too.  Exit codes: 0 on success, 1 on a domain error, 2 on a usage
-error.
+document too.  ``--json`` and ``--db`` count only before GROUP; after it
+they are words like any other.  Exit codes: 0 on success, 1 on a domain
+error, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -243,8 +244,10 @@ def _parse_gr(text: str) -> fc.GrassmannContext:
     return fc.GrassmannContext.from_projective(a, b)
 
 
-def _expr(args, text: str) -> fc.ChowElement:
-    return parse_schubert_expr(_parse_gr(args.gr), text)
+def _exprs(args, *texts: str) -> list[fc.ChowElement]:
+    """Each expression in the one Grassmannian that ``--gr`` names."""
+    ctx = _parse_gr(args.gr)
+    return [parse_schubert_expr(ctx, text) for text in texts]
 
 
 def _weights(args) -> fc.WeightVector:
@@ -282,9 +285,10 @@ def _db(args) -> fc.FanoDatabase:
     return fc.default_database()
 
 
-def _twist(args, Y: fc.FanoRecord) -> int:
-    """``--twist``, defaulting to the cotangent twist of the target."""
-    return args.twist if args.twist is not None else fc.cotangent_twist(Y)
+def _target(args, db: fc.FanoDatabase | None = None) -> tuple[fc.FanoRecord, int]:
+    """The ``--target`` record and ``--twist``, by default the record's cotangent twist."""
+    Y = (_db(args) if db is None else db).lookup(args.target)
+    return Y, fc.cotangent_twist(Y) if args.twist is None else args.twist
 
 
 def _source_from_args(args, db) -> fc.SourceInvariants:
@@ -343,8 +347,7 @@ def _normal_bundles(args):
 
 
 def _bound_E(args):
-    Y = _db(args).lookup(args.target)
-    twist = _twist(args, Y)
+    Y, twist = _target(args)
     return {
         "E": fc.E_value(Y, twist),
         "twist": twist,
@@ -352,17 +355,10 @@ def _bound_E(args):
     }, ["twisted-cotangent-degree-criterion"]
 
 
-def _bound_verdict(args):
-    Y = _db(args).lookup(args.target)
-    verdict = fc.boundedness_verdict(Y, _twist(args, Y))
-    return verdict, ["twisted-cotangent-degree-criterion"]
-
-
 def _max_m(args):
     db = _db(args)
-    Y = db.lookup(args.target)
-    X = _source_from_args(args, db)
-    twist = _twist(args, Y)
+    X = _source_from_args(args, db)  # a faulty source is reported before the twist
+    Y, twist = _target(args, db)
     return {"m_max": fc.max_multiplier(X, Y, twist), "twist": twist}, [
         "twisted-cotangent-degree-criterion",
         "exact-integer-search",
@@ -463,14 +459,14 @@ GROUPS = {
 # Each row: "group op": (handler, flags); see the module docstring.
 COMMANDS = {
     "schubert mul": (
-        lambda a: (fc.multiply(_expr(a, a.lhs), _expr(a, a.rhs)),
+        lambda a: (fc.multiply(*_exprs(a, a.lhs, a.rhs)),
                    ["pieri-rule", "giambelli-determinant"]),
         (GR, _arg("--lhs", required=True), _arg("--rhs", required=True))),
     "schubert pieri": (
-        lambda a: (fc.pieri(_expr(a, a.expr), a.a), ["pieri-rule"]),
+        lambda a: (fc.pieri(*_exprs(a, a.expr), a.a), ["pieri-rule"]),
         (GR, _arg("--expr", required=True), _int("--a", help="single-row class index"))),
     "schubert integrate": (
-        lambda a: (fc.integrate(_expr(a, a.expr)),
+        lambda a: (fc.integrate(*_exprs(a, a.expr)),
                    ["pieri-rule", "giambelli-determinant", "schubert-degree-pairing"]),
         (GR, _arg("--expr", required=True))),
     "schubert giambelli": (
@@ -536,7 +532,9 @@ COMMANDS = {
         (_int("--n", help="ambient projective dimension"),
          _int("--d", help="hypersurface degree"))),
     "bound E": (_bound_E, TARGET),
-    "bound verdict": (_bound_verdict, TARGET),
+    "bound verdict": (
+        lambda a: (fc.boundedness_verdict(*_target(a)), ["twisted-cotangent-degree-criterion"]),
+        TARGET),
     "bound max-m": (_max_m, (
         *TARGET,
         _arg("--source", help="read source invariants from a classified family"),
@@ -695,8 +693,8 @@ class _Parser:
     """``fanocalc [--json] [--db PATH] [-h] GROUP OP [ARGS]``, read level by
     level from ``GROUPS`` and ``COMMANDS``; it keeps no state between parses."""
 
-    def parse_args(self, argv: list[str]) -> SimpleNamespace:
-        args = SimpleNamespace()
+    def parse_args(self, argv: list[str], args: SimpleNamespace | None = None) -> SimpleNamespace:
+        args = SimpleNamespace() if args is None else args
         group, rest = _Level("fanocalc", TOP_FLAGS, GROUPS, "group").read(argv, args)
         ops = {c.partition(" ")[2]: "" for c in COMMANDS if c.partition(" ")[0] == group}
         op, rest = _Level(f"fanocalc {group}", (), ops, "op").read(rest, args)
@@ -714,17 +712,16 @@ def build_parser() -> _Parser:
 _PRIVATE_ARGS = {"func", "command", "json", "db"}
 
 
-def run(argv: list[str]) -> CommandResult:
-    """Execute one command; usage errors raise ``UsageError``, a ``SystemExit(2)``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(argv: list[str], args: SimpleNamespace | None = None) -> CommandResult:
+    """Execute one command; usage errors raise ``UsageError``, a ``SystemExit(2)``.
+    The parse fills ``args`` if given; ``main`` reads ``--json`` there, also on a usage error."""
+    args = build_parser().parse_args(argv, args)
     inputs = {k: v for k, v in vars(args).items() if k not in _PRIVATE_ARGS}
     try:
         result, provenance = args.func(args)
-    except OSError as exc:  # an unreadable --db table
-        return CommandResult(command=args.command, status="error", message=str(exc))
-    except (ValueError, KeyError, RuntimeError, ZeroDivisionError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+    except (OSError, ValueError, KeyError, RuntimeError, ZeroDivisionError) as exc:
+        # An OSError (an unreadable --db table) names its file only in its str.
+        message = exc if isinstance(exc, OSError) or not exc.args else exc.args[0]
         return CommandResult(command=args.command, status="error", message=str(message))
     return CommandResult(
         command=args.command,
@@ -741,11 +738,11 @@ def main(argv: list[str] | None = None) -> int:
     # (Python 3.10.7+), which would otherwise fail on results over 4300 digits.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    use_json = "--json" in argv
+    args = SimpleNamespace()  # the top level sets --json before it can refuse a word
     try:
-        result = run(argv)
+        result = run(argv, args)
     except UsageError as exc:
-        if use_json:
+        if args.json:
             # The prog of an op is "fanocalc group op": report the group and op reached.
             command = exc.prog.partition(" ")[2]
             print(CommandResult(command, "error", message=exc.message).to_json())
@@ -755,7 +752,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if use_json:
+    if args.json:
         print(result.to_json())
     elif result.status == "ok":
         print(_render(result.result))

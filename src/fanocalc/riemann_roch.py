@@ -123,8 +123,6 @@ def derive_fano_invariants(r: int, H3: int, b3: int) -> FanoNumericalInvariants:
         raise ValueError("degree H^3 must be positive")
     if b3 < 0 or b3 % 2:
         raise ValueError("b3 must be a nonnegative even integer")
-    if 24 % r:
-        raise ValueError(f"index {r} does not divide 24")
     genus = None
     if r == 1:
         if H3 % 2:

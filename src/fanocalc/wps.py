@@ -279,38 +279,24 @@ def double_cover_model(base: str, k: int) -> HypersurfaceModel:
     name = base.strip().lower()
     if name.startswith("projective-space-"):
         name = "p" + name[len("projective-space-") :]
-    if name.startswith("p") and name[1:].isdigit():
-        n = int(name[1:])
+    n = int(name[1:]) if name.startswith("p") and name[1:].isdigit() else None
+    if n is not None:
         if n < 1:
             raise ValueError("projective base must have positive dimension")
-        ambient = WeightVector((1,) * (n + 1) + (k,))
-        return HypersurfaceModel(
-            ambient=ambient,
-            degree=2 * k,
-            description=(
-                f"y^2 = f(x_0..x_{n}) of weighted degree {2 * k} in {ambient}: "
-                f"double cover of P^{n} branched along a degree-{2 * k} hypersurface"
-            ),
-        )
-    if name == "veronese-cone":
-        ambient = WeightVector((1, 1, 1, 2, k))
-        return HypersurfaceModel(
-            ambient=ambient,
-            degree=2 * k,
-            description=(
-                f"z^2 = g(x_0,x_1,x_2,y) of weighted degree {2 * k} in {ambient}: "
-                "double cover of the cone over the Veronese surface"
-            ),
-        )
-    if name == "quadric-4":
-        ambient = WeightVector((1, 1, 1, 1, 1, k))
-        return HypersurfaceModel(
-            ambient=ambient,
-            degree=2 * k,
-            description=(
-                f"complete intersection of type (2,{2 * k}) in {ambient}: "
-                "a quadric through the singular point and y^2 = a degree-"
-                f"{2 * k} section missing it"
-            ),
-        )
-    raise ValueError(f"unknown double-cover base {base!r}")
+        prefix = (1,) * (n + 1)
+        template = ("y^2 = f(x_0..x_{n}) of weighted degree {d} in {ambient}: "
+                    "double cover of P^{n} branched along a degree-{d} hypersurface")
+    elif name == "veronese-cone":
+        prefix = (1, 1, 1, 2)
+        template = ("z^2 = g(x_0,x_1,x_2,y) of weighted degree {d} in {ambient}: "
+                    "double cover of the cone over the Veronese surface")
+    elif name == "quadric-4":
+        prefix = (1, 1, 1, 1, 1)
+        template = ("complete intersection of type (2,{d}) in {ambient}: a quadric through "
+                    "the singular point and y^2 = a degree-{d} section missing it")
+    else:
+        raise ValueError(f"unknown double-cover base {base!r}")
+    ambient = WeightVector(prefix + (k,))
+    return HypersurfaceModel(
+        ambient=ambient, degree=2 * k, description=template.format(n=n, d=2 * k, ambient=ambient)
+    )

@@ -522,6 +522,20 @@ def test_top_chern_degree():
     assert top_chern(b) == chern_class(b, 3)  # truncation caps the degree
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: FormalBundle(P3, -1, ()), "rank must be nonnegative"),
+        (lambda: sym_power(trivial_bundle(P3, 0), 2), "symmetric power needs positive rank"),
+        (lambda: ext_power(line_bundle(P3, H), 0), "power must be a positive integer"),
+    ],
+    ids=["negative-rank", "sym-of-rank-0", "ext-power-0"],
+)
+def test_bundle_constructions_refuse(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_bundle_validation():
     with pytest.raises(ValueError):
         FormalBundle(P3, 1, (H, H**2))  # more classes than rank

@@ -82,6 +82,11 @@ def test_expr_rejects_garbage():
         parse_schubert_expr(G25, "s[1]^")
 
 
+def test_expr_names_an_unexpected_token():
+    with pytest.raises(ValueError, match="unexpected token '\\+'"):
+        parse_schubert_expr(G25, "+ s[1]")
+
+
 # -- command execution ------------------------------------------------------------
 
 def test_schubert_integrate_command():
@@ -201,6 +206,7 @@ def test_usage_error_exit_code(capsys):
         (["schubert", "integrate", "--gr", "1,4"], "schubert integrate"),
         (["schubert", "unknown-op"], "schubert"),
         ([], ""),
+        (["db", "list", "--bogus"], "db list"),
     ],
 )
 def test_usage_error_json_document(capsys, argv, command):
@@ -212,6 +218,22 @@ def test_usage_error_json_document(capsys, argv, command):
     assert doc["status"] == "error"
     assert set(doc) == {"command", "status", "message"}
     assert doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["db", "lookup", "--", "--json"], 1, "error: unknown Fano family '--json'"),
+        (["db", "list", "--json"], 2, "fanocalc db list: error: unrecognized arguments: --json"),
+    ],
+    ids=["value-after-dashes", "flag-after-op"],
+)
+def test_json_counts_only_before_the_group(capsys, argv, code, err):
+    # after the group, --json is a value or an unknown flag: the answer stays text
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert err in captured.err
 
 
 def test_usage_error_text_mode_keeps_argparse_output(capsys):
@@ -273,6 +295,24 @@ def test_db_override_path(tmp_path, capsys):
 def test_schubert_mul_command():
     result = run(["schubert", "mul", "--gr", "1,4", "--lhs", "s[1]", "--rhs", "s[1]"])
     assert result.result["terms"] == {"1,1": 1, "2": 1}
+
+
+def test_schubert_mul_reads_gr_once(monkeypatch):
+    # both factors live in the one ring object that --gr names
+    same_ring = []
+    monkeypatch.setattr(fanocalc, "multiply", lambda x, y: same_ring.append(x.ring is y.ring) or x)
+    assert run(["schubert", "mul", "--gr", "1,4", "--lhs", "s[1]", "--rhs", "s[2]"]).status == "ok"
+    assert same_ring == [True]
+
+
+def test_max_m_reports_the_source_before_the_twist(tmp_path):
+    # A1 here is not very ample and has no ambient model, so its twist cannot default
+    table = tmp_path / "a1.tsv"
+    table.write_text("A1\t2\t1\t-\t-\tfalse\t3\t-\tno ambient\n", encoding="utf-8")
+    argv = ["--db", str(table), "bound", "max-m", "--target", "A1"]
+    assert run([*argv, "--h3x", "1"]).message.startswith("source invariants incomplete")
+    full = run([*argv, "--h3x", "1", "--kappa", "-1", "--c2hx", "1", "--c3x", "1"])
+    assert full.message == "A1: not very ample and no weighted ambient model recorded"
 
 
 def test_giambelli_command():

@@ -227,6 +227,20 @@ def test_degree_from_multiplier():
         degree_from_multiplier(0, 4, 4)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: degree_from_multiplier(1, 0, 4), "degrees must be positive"),
+        (lambda: degree_from_multiplier(2, 4, -1), "degrees must be positive"),
+        (lambda: feasibility_witnesses(1, 1, True, 0), "multiplier must be at least 1"),
+    ],
+    ids=["source-degree-0", "negative-target-degree", "witnesses-for-m-0"],
+)
+def test_multiplier_arithmetic_refuses(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- ramification feasibility ----------------------------------------------------------
 
 def test_positive_slope_bound():

@@ -132,6 +132,38 @@ def test_validate_flags_very_ample_mismatch():
     assert any("very ample" in v for v in validate(record))
 
 
+@pytest.mark.parametrize(
+    "record,violation",
+    [
+        (FanoRecord("X5", 5, 1, None, None, True, 4), "index 5 outside 1..4"),
+        (FanoRecord("P4", 4, 1, None, None, True, 4), "index 4 forces P3 with H^3 = 1"),
+        (FanoRecord("A6", 2, 6, None, None, True, 8), "index-2 degree 6 outside 1..5"),
+        (FanoRecord("V4", 1, 4, 4, None, True, 6), "genus 4 inconsistent with H^3 = 2g - 2"),
+        (FanoRecord("V4", 1, 4, 3, None, True, 6), "index 1 needs h0(H) = g + 2, got 6"),
+        (FanoRecord("A3", 2, 3, 3, None, True, 5), "genus is only defined for index-1 records"),
+    ],
+    ids=["index-5", "index-4-not-P3", "index-2-degree-6", "genus-vs-degree", "index-1-h0",
+         "genus-in-index-2"],
+)
+def test_validate_names_the_violation(record, violation):
+    assert validate(record) == [violation]
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("Q3\t3\t2\t-\t0\ttrue\t5\tlines\tquadric", "malformed facts entry 'lines'"),
+        ("Q3\t3\t2\t-\t0\ttrue\t5\t-", "line 1: expected 9 tab-separated columns, got 8"),
+        ("Q3\t3\t2\t-\t0\tyes\t5\t-\tquadric", "line 1: very_ample must be true/false, got 'yes'"),
+    ],
+    ids=["facts-entry", "column-count", "very-ample-word"],
+)
+def test_parse_table_refuses_a_malformed_line(line, message):
+    with pytest.raises(ValueError) as exc:
+        parse_table(line + "\n")
+    assert exc.value.args == (message,)
+
+
 def test_shipped_a3_validates():
     assert validate(lookup("A3")) == []
 

@@ -123,6 +123,26 @@ def test_integral_uses_declared_intersection_number():
         line_ring(3).integral(h_ring.one())
 
 
+def _integral_on_two_generators():
+    ring = TruncatedPolynomialRing(("a", "b"), (1, 1), 2, top_integral=1)
+    return ring.integral(ring.gen() ** 2)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: TruncatedPolynomialRing(("a", "b"), (1,), 3), "one degree per variable required"),
+        (lambda: TruncatedPolynomialRing(("a",), (0,), 3), "generator degrees must be positive"),
+        (lambda: TruncatedPolynomialRing(("a",), (1,), -1), "truncation degree must be"),
+        (_integral_on_two_generators, "integral only supported on a single degree-1 generator"),
+    ],
+    ids=["degree-count", "degree-0", "negative-truncation", "integral-on-two-generators"],
+)
+def test_ring_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_foreign_elements_rejected():
     other = line_ring(5)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import fanocalc
 from fanocalc.wps import (
+    SingularStratum,
     WeightVector,
     _minimal_unit_supports,
     canonical_degree,
@@ -297,6 +298,20 @@ def test_lmin_matches_brute_force_on_drawn_weights(weights):
     expected = cotangent_twist_brute(weights, lmax=100)
     assert expected is not None
     assert cotangent_twist_lmin(WeightVector(weights)) == expected
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: SingularStratum(1, (0, 1)), "stratum order must exceed 1"),
+        (lambda: SingularStratum(2, ()), "stratum must support at least one coordinate"),
+        (lambda: cotangent_twist_lmin((1, 1)), "need at least three weights"),
+    ],
+    ids=["stratum-order-1", "stratum-without-coordinates", "lmin-of-two-weights"],
+)
+def test_wps_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_lmin_needs_enough_weights():
