@@ -55,6 +55,15 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
 
+def _ints(text: str, source: str, sep: str = ",") -> tuple[int, ...]:
+    """The integers of a ``sep``-separated input text, ``()`` if it is blank, each entry
+    read by ``int()``; a malformed entry raises a ``ValueError`` naming ``source``."""
+    try:
+        return tuple(int(entry) for entry in text.split(sep)) if text.strip() else ()
+    except ValueError:
+        raise ValueError(f"{source} expects integers, got {text!r}") from None
+
+
 class _Record:
     """Base of the package's immutable records, in place of a frozen dataclass:
     importing ``dataclasses`` (with ``inspect``) and decorating each class

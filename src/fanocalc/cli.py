@@ -112,9 +112,7 @@ def parse_schubert_expr(ctx: fc.GrassmannContext, text: str) -> fc.ChowElement:
             return int(tok)
         if tok.startswith("s["):
             take()
-            inner = tok[2:-1].strip()
-            parts = [int(x) for x in inner.split(",")] if inner else []
-            return fc.sigma(ctx, *parts)
+            return fc.sigma(ctx, *fc._ints(tok[2:-1], tok))
         raise ValueError(f"unexpected token {tok!r}")
 
     def parse_factor() -> fc.ChowElement | int:
@@ -236,12 +234,11 @@ def _render(value, indent: str = "") -> str:
 
 # -- argument helpers --------------------------------------------------------
 
-def _parse_gr(text: str) -> fc.GrassmannContext:
-    try:
-        a, b = (int(x) for x in text.split(","))
-    except Exception:
-        raise ValueError(f"--gr expects 'a,b' (projective convention), got {text!r}")
-    return fc.GrassmannContext.from_projective(a, b)
+def _parse_gr(text: str, flag: str = "--gr") -> fc.GrassmannContext:
+    ab = fc._ints(text, flag)
+    if len(ab) != 2:
+        raise ValueError(f"{flag} expects 'a,b' (projective convention), got {text!r}")
+    return fc.GrassmannContext.from_projective(*ab)
 
 
 def _exprs(args, *texts: str) -> list[fc.ChowElement]:
@@ -251,29 +248,22 @@ def _exprs(args, *texts: str) -> list[fc.ChowElement]:
 
 
 def _weights(args) -> fc.WeightVector:
-    return fc.WeightVector(tuple(int(x) for x in args.weights.split(",")))
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(","))
+    return fc.WeightVector(fc._ints(args.weights, "weights"))
 
 
 def _bundle(args) -> fc.FormalBundle:
     if args.taut and args.split:
         raise ValueError("give exactly one of --taut and --split")
     if args.taut:
-        return fc.tautological_dual(_parse_gr(args.taut))
+        return fc.tautological_dual(_parse_gr(args.taut, "--taut"))
     if args.split:
-        head, _, tail = args.split.partition(":")
-        if not _:
+        head, colon, tail = args.split.partition(":")
+        if not colon or len(dim := fc._ints(head, "--split dimension")) != 1:
             raise ValueError("--split expects 'dim:a1,a2,...'")
-        ring = fc.line_ring(int(head), top_integral=1)
+        ring = fc.line_ring(dim[0], top_integral=1)
         h = ring.gen()
         bundle = fc.FormalBundle(ring, 0, ())
-        for a in _parse_ints(tail):
+        for a in fc._ints(tail, "--split parts"):
             bundle = fc.whitney_sum(bundle, fc.line_bundle(ring, a * h))
         return bundle
     raise ValueError("a bundle is required: --taut a,b or --split dim:a1,a2,...")
@@ -470,7 +460,7 @@ COMMANDS = {
                    ["pieri-rule", "giambelli-determinant", "schubert-degree-pairing"]),
         (GR, _arg("--expr", required=True))),
     "schubert giambelli": (
-        lambda a: (fc.giambelli(_parse_gr(a.gr), _parse_ints(a.partition)),
+        lambda a: (fc.giambelli(_parse_gr(a.gr), fc._ints(a.partition, "--partition")),
                    ["giambelli-determinant", "pieri-rule"]),
         (GR, _arg("--partition", required=True, help="comma-separated parts"))),
     "chern sym": (
@@ -719,7 +709,7 @@ def run(argv: list[str], args: SimpleNamespace | None = None) -> CommandResult:
     inputs = {k: v for k, v in vars(args).items() if k not in _PRIVATE_ARGS}
     try:
         result, provenance = args.func(args)
-    except (OSError, ValueError, KeyError, RuntimeError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError, ArithmeticError) as exc:
         # An OSError (an unreadable --db table) names its file only in its str.
         message = exc if isinstance(exc, OSError) or not exc.args else exc.args[0]
         return CommandResult(command=args.command, status="error", message=str(message))

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from . import _Record
+from . import _Record, _ints
 from .wps import WeightVector
 
 FAMILY_NAMES = (
@@ -42,7 +42,7 @@ FAMILY_NAMES = (
 
 
 class FanoRecord(_Record):
-    """One family of the classification."""
+    """One family of the classification; a malformed integer fact refuses it."""
 
     name: str
     index: int
@@ -56,10 +56,11 @@ class FanoRecord(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "facts", MappingProxyType(dict(self.facts)))
+        self.ambient, self.lines_through_general_point, self.special_surface_multiple
 
     def _int_fact(self, key: str) -> int | None:
         value = self.facts.get(key)
-        return int(value) if value is not None else None
+        return None if value is None else _int(value, f"fact {key}")
 
     @property
     def lines_through_general_point(self) -> int | None:
@@ -78,9 +79,15 @@ class FanoRecord(_Record):
     def ambient(self) -> WeightVector | None:
         """Weighted ambient space of the model, for non-very-ample families."""
         value = self.facts.get("ambient")
-        if value is None:
-            return None
-        return WeightVector(tuple(int(x) for x in value.split(":")))
+        return None if value is None else WeightVector(_ints(value, "fact ambient", sep=":"))
+
+
+def _int(text: str, source: str) -> int:
+    """The one integer of a column or a fact, named by ``source`` when malformed."""
+    values = _ints(text, source)
+    if len(values) != 1:
+        raise ValueError(f"{source} expects one integer, got {text!r}")
+    return values[0]
 
 
 def validate(record: FanoRecord) -> list[str]:
@@ -132,35 +139,29 @@ def _parse_facts(text: str) -> dict[str, str]:
     return facts
 
 
-def _parse_optional_int(text: str) -> int | None:
-    return None if text == "-" else int(text)
+def _parse_record(cols: list[str]) -> FanoRecord:
+    if len(cols) != 9:
+        raise ValueError(f"expected 9 tab-separated columns, got {len(cols)}")
+    name, r, h3, genus, b3, va, h0, facts, description = cols
+    if va not in ("true", "false"):
+        raise ValueError(f"very_ample must be true/false, got {va!r}")
+    return FanoRecord(
+        name=name, index=_int(r, "index"), H3=_int(h3, "H3"),
+        genus=None if genus == "-" else _int(genus, "genus"),
+        b3=None if b3 == "-" else _int(b3, "b3"),
+        very_ample=va == "true", h0_H=_int(h0, "h0_H"),
+        facts=_parse_facts(facts), description=description,
+    )
 
 
 def parse_table(text: str) -> list[FanoRecord]:
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 9:
-            raise ValueError(f"line {lineno}: expected 9 tab-separated columns, got {len(cols)}")
-        name, r, h3, genus, b3, va, h0, facts, description = cols
-        if va not in ("true", "false"):
-            raise ValueError(f"line {lineno}: very_ample must be true/false, got {va!r}")
-        records.append(
-            FanoRecord(
-                name=name,
-                index=int(r),
-                H3=int(h3),
-                genus=_parse_optional_int(genus),
-                b3=_parse_optional_int(b3),
-                very_ample=va == "true",
-                h0_H=int(h0),
-                facts=_parse_facts(facts),
-                description=description,
-            )
-        )
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            try:
+                records.append(_parse_record(line.split("\t")))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return records
 
 

@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 
-from . import _Record
+from . import _Record, _ints
 
 
 class WeightVector(_Record):
@@ -279,7 +279,7 @@ def double_cover_model(base: str, k: int) -> HypersurfaceModel:
     name = base.strip().lower()
     if name.startswith("projective-space-"):
         name = "p" + name[len("projective-space-") :]
-    n = int(name[1:]) if name.startswith("p") and name[1:].isdigit() else None
+    n = _ints(name[1:], "base")[0] if name.startswith("p") and name[1:].isdecimal() else None
     if n is not None:
         if n < 1:
             raise ValueError("projective base must have positive dimension")

@@ -195,6 +195,45 @@ def test_domain_error_json_document(capsys):
     assert "NOPE" in doc["message"]
 
 
+# Every input that is a list of integers: the command line, with {} for the
+# list, and the name of the input that the message gives.
+INTEGER_LISTS = {
+    "gr": (["schubert", "integrate", "--gr", "{}", "--expr", "s[1]"], "--gr"),
+    "taut": (["chern", "dual", "--taut", "{}"], "--taut"),
+    "split": (["chern", "dual", "--split", "{}"], "--split"),
+    "split-dimension": (["chern", "dual", "--split", "{}:1"], "--split"),
+    "split-parts": (["chern", "dual", "--split", "3:{}"], "--split parts"),
+    "partition": (["schubert", "giambelli", "--gr", "1,4", "--partition", "{}"], "--partition"),
+    "weights": (["wps", "normalize", "{}"], "weights"),
+    "schubert-atom": (["schubert", "integrate", "--gr", "1,4", "--expr", "s[{}]"], "s[{}]"),
+}
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("text", ["x", "1,,2", ":1"])
+@pytest.mark.parametrize("argv,name", INTEGER_LISTS.values(), ids=INTEGER_LISTS)
+def test_a_malformed_integer_list_names_its_input(capsys, argv, name, text, json_mode):
+    argv = [arg.replace("{}", text) for arg in argv]
+    assert main(["--json", *argv] if json_mode else argv) == 1
+    captured = capsys.readouterr()
+    if json_mode:
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["status"] == "error"
+        message = doc["message"]
+    else:
+        assert captured.out == ""
+        message = captured.err
+    assert name.replace("{}", text) in message
+    assert "int()" not in message
+
+
+def test_a_base_past_the_index_size_is_a_domain_error(capsys):
+    assert main(["--json", "wps", "model", "--base", f"P{2**63 - 1}", "--k", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "wps model" and doc["status"] == "error"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["schubert", "unknown-op"]) == 2
     capsys.readouterr()

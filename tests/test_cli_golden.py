@@ -24,7 +24,11 @@ from fanocalc.cli import COMMANDS, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FILE = GOLDEN / "cli.json"
-TABLES = {"{tiny}": GOLDEN / "tiny.tsv", "{broken}": GOLDEN / "broken.tsv"}
+TABLES = {
+    "{tiny}": GOLDEN / "tiny.tsv",
+    "{broken}": GOLDEN / "broken.tsv",
+    "{bad_fact}": GOLDEN / "bad_fact.tsv",
+}
 
 CORPUS = """
 schubert integrate --gr 1,4 --expr "s[1]^6"
@@ -40,6 +44,7 @@ schubert integrate --gr 1,4 --expr "s[1]^2 +"
 schubert integrate --gr 1,4 --expr "s[1] s[2]"
 schubert integrate --gr 14 --expr "s[1]"
 schubert integrate --gr 4,1 --expr "s[1]"
+schubert integrate --gr 1,4 --expr "s[x]"
 schubert mul --gr 1,4 --lhs "s[1,1]" --rhs "s[2]"
 schubert mul --gr 1,4 --lhs 2 --rhs "s[1] + 1"
 schubert mul --gr 1,4 --lhs 0 --rhs "s[1]"
@@ -58,6 +63,7 @@ chern top --taut 1,4 --ext 2 --integrate
 chern top --taut 1,3
 chern top --split 3:1,1,1 --integrate
 chern top --split 3:1,1 --sym 2 --ext 2
+chern top --split 3:1,,2
 chern sym --taut 1,3 --k 2
 chern sym --split 2:1,2 --k 3
 chern sym --split 3:1,1,1,1,1 --k 2
@@ -96,6 +102,7 @@ wps lmin 1,1,1,1,2
 wps lmin 1,1,1,2,3
 wps lmin 1,2,3,5,7
 wps lmin 2,4
+wps lmin 1,x,3
 wps model --base P3 --k 2
 wps model --base veronese-cone --k 3
 wps model --base quadric-4 --k 2
@@ -103,6 +110,7 @@ wps model --base projective-space-2 --k 3
 wps model --base P0 --k 1
 wps model --base torus --k 1
 wps model --base P3 --k 0
+wps model --base P² --k 2
 wps normalize 1
 wps normalize 0,1
 wps normalize a,b
@@ -124,6 +132,7 @@ db line-family-dim --n 3 --d 5
 --db {tiny} db lookup Q3
 --db {tiny} db lookup P3
 --db {broken} db list
+--db {bad_fact} db validate
 --db /nonexistent db list
 bound E --target V4-quartic --twist 2
 bound E --target A4 --twist 2

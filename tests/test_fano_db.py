@@ -152,11 +152,20 @@ def test_validate_names_the_violation(record, violation):
 @pytest.mark.parametrize(
     "line,message",
     [
-        ("Q3\t3\t2\t-\t0\ttrue\t5\tlines\tquadric", "malformed facts entry 'lines'"),
+        ("Q3\t3\t2\t-\t0\ttrue\t5\tlines\tquadric", "line 1: malformed facts entry 'lines'"),
         ("Q3\t3\t2\t-\t0\ttrue\t5\t-", "line 1: expected 9 tab-separated columns, got 8"),
         ("Q3\t3\t2\t-\t0\tyes\t5\t-\tquadric", "line 1: very_ample must be true/false, got 'yes'"),
+        ("Q3\t3\tx\t-\t0\ttrue\t5\t-\tquadric", "line 1: H3 expects integers, got 'x'"),
+        # a skipped comment line still counts
+        ("# b3\nQ3\t3\t2\t-\t1.5\ttrue\t5\t-\tquadric", "line 2: b3 expects integers, got '1.5'"),
+        ("Q3\t\t2\t-\t0\ttrue\t5\t-\tquadric", "line 1: index expects one integer, got ''"),
+        ("A2\t2\t2\t-\t20\tfalse\t4\tambient=1:1:x\tdouble cover",
+         "line 1: fact ambient expects integers, got '1:1:x'"),
+        ("A5\t2\t5\t-\t-\ttrue\t7\tlines_through_general_point=six\tlinear section",
+         "line 1: fact lines_through_general_point expects integers, got 'six'"),
     ],
-    ids=["facts-entry", "column-count", "very-ample-word"],
+    ids=["facts-entry", "column-count", "very-ample-word", "H3-word", "b3-fraction",
+         "blank-index", "ambient-fact", "lines-fact"],
 )
 def test_parse_table_refuses_a_malformed_line(line, message):
     with pytest.raises(ValueError) as exc:
