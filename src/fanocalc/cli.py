@@ -3,9 +3,9 @@
 Every operation of the library is one row of the command table
 ``COMMANDS``, which maps ``"group op"`` to ``(handler, flags)``.  A handler
 takes the parsed arguments and returns ``(result, provenance)``; the flags
-are ``(names, add_argument keywords)`` pairs, a list of pairs being a
-mutually exclusive group, and flag sets shared by several commands (``GR``,
-``BUNDLE``, ``TARGET``, ``VERY_AMPLE``) are declared once.
+are ``(names, add_argument keywords)`` pairs, and flags shared by several
+commands (``GR``, ``BUNDLE``, ``TARGET``, ``VERY_AMPLE``) are declared once.
+Very-ampleness is the default, so its one flag is ``--not-very-ample``.
 ``run`` passes every result through ``_plain``, the one serializer.
 
 The grammar is ``fanocalc [--json] [--db PATH] [-h] GROUP OP [ARGS]``, read
@@ -68,80 +68,55 @@ class CommandResult(fc._Record):
 # Largest integer power a literal may be raised to, in bits of the result.
 MAX_POWER_BITS = 1 << 16
 
-_TOKEN_RE = re.compile(r"\s*(s\[[^\]]*\]|\d+|[+*^])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens, pos = [], 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse expression at {text[pos:]!r}")
-            break
-        tokens.append(match.group(1))
-        pos = match.end()
-    return tokens
+# A token, or else (second group) the rest of the text from the first place
+# where no token starts, unless that rest is blank.
+_TOKEN_RE = re.compile(r"\s*(s\[[^\]]*\]|\d+|[+*^])|(\s*\S.*)", re.S)
 
 
 def parse_schubert_expr(ctx: fc.GrassmannContext, text: str) -> fc.ChowElement:
-    """Tiny grammar: ``s[l1,l2,...]``, integer literals, ``+``, ``*``, ``^``.
+    """Tiny grammar: ``s[l1,l2,...]``, integer literals, ``+``, ``*``, ``^``
+    (an integer literal exponent, binding left to right: ``2^3^2`` is 64).
 
+    One pass, each token read after the one before it: a text that is not
+    all tokens is refused first, then the value is built left to right.
     Literals, and products and powers of literals, stay Python ints until
     they meet a class, so ``2^20000*s[1]^2`` is one scalar multiple rather
     than 20000 products of multiples of the unit class.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_atom() -> fc.ChowElement | int:
-        tok = peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if tok.isdigit():
-            take()
-            return int(tok)
-        if tok.startswith("s["):
-            take()
-            return fc.sigma(ctx, *fc._ints(tok[2:-1], tok))
-        raise ValueError(f"unexpected token {tok!r}")
-
-    def parse_factor() -> fc.ChowElement | int:
-        atom = parse_atom()
-        while peek() == "^":
-            take()
-            if peek() is None or not peek().isdigit():
+    found = _TOKEN_RE.findall(text)
+    if found and found[-1][1]:
+        raise ValueError(f"cannot parse expression at {found[-1][1]!r}")
+    tokens = [tok for tok, _ in found]
+    total, term, atom = ctx.zero(), 1, None
+    # Each token is read by what precedes it: an atom after "+", "*" or the
+    # start, an exponent after "^", an operator or the end after an operand.
+    for prev, tok in zip(["+", *tokens], [*tokens, None]):
+        if prev in ("+", "*"):
+            if tok is None:
+                raise ValueError("unexpected end of expression")
+            if tok.isdigit():
+                atom = int(tok)
+            elif tok.startswith("s["):
+                atom = fc.sigma(ctx, *fc._ints(tok[2:-1], tok))
+            else:
+                raise ValueError(f"unexpected token {tok!r}")
+        elif prev == "^":
+            if tok is None or not tok.isdigit():
                 raise ValueError("exponent must be an integer literal")
-            exp = int(take())
+            exp = int(tok)
             # base**exp has more than exp*(bit_length(base) - 1) bits
             if isinstance(atom, int) and exp * (atom.bit_length() - 1) >= MAX_POWER_BITS:
                 raise ValueError(f"integer power to the {exp} exceeds {MAX_POWER_BITS} bits")
             atom = atom**exp
-        return atom
-
-    def parse_term() -> fc.ChowElement:
-        node = parse_factor()
-        while peek() == "*":
-            take()
-            node = node * parse_factor()
-        return node * ctx.one() if isinstance(node, int) else node
-
-    node = parse_term()
-    while peek() == "+":
-        take()
-        node = node + parse_term()
-    if peek() is not None:
-        raise ValueError(f"trailing tokens starting at {peek()!r}")
-    return node
+        elif tok != "^":
+            term = term * atom
+            if tok == "*":
+                continue
+            total = total + (term * ctx.one() if isinstance(term, int) else term)
+            term = 1
+            if tok not in ("+", None):
+                raise ValueError(f"trailing tokens starting at {tok!r}")
+    return total
 
 
 # -- serialization ----------------------------------------------------------
@@ -294,13 +269,6 @@ def _source_from_args(args, db) -> fc.SourceInvariants:
     )
 
 
-def _kappa_source(args) -> fc.SourceInvariants:
-    """A source given by ``--h3x`` and ``--kappa`` alone."""
-    return fc.SourceInvariants(
-        H3X=args.h3x, kappa=args.kappa, c2HX=0, c3OmegaX=0
-    )
-
-
 def _chi(value) -> dict:
     return {"chi": value, "integral": value.denominator == 1}
 
@@ -402,7 +370,7 @@ def _lines_cubic(args):
 
 
 def _quadric(args):
-    X = _kappa_source(args)
+    X = fc.SourceInvariants(H3X=args.h3x, kappa=args.kappa, c2HX=0, c3OmegaX=0)
     return {
         "threshold": fc.noether_lefschetz_threshold(args.kappa),
         "m_bound": fc.quadric_multiplier_bound(X),
@@ -430,10 +398,7 @@ TARGET = (
     _arg("--target", required=True),
     _arg("--twist", type=int, help="defaults to the cotangent twist of the target"),
 )
-VERY_AMPLE = [
-    _arg("--very-ample", dest="very_ample", action="store_true", default=True),
-    _arg("--not-very-ample", dest="very_ample", action="store_false"),
-]
+VERY_AMPLE = _arg("--not-very-ample", dest="very_ample", action="store_false")
 WEIGHTS = _arg("weights")
 
 GROUPS = {
@@ -533,10 +498,11 @@ COMMANDS = {
         lambda a: (fc.degree_from_multiplier(a.m, a.h3x, a.h3y),
                    ["pullback-multiplier-degree"]),
         tuple(map(_int, ("--m", "--h3x", "--h3y")))),
+    # The verdict reads only kappa, so the source's H^3 and Chern numbers are placeholders.
     "bound ramification": (
-        lambda a: (fc.ramification_feasibility(a.ry, a.k, _kappa_source(a)),
+        lambda a: (fc.ramification_feasibility(a.ry, a.k, fc.SourceInvariants(1, a.kappa, 0, 0)),
                    ["ramification-multiplicity-count"]),
-        (*map(_int, ("--ry", "--k", "--kappa")), _arg("--h3x", type=int, default=1))),
+        tuple(map(_int, ("--ry", "--k", "--kappa")))),
     "bound neg-lines": (_neg_lines, (
         _arg("--j", type=int, help="twist with T_X(j) globally generated"),
         _arg("--hypersurface-degree", type=int))),
@@ -571,9 +537,6 @@ class UsageError(SystemExit):
         super().__init__(2)
         self.prog, self.usage, self.message = prog, usage, message
 
-    def print_usage(self, file) -> None:
-        print(f"usage: {self.usage}", file=file)
-
 
 def _dest(names: tuple, kwargs: dict) -> str:
     return kwargs.get("dest") or names[0].lstrip("-").replace("-", "_")
@@ -588,10 +551,7 @@ class _Level:
     above an op, the words that choose the next level (``choices``)."""
 
     def __init__(self, prog: str, row: tuple, choices: dict | None = None, word: str = ""):
-        self.prog, self.choices, self.word = prog, choices, word
-        # (names, keywords, group); the flags of one list share a group, of which one may be given
-        self.flags = [(names, kwargs, id(flag)) for flag in row
-                      for names, kwargs in (flag if isinstance(flag, list) else (flag,))]
+        self.prog, self.flags, self.choices, self.word = prog, row, choices, word
         self.options = {name: f for f in self.flags for name in f[0] if name.startswith("-")}
         self.positionals = [f[0][0] for f in self.flags if f[0][0] not in self.options]
 
@@ -606,11 +566,11 @@ class _Level:
     def read(self, argv: list[str], args: SimpleNamespace):
         """Read this level's part of ``argv`` into ``args``.  Above an op, return
         the chosen word and the arguments after it, which the next level reads."""
-        for names, kwargs, _ in self.flags:  # the first default declared for a dest wins
-            dest = _dest(names, kwargs)
-            if names[0] in self.options and not hasattr(args, dest):
-                setattr(args, dest, kwargs.get("default", _UNSET.get(kwargs.get("action"))))
-        words, chosen, flags_ended, i = [], {}, False, 0
+        for names, kwargs in self.flags:
+            if names[0] in self.options:
+                default = kwargs.get("default", _UNSET.get(kwargs.get("action")))
+                setattr(args, _dest(names, kwargs), default)
+        words, given, flags_ended, i = [], set(), False, 0
         while i < len(argv):
             arg, i = argv[i], i + 1
             if arg == "--" and not flags_ended:
@@ -628,10 +588,9 @@ class _Level:
                 raise self.error(f"unrecognized arguments: {arg}")
             else:
                 name, eq, value = arg.partition("=")
-                names, kwargs, group = self.options[name]
+                names, kwargs = self.options[name]
                 flag = names[0]
-                if chosen.setdefault(group, flag) != flag:
-                    raise self.error(f"argument {flag}: not allowed with argument {chosen[group]}")
+                given.add(flag)
                 if "action" in kwargs:
                     if eq:
                         raise self.error(f"argument {flag}: ignored explicit argument {value!r}")
@@ -647,7 +606,6 @@ class _Level:
                         kind = kwargs["type"].__name__
                         raise self.error(f"argument {flag}: invalid {kind} value: {value!r}")
                 setattr(args, _dest(names, kwargs), value)
-        given = chosen.values()
         missing = [f[0][0] for f in self.flags if f[1].get("required") and f[0][0] not in given]
         missing += [self.word] if self.choices else self.positionals[len(words):]
         if missing:
@@ -663,7 +621,7 @@ class _Level:
 
     def usage(self) -> str:
         parts = [self.prog, "[-h]"]
-        for names, kwargs, _ in self.flags:
+        for names, kwargs in self.flags:
             bare = kwargs.get("required") or names[0] in self.positionals
             parts.append(self._form(names, kwargs) if bare else f"[{self._form(names, kwargs)}]")
         if self.choices:
@@ -673,7 +631,7 @@ class _Level:
     def help(self):
         """Print the usage, the words to choose from and the flags; exit 0."""
         rows = [*(self.choices or {}).items(), ("-h, --help", "show this help message and exit")]
-        rows += [(self._form(names, kw), kw.get("help", "")) for names, kw, _ in self.flags]
+        rows += [(self._form(names, kw), kw.get("help", "")) for names, kw in self.flags]
         print(f"usage: {self.usage()}\n")
         print("\n".join(f"  {left:<24} {right}".rstrip() for left, right in rows))
         raise SystemExit(0)
@@ -737,7 +695,7 @@ def main(argv: list[str] | None = None) -> int:
             command = exc.prog.partition(" ")[2]
             print(CommandResult(command, "error", message=exc.message).to_json())
         else:
-            exc.print_usage(sys.stderr)
+            print(f"usage: {exc.usage}", file=sys.stderr)
             print(f"{exc.prog}: error: {exc.message}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # --help

@@ -81,6 +81,8 @@ def cotangent_twist(Y: FanoRecord) -> int:
 def E_value(Y: FanoRecord, l: int) -> int:
     """The certificate integer ``(b3 - 4) + l(24/r) - l^2 r H^3``, with
     ``c2.H`` and ``c3(Omega)`` from ``derive_fano_invariants``."""
+    if type(l) is not int:
+        raise ValueError(f"twist must be an int, got {l!r}")
     if Y.b3 is None:
         raise ValueError(f"{Y.name}: b3 unknown, E(Y,l) not computable")
     inv = derive_fano_invariants(Y.index, Y.H3, Y.b3)
@@ -155,6 +157,8 @@ def _last_nonpositive(a: int, b: int, c: int, d: int) -> int:
 def degree_from_multiplier(m: int, H3X: int, H3Y: int) -> int:
     """``m^3 H_X^3 / H_Y^3`` when integral, else an error: no morphism with
     this multiplier exists numerically."""
+    if type(m) is not int or type(H3X) is not int or type(H3Y) is not int:
+        raise ValueError(f"multiplier and degrees must be ints, got {m!r}, {H3X!r}, {H3Y!r}")
     if m < 1:
         raise ValueError("multiplier must be at least 1")
     if H3X < 1 or H3Y < 1:

@@ -273,6 +273,10 @@ class TruncatedPolynomialRing(GradedRing, _Record):
     def __post_init__(self):
         if len(self.variables) != len(self.degrees):
             raise ValueError("one degree per variable required")
+        if not all(type(x) is int for x in (*self.degrees, self.truncation)):
+            raise ValueError(
+                f"degrees and truncation must be ints, got {self.degrees!r}, {self.truncation!r}"
+            )
         if any(d < 1 for d in self.degrees):
             raise ValueError("generator degrees must be positive")
         if self.truncation < 0:

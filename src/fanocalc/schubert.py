@@ -81,6 +81,8 @@ class GrassmannContext(GradedRing, _Record):
     unit_key = ()
 
     def __post_init__(self):
+        if type(self.k) is not int or type(self.n) is not int:
+            raise ValueError(f"k and n must be ints, got k={self.k!r}, n={self.n!r}")
         if not 1 <= self.k < self.n:
             raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
 

@@ -272,7 +272,10 @@ def double_cover_model(base: str, k: int) -> HypersurfaceModel:
     ``base`` is one of ``P<n>`` / ``projective-space-<n>`` (double cover of
     projective n-space branched in degree 2k), ``veronese-cone`` (double
     cover of the cone over the Veronese surface) or ``quadric-4`` (double
-    cover of the quadric threefold branched in a degree-2k section).
+    cover of the quadric threefold branched in a degree-2k section).  The
+    model of ``P<n>`` has ``n + 2`` weights, so its time and memory grow with
+    ``n``; an ``n`` whose weights cannot be held is a ``ValueError`` naming
+    the base.
     """
     if k < 1:
         raise ValueError("branch half-degree k must be positive")
@@ -283,7 +286,10 @@ def double_cover_model(base: str, k: int) -> HypersurfaceModel:
     if n is not None:
         if n < 1:
             raise ValueError("projective base must have positive dimension")
-        prefix = (1,) * (n + 1)
+        try:
+            prefix = (1,) * (n + 1)
+        except (OverflowError, MemoryError):
+            raise ValueError(f"double-cover base {base!r}: too many weights to build") from None
         template = ("y^2 = f(x_0..x_{n}) of weighted degree {d} in {ambient}: "
                     "double cover of P^{n} branched along a degree-{d} hypersurface")
     elif name == "veronese-cone":

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: Schubert products are
 recomputed through monomial expansions of Schur polynomials (semistandard
-tableaux), horizontal strips by filtering every partition of the box
+tableaux), Schubert expressions by splitting the text on its operators and
+folding those products, horizontal strips by filtering every partition of the box
 through the interlacing inequalities, power bundles through direct
 enumeration of root multisets over actual split bundles, universal
 polynomials through full monomial expansions, products of monomial and
@@ -101,6 +102,42 @@ def schubert_product(k: int, cols: int, lam: tuple[int, ...], mu: tuple[int, ...
     product = _poly_mul(schur_monomials(tuple(lam), k), schur_monomials(tuple(mu), k))
     expansion = schur_expand(product, k)
     return {nu: c for nu, c in expansion.items() if not nu or nu[0] <= cols}
+
+
+def _class_product(k: int, cols: int, x: dict, y: dict) -> dict:
+    """Product of two integer combinations of Schubert classes of G(k, k+cols)."""
+    out: dict = {}
+    for lam, a in x.items():
+        for mu, b in y.items():
+            if sum(lam) + sum(mu) <= k * cols:
+                for nu, c in schubert_product(k, cols, lam, mu).items():
+                    out[nu] = out.get(nu, 0) + a * b * c
+    return {nu: c for nu, c in out.items() if c}
+
+
+def schubert_expr_value(k: int, cols: int, text: str) -> dict:
+    """The ``{partition: coefficient}`` value on G(k, k+cols) of a well-formed
+    expression in ``s[l1,l2,...]``, integer literals, ``+``, ``*`` and ``^``
+    (an integer exponent): split on ``+``, then ``*``, then ``^``, fold each
+    split left to right, and multiply classes with ``schubert_product``."""
+    total: dict = {}
+    for term in text.split("+"):
+        product = {(): 1}
+        for factor in term.split("*"):
+            base, *exponents = (piece.strip() for piece in factor.split("^"))
+            if base.startswith("s["):
+                value = {tuple(int(x) for x in base[2:-1].split(",") if x.strip()): 1}
+            else:
+                value = {(): int(base)}
+            for exponent in exponents:
+                power = {(): 1}
+                for _ in range(int(exponent)):
+                    power = _class_product(k, cols, power, value)
+                value = power
+            product = _class_product(k, cols, product, value)
+        for nu, c in product.items():
+            total[nu] = total.get(nu, 0) + c
+    return {nu: c for nu, c in total.items() if c}
 
 
 def horizontal_strips_brute(lam: tuple[int, ...], a: int, rows: int, cols: int) -> list:

@@ -1,6 +1,5 @@
 import argparse
 import json
-import sys
 from unittest import mock
 
 import pytest
@@ -22,8 +21,10 @@ from fanocalc.cli import (
     run,
 )
 from fanocalc.schubert import GrassmannContext, sigma
+from oracles import schubert_expr_value
 
 G25 = GrassmannContext(2, 5)
+G36 = GrassmannContext(3, 6)
 
 
 # -- expression grammar ---------------------------------------------------------
@@ -69,6 +70,42 @@ def test_expr_integer_power_bit_limit():
     for expr in (f"2^{MAX_POWER_BITS}", f"3*4^{MAX_POWER_BITS // 2}", f"2^{MAX_POWER_BITS // 2}^2"):
         with pytest.raises(ValueError, match="exceeds"):
             parse_schubert_expr(G25, expr)
+
+
+def test_expr_powers_bind_left_to_right():
+    assert parse_schubert_expr(G25, "2^3^2") == 64 * G25.one()
+    assert schubert_expr_value(G25.k, G25.cols, "2^3^2") == {(): 64}
+
+
+@st.composite
+def _expressions(draw, ctx):
+    """A well-formed expression on ``ctx``: a sum of products of powers of
+    in-box classes and small literals, with spaces anywhere between tokens."""
+    def space():
+        return draw(st.sampled_from(["", "", " ", "  "]))
+
+    def atom():
+        if draw(st.booleans()):
+            return str(draw(st.integers(0, 5)))
+        parts = sorted(draw(st.lists(st.integers(1, ctx.cols), max_size=ctx.rows)), reverse=True)
+        return f"s[{','.join(map(str, parts))}]"
+
+    def factor():
+        exponents = draw(st.lists(st.sampled_from([0, 1, 2, 2, 3]), max_size=2))
+        return "^".join([atom(), *map(str, exponents)])
+
+    def term():
+        return f"{space()}*{space()}".join(factor() for _ in range(draw(st.integers(1, 3))))
+
+    return space() + f"{space()}+{space()}".join(
+        term() for _ in range(draw(st.integers(1, 3)))) + space()
+
+
+@pytest.mark.parametrize("ctx", [G25, G36], ids=["G(2,5)", "G(3,6)"])
+@given(data=st.data())
+def test_expr_matches_the_splitting_oracle(ctx, data):
+    text = data.draw(_expressions(ctx))
+    assert parse_schubert_expr(ctx, text).terms == schubert_expr_value(ctx.k, ctx.cols, text)
 
 
 def test_expr_whitespace_insensitive():
@@ -229,9 +266,13 @@ def test_a_malformed_integer_list_names_its_input(capsys, argv, name, text, json
 
 
 def test_a_base_past_the_index_size_is_a_domain_error(capsys):
-    assert main(["--json", "wps", "model", "--base", f"P{2**63 - 1}", "--k", "1"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["command"] == "wps model" and doc["status"] == "error"
+    # 2^63 - 1 is past the index size; a tuple of 2^62 + 1 entries is refused
+    # by CPython before it allocates anything.
+    for n in (2**63 - 1, 2**62):
+        assert main(["--json", "wps", "model", "--base", f"P{n}", "--k", "1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == "wps model" and doc["status"] == "error"
+        assert f"'P{n}'" in doc["message"]
 
 
 def test_usage_error_exit_code(capsys):
@@ -407,8 +448,10 @@ def test_usage_errors_name_the_level_reached(capsys, argv, prog):
     with pytest.raises(UsageError) as exc:
         run(argv)
     assert (exc.value.code, exc.value.prog) == (2, prog)
-    exc.value.print_usage(sys.stdout)
-    assert capsys.readouterr().out.startswith(f"usage: {prog} [-h]")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"{prog}: error: {exc.value.message}\n")
 
 
 @pytest.mark.parametrize(
@@ -444,10 +487,8 @@ def _reference_parser() -> argparse.ArgumentParser:
         group, _, op = command.partition(" ")
         parser = ops[group].add_parser(op, allow_abbrev=False)
         parser.set_defaults(command=command)
-        for flag in flags:
-            target = parser.add_mutually_exclusive_group() if isinstance(flag, list) else parser
-            for names, kwargs in flag if isinstance(flag, list) else [flag]:
-                target.add_argument(*names, **kwargs)
+        for names, kwargs in flags:
+            parser.add_argument(*names, **kwargs)
     return top
 
 
@@ -468,21 +509,20 @@ def _times(draw, required: bool) -> int:
 @st.composite
 def _argvs(draw, command):
     """An argv for ``command``: its flags in random order and form, some of them
-    repeated, missing or (two of an exclusive list) clashing, maybe an unknown
-    flag, and maybe one positional too few or too many."""
+    repeated or missing, maybe an unknown flag, and maybe one positional too
+    few or too many."""
     chunks, positionals = [], []
-    for flag in COMMANDS[command][1]:
-        for names, kwargs in flag if isinstance(flag, list) else [flag]:
-            if not names[0].startswith("-"):
-                positionals.append(draw(VALUES))
-                continue
-            for _ in range(_times(draw, kwargs.get("required"))):
-                if "action" in kwargs:
-                    chunks.append([names[0]])
-                elif draw(st.booleans()):
-                    chunks.append([names[0], draw(VALUES)])
-                else:
-                    chunks.append([f"{names[0]}={draw(VALUES)}"])
+    for names, kwargs in COMMANDS[command][1]:
+        if not names[0].startswith("-"):
+            positionals.append(draw(VALUES))
+            continue
+        for _ in range(_times(draw, kwargs.get("required"))):
+            if "action" in kwargs:
+                chunks.append([names[0]])
+            elif draw(st.booleans()):
+                chunks.append([names[0], draw(VALUES)])
+            else:
+                chunks.append([f"{names[0]}={draw(VALUES)}"])
     if draw(st.integers(0, 9)) == 0:
         chunks.append(["--bogus"])
     if positionals and draw(st.integers(0, 9)) == 0:

@@ -72,6 +72,13 @@ def test_E_negative_on_quadric_and_projective_space():
         assert E_value(lookup("P3"), twist) < 0
 
 
+def test_E_requires_an_int_twist():
+    # E_value(V4-quartic, 2.0) was 88.0
+    for twist in (2.0, True):
+        with pytest.raises(ValueError, match="twist must be an int"):
+            E_value(lookup("V4-quartic"), twist)
+
+
 def test_E_requires_b3():
     with pytest.raises(ValueError):
         E_value(lookup("V6"), 2)
@@ -225,6 +232,13 @@ def test_degree_from_multiplier():
         degree_from_multiplier(1, 3, 4)
     with pytest.raises(ValueError):
         degree_from_multiplier(0, 4, 4)
+
+
+def test_degree_from_multiplier_requires_ints():
+    # degree_from_multiplier(2.0, 1, 1) was 8.0
+    for args in ((2.0, 1, 1), (2, 1.0, 1), (2, 1, True)):
+        with pytest.raises(ValueError, match="must be ints"):
+            degree_from_multiplier(*args)
 
 
 @pytest.mark.parametrize(

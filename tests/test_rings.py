@@ -276,6 +276,13 @@ def test_coefficient_lookup_checks_its_key():
     assert h.coefficient([1]) == 1 and h.coefficient((4,)) == 0
 
 
+def test_line_ring_rejects_an_inexact_truncation():
+    # line_ring(2.5) once built a ring
+    for truncation in (2.5, True):
+        with pytest.raises(ValueError, match="must be ints"):
+            line_ring(truncation)
+
+
 def test_bool_coefficient_is_refused():
     with pytest.raises(TypeError):
         PolyElement(line_ring(3), {(1,): True})

@@ -53,6 +53,13 @@ def test_context_rejects_bad_dimensions():
         GrassmannContext(3, 3)
 
 
+def test_context_rejects_inexact_dimensions():
+    # GrassmannContext(1.5, 4) was G(0.5,3) with top degree 3.75, and True passed as 1
+    for k, n in ((1.5, 4), (True, 3), (2, 4.0)):
+        with pytest.raises(ValueError, match="must be ints"):
+            GrassmannContext(k, n)
+
+
 def test_partition_normalization():
     assert as_partition([3, 2, 0, 0]) == (3, 2)
     with pytest.raises(ValueError):
