@@ -438,8 +438,8 @@ COMMANDS = {
         (*BUNDLE, _int("--t", help="multiple of the degree-1 class"))),
     "chern top": (_chern_top, (
         *BUNDLE,
-        _arg("--sym", type=int, help="apply a symmetric power first"),
-        _arg("--ext", type=int, help="apply an exterior power first"),
+        _arg("--sym", type=int, help="apply the symmetric power S^SYM first"),
+        _arg("--ext", type=int, help="then the exterior power Lambda^EXT (after --sym)"),
         _arg("--integrate", action="store_true"))),
     "rr chi2": (
         lambda a: (_chi(fc.chi_surface(fc.SurfaceIntersectionData(

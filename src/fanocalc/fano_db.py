@@ -1,11 +1,15 @@
 """The classification table of Fano threefolds with cyclic Picard group.
 
 Immutable records of numerical invariants (index, degree, genus, b3, very
-ampleness of the fundamental class, h^0) plus tabulated geometric facts:
-normal-bundle options for lines and conics, counts of lines through a
-general point, and the multiple of H swept out by special lines.  The data
-ships as a line-oriented tab-separated text table so corrections stay
-diffable; the loader refuses tables containing an invalid record.
+ampleness of the fundamental class, h^0) plus tabulated geometric facts, each
+typed fact parsed once when its record is built; normal-bundle options for
+lines and conics.  The data ships as a line-oriented tab-separated text
+table so corrections stay diffable.  The loader refuses a table with a
+duplicate name or a record that ``validate`` faults: index or degree outside
+the classification, a genus other than H^3/2 + 1 in index 1 (any genus in
+another index), h^0(H) other than chi(O(H)) by Riemann-Roch, an odd or
+negative b3, an ambient that is not well-formed, a negative count of lines
+through a general point, or a special-surface multiple below 1.
 """
 
 from __future__ import annotations
@@ -18,31 +22,14 @@ from types import MappingProxyType
 from . import _Record, _ints
 from .wps import WeightVector
 
-FAMILY_NAMES = (
-    "P3",
-    "Q3",
-    "A1",
-    "A2",
-    "A3",
-    "A4",
-    "A5",
-    "V2",
-    "V4-quartic",
-    "V4-double-quadric",
-    "V6",
-    "V8",
-    "V10",
-    "V12",
-    "V14",
-    "V16",
-    "V18",
-    "V22",
-    "V22-mu",
-)
-
 
 class FanoRecord(_Record):
-    """One family of the classification; a malformed integer fact refuses it."""
+    """One family of the classification.  The typed facts are read once, into
+    attributes that are not fields (``None`` when absent): ``ambient``, the
+    weighted model of a non-very-ample family; ``lines_through_general_point``;
+    ``special_surface_multiple``, k with D ~ kH for the surface swept by lines
+    with a negative factor; ``hilbert_scheme_notes``.  A malformed one refuses
+    the record."""
 
     name: str
     index: int
@@ -55,31 +42,15 @@ class FanoRecord(_Record):
     description: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "facts", MappingProxyType(dict(self.facts)))
-        self.ambient, self.lines_through_general_point, self.special_surface_multiple
-
-    def _int_fact(self, key: str) -> int | None:
-        value = self.facts.get(key)
-        return None if value is None else _int(value, f"fact {key}")
-
-    @property
-    def lines_through_general_point(self) -> int | None:
-        return self._int_fact("lines_through_general_point")
-
-    @property
-    def special_surface_multiple(self) -> int | None:
-        """k with D ~ kH for the surface swept by lines with a negative factor."""
-        return self._int_fact("special_surface_multiple")
-
-    @property
-    def hilbert_scheme_notes(self) -> str | None:
-        return self.facts.get("hilbert_scheme_notes")
-
-    @property
-    def ambient(self) -> WeightVector | None:
-        """Weighted ambient space of the model, for non-very-ample families."""
-        value = self.facts.get("ambient")
-        return None if value is None else WeightVector(_ints(value, "fact ambient", sep=":"))
+        d = self.__dict__
+        facts = d["facts"] = MappingProxyType(dict(self.facts))
+        ambient = facts.get("ambient")
+        d["ambient"] = None if ambient is None else WeightVector(
+            _ints(ambient, "fact ambient", sep=":"))
+        for key in ("lines_through_general_point", "special_surface_multiple"):
+            value = facts.get(key)
+            d[key] = None if value is None else _int(value, f"fact {key}")
+        d["hilbert_scheme_notes"] = facts.get("hilbert_scheme_notes")
 
 
 def _int(text: str, source: str) -> int:
@@ -106,24 +77,31 @@ def validate(record: FanoRecord) -> list[str]:
             out.append(f"index-2 degree {record.H3} outside 1..5")
         if record.very_ample != (record.H3 >= 3):
             out.append("index 2: H is very ample exactly when H^3 >= 3")
-        if record.h0_H != record.H3 + 2:
-            out.append(f"index 2 needs h0(H) = H^3 + 2, got {record.h0_H}")
     if r == 1:
         if record.H3 % 2:
             out.append("index-1 degree (-K)^3 must be even")
         elif not 2 <= record.H3 <= 22 or record.H3 == 20:
             out.append(f"index-1 degree {record.H3} outside the even values 2..22 minus 20")
-        if record.genus is None:
-            out.append("index-1 record needs a genus")
-        else:
-            if record.H3 != 2 * record.genus - 2:
-                out.append(f"genus {record.genus} inconsistent with H^3 = 2g - 2")
-            if record.h0_H != record.genus + 2:
-                out.append(f"index 1 needs h0(H) = g + 2, got {record.h0_H}")
-    elif record.genus is not None:
-        out.append("genus is only defined for index-1 records")
+    # In index 1, H = -K and H^3 = 2g - 2 defines the genus.
+    genus = record.H3 // 2 + 1 if r == 1 else None
+    if record.genus != genus:
+        out.append(f"genus {record.genus} is not {genus} (H^3/2 + 1 in index 1, None otherwise)")
+    # h0(H) = chi(O(H)): H - K = (r + 1)H is ample, so Kodaira kills the higher
+    # cohomology.  Riemann-Roch with c1 = rH, c2.H = 24/r (c1.c2 = 24) and chi(O) = 1:
+    #   chi(O(H)) = H^3/6 + rH^3/4 + (r^2 H^3 + 24/r)/12 + 1 = (r+1)(r+2)H^3/12 + 2/r + 1,
+    # that is 12r chi(O(H)) = r(r+1)(r+2)H^3 + 12(r+2), an identity in integers.
+    chi_12r = r * (r + 1) * (r + 2) * record.H3 + 12 * (r + 2)
+    if 12 * r * record.h0_H != chi_12r:
+        chi = chi_12r // (12 * r) if chi_12r % (12 * r) == 0 else f"{chi_12r}/{12 * r}"
+        out.append(f"h0(H) = {record.h0_H} is not chi(O(H)) = {chi}")
     if record.b3 is not None and (record.b3 < 0 or record.b3 % 2):
         out.append(f"b3 = {record.b3} must be a nonnegative even integer")
+    if record.ambient is not None and not record.ambient.is_well_formed():
+        out.append(f"ambient {record.ambient} is not well-formed")
+    if (record.lines_through_general_point or 0) < 0:
+        out.append(f"negative count {record.lines_through_general_point} of lines through a point")
+    if record.special_surface_multiple is not None and record.special_surface_multiple < 1:
+        out.append(f"special surface multiple {record.special_surface_multiple} below 1")
     return out
 
 
@@ -215,23 +193,15 @@ def lookup(name: str) -> FanoRecord:
 def line_normal_bundle_options(r: int, very_ample: bool) -> frozenset[tuple[int, int]]:
     """Possible splitting types O(a) + O(b) of the normal bundle of a line.
 
-    Adjunction forces ``a + b = r - 2``.  With H very ample the normal
-    bundle embeds in O(1)^(N-1), so ``a <= 1``.  Without very ampleness one
-    more splitting type occurs in the known families (finitely many (2,-2)
-    lines in the index-2 degree-2 family); the index-1 analogue (2,-3) is
-    included by the same extrapolation.
+    Adjunction forces ``a + b = r - 2``, so ``a >= 0`` for ``a >= b``.  With
+    H very ample the normal bundle embeds in O(1)^(N-1), so ``a <= 1``.
+    Without very ampleness one more splitting type occurs in the known
+    families (finitely many (2,-2) lines in the index-2 degree-2 family); the
+    index-1 analogue (2,-3) is included by the same extrapolation.
     """
     if r not in (1, 2):
         raise ValueError(f"normal-bundle table only covers index 1 and 2, got {r}")
-    if r == 2:
-        options = {(0, 0), (1, -1)}
-        if not very_ample:
-            options.add((2, -2))
-    else:
-        options = {(0, -1), (1, -2)}
-        if not very_ample:
-            options.add((2, -3))
-    return frozenset(options)
+    return frozenset((a, r - 2 - a) for a in range(2 if very_ample else 3))
 
 
 def conic_normal_bundle_degrees() -> frozenset[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -541,3 +542,39 @@ def test_bundle_validation():
         FormalBundle(P3, 1, (H, H**2))  # more classes than rank
     with pytest.raises(ValueError):
         FormalBundle(P3, 2, (H**2,))  # c_1 of degree 2
+
+
+# -- Bott localization -------------------------------------------------------------
+
+
+def _load_bench_checks():
+    """``bench/checks.py`` (torus localization, Schur values), loaded from its file
+    without putting ``bench/`` on ``sys.path``; it imports nothing from fanocalc."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECKS = _load_bench_checks()
+
+
+@given(st.sampled_from([(2, 5), (2, 6), (3, 6), (2, 7)]), st.sampled_from(["sym", "ext"]),
+       st.integers(1, 3), st.data())
+def test_chern_classes_of_functors_of_u_star_by_bott_localization(kn, functor, d, data):
+    # integral of c_i(F(U*)) sigma_lambda, F = S^d or Lambda^d, against the residue sum
+    # over the torus-fixed points with sigma_lambda = s_lambda(roots of U*)
+    k, n = kn
+    d = min(d, k) if functor == "ext" else d
+    ctx = GrassmannContext(k, n)
+    bundle = (sym_power if functor == "sym" else ext_power)(tautological_dual(ctx), d)
+    i = data.draw(st.integers(1, min(bundle.rank, ctx.top_degree)), label="i")
+    lam = data.draw(st.sampled_from(list(ctx.partitions(ctx.top_degree - i))), label="lambda")
+
+    def localized(roots):
+        c_i = CHECKS.split_chern(CHECKS.functor_roots(roots, functor, d), i)[i - 1]
+        return c_i * CHECKS.schur_value(lam, roots)
+
+    expected = CHECKS.bott_integral(k, n, localized)
+    assert integrate(chern_class(bundle, i) * sigma(ctx, *lam)) == expected
