@@ -64,6 +64,9 @@ def _ints(text: str, source: str, sep: str = ",") -> tuple[int, ...]:
         raise ValueError(f"{source} expects integers, got {text!r}") from None
 
 
+_MappingProxy = type(type.__dict__)  # types.MappingProxyType, without importing types
+
+
 class _Record:
     """Base of the package's immutable records, in place of a frozen dataclass:
     importing ``dataclasses`` (with ``inspect``) and decorating each class
@@ -77,7 +80,8 @@ class _Record:
     a ``__hash__`` of the fields in order.  Instances refuse assignment and
     deletion (a ``__post_init__`` that normalizes a field writes it with
     ``object.__setattr__``), ``==`` compares the fields of two instances of
-    one class, and ``repr`` is ``Name(field=value, ...)``.
+    one class, ``repr`` is ``Name(field=value, ...)``, and pickling rebuilds
+    an instance from its fields through the class.
     """
 
     _fields: tuple = ()
@@ -123,6 +127,14 @@ class _Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.__dict__ == other.__dict__
+
+    def __reduce__(self):
+        # Rebuilt through the class, so ``__post_init__`` runs again; a read-only
+        # mapping field (``FanoRecord.facts``), which pickle refuses, goes as a dict.
+        return type(self), tuple(
+            dict(value) if type(value) is _MappingProxy else value
+            for value in map(self.__dict__.__getitem__, self._fields)
+        )
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

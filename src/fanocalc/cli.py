@@ -341,7 +341,8 @@ def _neg_lines(args):
     return {"j": j, "m_bound": j}, provenance
 
 
-# Longest m range that `bound feasible-m` scans; its time and memory grow with the range.
+# Longest m range that `bound feasible-m` takes.  The answer is found in closed form,
+# but the output lists every feasible m, so its size grows with the range.
 MAX_M_VALUES = 10**5
 
 

@@ -22,8 +22,9 @@ infinitesimal Noether-Lefschetz theorem on the quadric.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from math import isqrt
+from collections.abc import Iterable
+from functools import lru_cache
+from math import inf, isqrt
 
 from . import _Record, wps
 from .fano_db import (
@@ -251,13 +252,55 @@ def _option_tables(rX: int, rY: int, very_ample: bool) -> tuple[list, list]:
     return targets, components
 
 
-def _witnesses(targets: list, components: list, m: int) -> Iterator[FeasibilityWitness]:
+def _multiplier_interval(ttype: tuple[int, int], h: int, src: tuple[int, int]) -> tuple | None:
+    """The multipliers m >= 1 for which ``generic_iso_exists(src, target)``
+    holds, ``target = (t0 m h, t1 m h)`` for the type ``ttype = (t0, t1)``:
+    ``(lo, hi)`` with ``hi`` possibly ``inf``, or ``None`` if there is none.
+
+    For m >= 1 and h >= 1, m h > 0, so the target keeps the order of its
+    type.  With (T, t) the type and (a, b) the source, each sorted in
+    descending order, the test is then two linear inequalities in m:
+    T h m >= a and t h m >= b.  A coefficient c = T h or t h against its
+    bound k gives m >= ceil(k / c) if c > 0, m <= floor(k / c) if c < 0
+    (dividing by c reverses the inequality), and every m or none if c = 0,
+    as 0 >= k holds or fails; Python's floor division is exact for either
+    sign, and ceil(k / c) = -(-k // c).  Both together hold on one
+    interval, possibly empty.
+    """
+    lo, hi = 1, inf
+    for c, k in zip(sorted(ttype, reverse=True), sorted(src, reverse=True)):
+        c *= h
+        if c > 0:
+            lo = max(lo, -(-k // c))
+        elif c < 0:
+            hi = min(hi, k // c)
+        elif k > 0:
+            return None
+    return (lo, hi) if lo <= hi else None
+
+
+@lru_cache(maxsize=None)
+def _multiplier_table(rX: int, rY: int, very_ample: bool) -> tuple[tuple, ...]:
+    """Each (component, h, source, target type) that is a witness for some
+    multiplier, with the interval ``(lo, hi)`` of the multipliers it is a
+    witness for, in the order of the witnesses of one multiplier.  Built once
+    per (rX, rY, very_ample), which ``--witnesses`` asks for per multiplier."""
+    targets, components = _option_tables(rX, rY, very_ample)
+    table = []
     for component, h, sources in components:
         for ttype in targets:
-            target = (ttype[0] * m * h, ttype[1] * m * h)
             for src in sources:
-                if generic_iso_exists(src, target):
-                    yield FeasibilityWitness(component, h, src, ttype, target)
+                interval = _multiplier_interval(ttype, h, src)
+                if interval is not None:
+                    table.append((component, h, src, ttype, *interval))
+    return tuple(table)
+
+
+def _check_multiplier(m) -> None:
+    if type(m) is not int:
+        raise ValueError(f"multiplier must be an int, got {m!r}")
+    if m < 1:
+        raise ValueError("multiplier must be at least 1")
 
 
 def feasibility_witnesses(
@@ -269,24 +312,37 @@ def feasibility_witnesses(
     (H_X.D = 1) or a conic (H_X.D = 2); its normal bundle must map with
     generically nonvanishing determinant onto the pulled-back conormal
     pattern of the target line, whose type (a, b) scales to (a m h, b m h).
+    The witnesses are the rows of the multiplier table whose interval
+    holds m.
     """
-    if m < 1:
-        raise ValueError("multiplier must be at least 1")
-    return tuple(_witnesses(*_option_tables(rX, rY, very_ample), m))
+    _check_multiplier(m)
+    return tuple(
+        FeasibilityWitness(component, h, src, ttype, (ttype[0] * m * h, ttype[1] * m * h))
+        for component, h, src, ttype, lo, hi in _multiplier_table(rX, rY, very_ample)
+        if lo <= m <= hi
+    )
 
 
 def feasible_multipliers(
     rX: int, rY: int, very_ample: bool, m_range: Iterable[int]
 ) -> set[int]:
-    """Multipliers in the range admitting at least one witness; the option
-    tables are built once for the whole range."""
-    values = sorted(set(m_range))
+    """Multipliers in the range admitting at least one witness, by multiplier
+    intervals in closed form: each row of the multiplier table is a witness
+    exactly on its interval of m, so the feasible m are the values of the
+    range in the union of those intervals, and no m is tested against the
+    option tables."""
+    values = set(m_range)
     if not values:
         raise ValueError("empty multiplier range")
-    if values[0] < 1:
-        raise ValueError("multiplier must be at least 1")
-    targets, components = _option_tables(rX, rY, very_ample)
-    return {m for m in values if next(_witnesses(targets, components, m), None)}
+    not_ints = [m for m in values if type(m) is not int]
+    _check_multiplier(not_ints[0] if not_ints else min(values))
+    union: list[list] = []
+    for lo, hi in sorted(row[-2:] for row in _multiplier_table(rX, rY, very_ample)):
+        if union and lo <= union[-1][1] + 1:
+            union[-1][1] = max(union[-1][1], hi)
+        else:
+            union.append([lo, hi])
+    return {m for lo, hi in union for m in values if lo <= m <= hi}
 
 
 def noether_lefschetz_threshold(kappa: int) -> int:

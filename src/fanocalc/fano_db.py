@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from functools import lru_cache
+from math import gcd
 from types import MappingProxyType
 
 from . import _Record, _ints
@@ -82,9 +83,10 @@ def validate(record: FanoRecord) -> list[str]:
             out.append("index-1 degree (-K)^3 must be even")
         elif not 2 <= record.H3 <= 22 or record.H3 == 20:
             out.append(f"index-1 degree {record.H3} outside the even values 2..22 minus 20")
-    # In index 1, H = -K and H^3 = 2g - 2 defines the genus.
+    # In index 1, H = -K and H^3 = 2g - 2 defines the genus; an odd H^3 defines
+    # none, and the degree violation above says why.
     genus = record.H3 // 2 + 1 if r == 1 else None
-    if record.genus != genus:
+    if record.genus != genus and not (r == 1 and record.H3 % 2):
         out.append(f"genus {record.genus} is not {genus} (H^3/2 + 1 in index 1, None otherwise)")
     # h0(H) = chi(O(H)): H - K = (r + 1)H is ample, so Kodaira kills the higher
     # cohomology.  Riemann-Roch with c1 = rH, c2.H = 24/r (c1.c2 = 24) and chi(O) = 1:
@@ -92,7 +94,8 @@ def validate(record: FanoRecord) -> list[str]:
     # that is 12r chi(O(H)) = r(r+1)(r+2)H^3 + 12(r+2), an identity in integers.
     chi_12r = r * (r + 1) * (r + 2) * record.H3 + 12 * (r + 2)
     if 12 * r * record.h0_H != chi_12r:
-        chi = chi_12r // (12 * r) if chi_12r % (12 * r) == 0 else f"{chi_12r}/{12 * r}"
+        g = gcd(chi_12r, 12 * r)
+        chi = chi_12r // g if g == 12 * r else f"{chi_12r // g}/{12 * r // g}"
         out.append(f"h0(H) = {record.h0_H} is not chi(O(H)) = {chi}")
     if record.b3 is not None and (record.b3 < 0 or record.b3 % 2):
         out.append(f"b3 = {record.b3} must be a nonnegative even integer")

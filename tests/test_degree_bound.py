@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fanocalc import degree_bound
 from fanocalc.chern import FormalBundle, chern_class, twist_line
 from fanocalc.degree_bound import (
     ALWAYS_OK,
     BOUND,
     INFEASIBLE_FOR_ALL_M,
+    FeasibilityWitness,
     SourceInvariants,
     E_value,
     boundedness_verdict,
@@ -26,6 +28,7 @@ from fanocalc.degree_bound import (
     ramification_feasibility,
     source_invariants,
     _last_nonpositive,
+    _option_tables,
 )
 from fanocalc.fano_db import lookup
 from fanocalc.rings import line_ring
@@ -247,8 +250,18 @@ def test_degree_from_multiplier_requires_ints():
         (lambda: degree_from_multiplier(1, 0, 4), "degrees must be positive"),
         (lambda: degree_from_multiplier(2, 4, -1), "degrees must be positive"),
         (lambda: feasibility_witnesses(1, 1, True, 0), "multiplier must be at least 1"),
+        # feasible_multipliers(1, 2, True, [1.5, True, 2]) was {True, 2, 1.5}, and
+        # feasibility_witnesses(1, 1, True, True) answered as m = 1
+        (lambda: feasible_multipliers(1, 2, True, [1.5, True, 2]), "must be an int"),
+        (lambda: feasible_multipliers(1, 2, True, [True]), "must be an int"),
+        (lambda: feasible_multipliers(1, 2, True, [2, 3.0]), "must be an int"),
+        (lambda: feasibility_witnesses(1, 1, True, True), "must be an int"),
+        (lambda: feasibility_witnesses(1, 1, True, 1.0), "must be an int"),
+        (lambda: feasibility_witnesses(1, 1, True, "1"), "must be an int"),
     ],
-    ids=["source-degree-0", "negative-target-degree", "witnesses-for-m-0"],
+    ids=["source-degree-0", "negative-target-degree", "witnesses-for-m-0",
+         "range-float-and-bool", "range-bool", "range-float",
+         "witnesses-for-bool", "witnesses-for-float", "witnesses-for-str"],
 )
 def test_multiplier_arithmetic_refuses(call, message):
     with pytest.raises(ValueError, match=message):
@@ -384,17 +397,57 @@ def test_feasible_multipliers_rejects_multipliers_below_one(m_range):
         feasible_multipliers(1, 1, True, m_range)
 
 
+def _witnesses_reference(rX, rY, very_ample, m):
+    """The witnesses for m by the definition: every option triple tested at m."""
+    targets, components = _option_tables(rX, rY, very_ample)
+    return tuple(
+        FeasibilityWitness(component, h, src, ttype, (ttype[0] * m * h, ttype[1] * m * h))
+        for component, h, sources in components
+        for ttype in targets
+        for src in sources
+        if generic_iso_exists(src, (ttype[0] * m * h, ttype[1] * m * h))
+    )
+
+
+multiplier_starts = st.integers(1, 400) | st.integers(1, 10**12)
+
+
 @given(
     st.sampled_from([1, 2]),
     st.sampled_from([1, 2]),
     st.booleans(),
-    st.sets(st.integers(1, 400), min_size=1, max_size=40) | st.builds(
-        lambda lo, n: range(lo, lo + n), st.integers(1, 300), st.integers(1, 120)
+    st.sets(multiplier_starts, min_size=1, max_size=40)
+    | st.builds(lambda lo, n: range(lo, lo + n), multiplier_starts, st.integers(1, 120))
+    | st.builds(
+        lambda lo, n, step: range(lo, lo + n * step, step),
+        multiplier_starts, st.integers(1, 60), st.integers(2, 10**6),
     ),
 )
 def test_feasible_multipliers_match_witnesses_per_multiplier(rX, rY, very_ample, ms):
-    expected = {m for m in ms if feasibility_witnesses(rX, rY, very_ample, m)}
+    expected = {m for m in ms if _witnesses_reference(rX, rY, very_ample, m)}
     assert feasible_multipliers(rX, rY, very_ample, ms) == expected
+
+
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 2]), st.booleans(), multiplier_starts)
+def test_witnesses_match_the_per_multiplier_definition(rX, rY, very_ample, m):
+    assert feasibility_witnesses(rX, rY, very_ample, m) == _witnesses_reference(
+        rX, rY, very_ample, m
+    )
+
+
+def test_feasible_multipliers_cost_does_not_grow_with_the_range(monkeypatch):
+    calls = []
+    real = degree_bound.generic_iso_exists
+    monkeypatch.setattr(
+        degree_bound, "generic_iso_exists", lambda src, dst: calls.append(src) or real(src, dst)
+    )
+    counts = []
+    for length in (10, 10**4):
+        calls.clear()
+        assert feasible_multipliers(1, 2, True, range(1, length + 1)) == set(range(1, length + 1))
+        assert feasible_multipliers(1, 1, True, range(1, length + 1)) == {1}
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("rX", [1, 2])

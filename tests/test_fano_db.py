@@ -124,6 +124,23 @@ def test_validate_flags_odd_index_one_degree():
     assert any("even" in v for v in validate(record))
 
 
+@pytest.mark.parametrize("genus", [None, 4])
+def test_odd_index_one_degree_defines_no_genus_to_compare(genus):
+    # 2g - 2 = 7 has no solution: the degree violation is reported, no genus
+    # one; chi(O(H)) = 7/2 + 3 is reported in lowest terms
+    assert validate(FanoRecord("V7", 1, 7, genus, None, True, 6)) == [
+        "index-1 degree (-K)^3 must be even",
+        "h0(H) = 6 is not chi(O(H)) = 13/2",
+    ]
+
+
+def test_non_integral_chi_is_printed_reduced():
+    assert validate(FanoRecord("Q3", 3, 3, None, 0, True, 5)) == [
+        "index 3 forces the quadric Q3 with H^3 = 2",
+        "h0(H) = 5 is not chi(O(H)) = 20/3",
+    ]
+
+
 def test_validate_flags_wrong_h0():
     record = FanoRecord("A3", 2, 3, None, None, True, 7)
     assert any("h0" in v for v in validate(record))

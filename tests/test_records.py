@@ -7,13 +7,24 @@ import pickle
 import pytest
 
 from fanocalc import _Record
-from fanocalc.chern import FormalBundle, _bundle
+from fanocalc.chern import FormalBundle, _bundle, line_bundle
 from fanocalc.cli import CommandResult, _plain
-from fanocalc.degree_bound import FeasibilityWitness, RamificationVerdict
-from fanocalc.fano_db import FanoRecord
+from fanocalc.degree_bound import (
+    FeasibilityWitness,
+    RamificationVerdict,
+    SourceInvariants,
+    feasibility_witnesses,
+)
+from fanocalc.fano_db import FanoRecord, default_database
+from fanocalc.riemann_roch import (
+    SurfaceIntersectionData,
+    ThreefoldIntersectionData,
+    derive_fano_invariants,
+    noether_surface_fano,
+)
 from fanocalc.rings import line_ring
-from fanocalc.schubert import GrassmannContext
-from fanocalc.wps import SingularStratum, WeightVector
+from fanocalc.schubert import GrassmannContext, tautological_dual
+from fanocalc.wps import SingularStratum, WeightVector, double_cover_model
 
 
 def test_assignment_and_deletion_raise():
@@ -115,3 +126,41 @@ def test_records_serialize_and_pickle_by_fields():
     assert _plain(verdict) == {"kind": "bound", "bound": 2}
     assert _plain([SingularStratum(2, (0, 1))]) == [{"k": 2, "coords": [0, 1], "dimension": 1}]
     assert pickle.loads(pickle.dumps(GrassmannContext(3, 6))) == GrassmannContext(3, 6)
+
+
+def _record_classes(cls=_Record) -> set[type]:
+    """Every record class of the package, at any depth below ``_Record``."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("fanocalc"):
+            found.add(sub)
+        found |= _record_classes(sub)
+    return found
+
+
+def test_every_record_survives_a_pickle_round_trip():
+    ring = line_ring(3, 4)
+    samples = [
+        *default_database().records(),
+        CommandResult("db list", "ok", {"db": None}, [1, 2], ["table"]),
+        SurfaceIntersectionData(1, -3, 9, 3),
+        ThreefoldIntersectionData(1, -4, 16, 6, 24),
+        noether_surface_fano(),
+        derive_fano_invariants(1, 4, 60),
+        SourceInvariants(4, -1, 24, 56),
+        RamificationVerdict("bound", 2),
+        *feasibility_witnesses(1, 1, True, 1),
+        line_bundle(ring, 2 * ring.gen()),
+        tautological_dual(GrassmannContext(2, 5)),
+        ring,
+        GrassmannContext(3, 6),
+        WeightVector((1, 1, 1, 2, 3)),
+        SingularStratum(2, (0, 1)),
+        double_cover_model("veronese-cone", 3),
+    ]
+    assert {type(sample) for sample in samples} == _record_classes()
+    assert len(default_database().records()) == 19
+    for sample in samples:
+        assert pickle.loads(pickle.dumps(sample)) == sample, sample
+    facts = default_database().lookup("A1")
+    assert pickle.loads(pickle.dumps(facts)).ambient == WeightVector((1, 1, 1, 2, 3))
