@@ -245,7 +245,7 @@ def _bundle(args) -> fc.FormalBundle:
 
 
 def _db(args) -> fc.FanoDatabase:
-    if args.db:
+    if args.db is not None:
         return fc.load_database(args.db)
     return fc.default_database()
 
@@ -257,9 +257,13 @@ def _target(args, db: fc.FanoDatabase | None = None) -> tuple[fc.FanoRecord, int
 
 
 def _source_from_args(args, db) -> fc.SourceInvariants:
-    if args.source:
+    flags = {f"--{key}": getattr(args, key) for key in ("h3x", "kappa", "c2hx", "c3x")}
+    if args.source is not None:
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ValueError("--source reads the source invariants; drop " + ", ".join(given))
         return fc.source_invariants(db.lookup(args.source))
-    missing = [f"--{key}" for key in ("h3x", "kappa", "c2hx", "c3x") if getattr(args, key) is None]
+    missing = [flag for flag, value in flags.items() if value is None]
     if missing:
         raise ValueError(
             "source invariants incomplete: give --source NAME or " + ", ".join(missing)
@@ -278,9 +282,9 @@ def _chi(value) -> dict:
 def _chern_top(args):
     bundle = _bundle(args)
     provenance = ["splitting-principle"]
-    if args.sym:
+    if args.sym is not None:
         bundle = fc.sym_power(bundle, args.sym)
-    if args.ext:
+    if args.ext is not None:
         bundle = fc.ext_power(bundle, args.ext)
     top = fc.top_chern(bundle)
     if not args.integrate:
@@ -292,6 +296,8 @@ def _chern_top(args):
 def _normal_bundles(args):
     provenance = ["adjunction-normal-bundle-options"]
     if args.conics:
+        if args.r is not None or not args.very_ample:
+            raise ValueError("--conics lists conic options: give it no --r or --not-very-ample")
         options = fc.conic_normal_bundle_degrees()
         notes = {
             str(a): fc.fano_db.CONIC_OPTION_NOTES[a]

@@ -8,8 +8,9 @@ table so corrections stay diffable.  The loader refuses a table with a
 duplicate name or a record that ``validate`` faults: index or degree outside
 the classification, a genus other than H^3/2 + 1 in index 1 (any genus in
 another index), h^0(H) other than chi(O(H)) by Riemann-Roch, an odd or
-negative b3, an ambient that is not well-formed, a negative count of lines
-through a general point, or a special-surface multiple below 1.
+negative b3, an ambient of fewer than five weights or not well-formed, a
+negative count of lines through a general point, or a special-surface
+multiple below 1.
 """
 
 from __future__ import annotations
@@ -99,8 +100,13 @@ def validate(record: FanoRecord) -> list[str]:
         out.append(f"h0(H) = {record.h0_H} is not chi(O(H)) = {chi}")
     if record.b3 is not None and (record.b3 < 0 or record.b3 % 2):
         out.append(f"b3 = {record.b3} must be a nonnegative even integer")
-    if record.ambient is not None and not record.ambient.is_well_formed():
-        out.append(f"ambient {record.ambient} is not well-formed")
+    ambient = record.ambient
+    # A weighted model is a hypersurface in a weighted P^4 or a complete
+    # intersection in a larger weighted space, so it has five weights at least.
+    if ambient is not None and ambient.n < 4:
+        out.append(f"ambient {ambient} has {ambient.n + 1} weights, fewer than the 5 of a P^4")
+    if ambient is not None and not ambient.is_well_formed():
+        out.append(f"ambient {ambient} is not well-formed")
     if (record.lines_through_general_point or 0) < 0:
         out.append(f"negative count {record.lines_through_general_point} of lines through a point")
     if record.special_surface_multiple is not None and record.special_surface_multiple < 1:

@@ -2,10 +2,10 @@
 
 ``P(a_0, ..., a_n)`` is the quotient of affine (n+1)-space minus the origin
 by the scaling ``t.(x_0, ..., x_n) = (t^a_0 x_0, ..., t^a_n x_n)``.  Well
-forming, the singular stratification, the canonical degree, base points of
-``O(m)`` on the smooth locus and the minimal twist making the (restricted)
-cotangent sheaf globally generated are all elementary arithmetic in the
-weights; this module keeps it exact.
+forming (in one step, from the gcds of every n of the weights), the singular
+stratification, the canonical degree, base points of ``O(m)`` on the smooth
+locus and the minimal twist making the (restricted) cotangent sheaf globally
+generated are elementary arithmetic in the weights, kept exact here.
 
 Base points reduce to numerical semigroups: ``O(m)`` is generated on the
 smooth locus iff m lies in the semigroup of the weights of every
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 from . import _Record, _ints
 
@@ -48,7 +48,8 @@ class WeightVector(_Record):
         return len(self.weights) - 1
 
     def is_well_formed(self) -> bool:
-        return normalize(self) == self
+        """Whether every n of the n + 1 weights, so all of them, have gcd 1."""
+        return all(d == 1 for d in _cofactor_gcds(self.weights))
 
     def __str__(self) -> str:
         return "P(" + ",".join(str(a) for a in self.weights) + ")"
@@ -58,27 +59,25 @@ def _as_weights(w) -> WeightVector:
     return w if isinstance(w, WeightVector) else WeightVector(tuple(w))
 
 
-def normalize(w) -> WeightVector:
-    """Reduce to the unique well-formed weight vector.
+def _cofactor_gcds(weights) -> list[int]:
+    """The gcds ``d_i = gcd(a_j : j != i)``, one ``gcd`` call each."""
+    return [gcd(*weights[:i], *weights[i + 1 :]) for i in range(len(weights))]
 
-    Divides by the global gcd; while some n of the weights share a factor d,
-    divides those n weights by d (the space is unchanged, the polarization
-    rescaled).  The loop strictly decreases the weight sum, so it terminates.
+
+def normalize(w) -> WeightVector:
+    """The unique well-formed weight vector of the same space, in one step.
+
+    Divide by gcd(a); let d_i = gcd(a_j : j != i).  A prime dividing two d_i divides every
+    weight, so the d_i are pairwise coprime, prod_{j != i} d_j divides a_i, and dividing the
+    a_j (j != i) by d_i for each i gives ``b_i = a_i d_i / prod_j d_j``.  If a prime p divided
+    b_j for all j != i, then p | d_i, p is prime to the other d_j and v_p(b_j) = v_p(a_j) -
+    v_p(d_i), 0 where v_p(a_j) is least: b is well formed (Iano-Fletcher, LMS LN 281, §5).
     """
-    ws = list(_as_weights(w).weights)
-    while True:
-        g = gcd(*ws)
-        if g > 1:
-            ws = [a // g for a in ws]
-            continue
-        for i in range(len(ws)):
-            others = ws[:i] + ws[i + 1 :]
-            d = gcd(*others)
-            if d > 1:
-                ws = [a if j == i else a // d for j, a in enumerate(ws)]
-                break
-        else:
-            return WeightVector(tuple(ws))
+    ws = _as_weights(w).weights
+    g = gcd(*ws)
+    ds = _cofactor_gcds([a // g for a in ws])
+    product = prod(ds)
+    return WeightVector(tuple(a // g * d // product for a, d in zip(ws, ds)))
 
 
 def _require_well_formed(w) -> WeightVector:

@@ -13,8 +13,9 @@ search through a scan of every candidate, base-point freeness on
 weighted projective spaces through explicit monomial lists and O(m)
 reachability lists, minimal coprime supports through all subsets of the
 weights, singular strata through the primes found by trial division,
-well-formedness through the gcd of every n of the n + 1 weights, and the
-partitions of a box by weight through the q-Pascal recurrence of the
+well-formedness through the gcd of every n of the n + 1 weights, well
+forming through the reduction loop that divides out one common factor at a
+time, and the partitions of a box by weight through the q-Pascal recurrence of the
 Gaussian binomials.
 """
 
@@ -317,6 +318,25 @@ def well_formed_brute(weights: tuple[int, ...]) -> bool:
     gcd of every n of them, is 1."""
     n = len(weights) - 1
     return gcd(*weights) == 1 and all(gcd(*subset) == 1 for subset in combinations(weights, n))
+
+
+def normalize_by_steps(weights: tuple[int, ...]) -> tuple[int, ...]:
+    """The well-formed weights of P(a), one reduction at a time: divide by
+    the global gcd; while some n of the weights share a factor d, divide
+    those n weights by d.  The weight sum falls at each step, so it ends."""
+    ws = list(weights)
+    while True:
+        g = gcd(*ws)
+        if g > 1:
+            ws = [a // g for a in ws]
+            continue
+        for i in range(len(ws)):
+            d = gcd(*ws[:i], *ws[i + 1 :])
+            if d > 1:
+                ws = [a if j == i else a // d for j, a in enumerate(ws)]
+                break
+        else:
+            return tuple(ws)
 
 
 def degree_m_exponents(weights: tuple[int, ...], m: int):

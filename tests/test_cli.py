@@ -395,6 +395,36 @@ def test_max_m_reports_the_source_before_the_twist(tmp_path):
     assert full.message == "A1: not very ample and no weighted ambient model recorded"
 
 
+def test_source_refuses_the_invariant_flags():
+    argv = ["bound", "max-m", "--target", "V4-quartic", "--twist", "2", "--source", "V4-quartic"]
+    for flag in ("--h3x", "--kappa", "--c2hx", "--c3x"):
+        result = run([*argv, flag, "9"])
+        assert (result.status, result.message) == (
+            "error", f"--source reads the source invariants; drop {flag}")
+    assert run([*argv, "--h3x", "9", "--c3x", "1"]).message.endswith("drop --h3x, --c3x")
+
+
+@pytest.mark.parametrize(
+    "extra", [["--r", "2"], ["--not-very-ample"], ["--r", "1", "--not-very-ample"]],
+    ids=["r", "not-very-ample", "both"])
+def test_conics_refuses_the_line_flags(extra):
+    result = run(["db", "normal-bundles", "--conics", *extra])
+    assert (result.status, result.message) == (
+        "error", "--conics lists conic options: give it no --r or --not-very-ample")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["--db", "", "db", "list"], "No such file"),
+     (["bound", "max-m", "--target", "V4-quartic", "--source", "", "--h3x", "4", "--kappa", "-1",
+       "--c2hx", "24", "--c3x", "1"], "--source reads the source invariants; drop --h3x")],
+    ids=["db", "source"])
+def test_an_empty_value_is_read_not_dropped(capsys, argv, message):
+    assert main(["--json", *argv]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error" and message in doc["message"]
+
+
 def test_giambelli_command():
     result = run(["schubert", "giambelli", "--gr", "1,4", "--partition", "2,1"])
     assert result.result["terms"] == {"2,1": 1}

@@ -64,6 +64,8 @@ chern top --taut 1,3
 chern top --split 3:1,1,1 --integrate
 chern top --split 3:1,1 --sym 2 --ext 2
 chern top --split 3:1,,2
+chern top --split 3:1,2 --sym 0
+chern top --taut 1,4 --ext 0 --integrate
 chern sym --taut 1,3 --k 2
 chern sym --split 2:1,2 --k 3
 chern sym --split 3:1,1,1,1,1 --k 2
@@ -124,6 +126,7 @@ db normal-bundles --r 1
 db normal-bundles --r 2
 db normal-bundles --r 1 --not-very-ample
 db normal-bundles --conics
+db normal-bundles --conics --r 2 --not-very-ample
 db normal-bundles
 db normal-bundles --r 3
 db line-family-dim --n 4 --d 3
@@ -146,6 +149,7 @@ bound verdict --target V4-quartic
 bound verdict --target A4 --twist 2
 bound verdict --target V6
 bound max-m --target V4-quartic --twist 2 --source V4-quartic
+bound max-m --target V4-quartic --twist 2 --source V4-quartic --h3x 9
 bound max-m --target V4-quartic --h3x 4 --kappa -1 --c2hx 24 --c3x 1000000
 bound max-m --target A2 --source Q3
 bound max-m --target V4-quartic --h3x 4

@@ -22,7 +22,7 @@ from fanocalc.fano_db import (
 )
 from fanocalc.reports import lines_on_cubic_threefold
 from fanocalc.riemann_roch import ThreefoldIntersectionData, chi_threefold
-from fanocalc.wps import WeightVector
+from fanocalc.wps import WeightVector, double_cover_model
 
 
 def test_every_shipped_record_validates():
@@ -92,6 +92,22 @@ def test_non_very_ample_records_carry_ambient_models():
     for record in db.records():
         if not record.very_ample:
             assert record.ambient is not None, record.name
+
+
+# The table's weighted models and `double_cover_model` share no code.
+DOUBLE_COVERS = {
+    "A1": ("veronese-cone", 3),
+    "A2": ("P3", 2),
+    "V2": ("P3", 3),
+    "V4-double-quadric": ("quadric-4", 2),
+}
+
+
+def test_table_ambients_are_the_double_cover_models():
+    with_ambient = {r.name for r in default_database().records() if r.ambient is not None}
+    assert with_ambient == set(DOUBLE_COVERS)
+    for name, (base, k) in DOUBLE_COVERS.items():
+        assert lookup(name).ambient == double_cover_model(base, k).ambient, name
 
 
 def test_index_one_h0_consistency():
@@ -166,6 +182,8 @@ def test_validate_flags_very_ample_mismatch():
         (FanoRecord("Q3", 3, 2, None, 0, True, -7), "h0(H) = -7 is not chi(O(H)) = 5"),
         (FanoRecord("A2", 2, 2, None, 20, False, 4, {"ambient": "2:2:2:2:2"}),
          "ambient P(2,2,2,2,2) is not well-formed"),
+        (FanoRecord("A2", 2, 2, None, 20, False, 4, {"ambient": "1:1"}),
+         "ambient P(1,1) has 2 weights, fewer than the 5 of a P^4"),
         (FanoRecord("A5", 2, 5, None, None, True, 7, {"lines_through_general_point": "-3"}),
          "negative count -3 of lines through a point"),
         (FanoRecord("A5", 2, 5, None, None, True, 7, {"special_surface_multiple": "0"}),
@@ -173,7 +191,7 @@ def test_validate_flags_very_ample_mismatch():
     ],
     ids=["index-5", "index-4-not-P3", "index-2-degree-6", "genus-vs-degree", "index-1-h0",
          "genus-in-index-2", "index-4-h0", "index-3-h0", "ambient-not-well-formed",
-         "negative-lines", "special-multiple-0"],
+         "ambient-too-few-weights", "negative-lines", "special-multiple-0"],
 )
 def test_validate_names_the_violation(record, violation):
     assert validate(record) == [violation]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fanocalc
+from fanocalc import wps
 from fanocalc.wps import (
     SingularStratum,
     WeightVector,
@@ -26,6 +28,7 @@ from oracles import (
     generated_by_reachability,
     generated_on_smooth_locus,
     minimal_unit_supports_brute,
+    normalize_by_steps,
     singular_strata_by_primes,
     well_formed_brute,
 )
@@ -111,6 +114,51 @@ def test_normalize_idempotent_and_well_formed(w):
 @given(weight_vectors)
 def test_is_well_formed_matches_definition(w):
     assert w.is_well_formed() == well_formed_brute(w.weights)
+
+
+# Weights up to 10^6; in the second kind, a factor shared by the weights that
+# a bit mask chooses, so that the reduction loop takes several steps.
+large_weights = st.one_of(
+    st.lists(st.integers(1, 10**6), min_size=2, max_size=8).map(tuple),
+    st.tuples(
+        st.lists(st.integers(1, 1000), min_size=2, max_size=8),
+        st.integers(2, 1000),
+        st.integers(0, 255),
+    ).map(lambda t: tuple(a * t[1] if t[2] >> i & 1 else a for i, a in enumerate(t[0]))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(large_weights)
+def test_normalize_matches_the_reduction_loop(weights):
+    reduced = normalize(weights)
+    assert reduced.weights == normalize_by_steps(weights)
+    assert reduced.is_well_formed() and well_formed_brute(reduced.weights)
+    assert WeightVector(weights).is_well_formed() == well_formed_brute(weights)
+
+
+def _first_primes(count: int) -> list[int]:
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(2, 3), (6, 10, 15), (1, 1, 1, 1, 2), (4, 6, 10, 12), (12, 18, 30, 42, 70),
+     tuple(math.prod(_first_primes(160)) // p for p in _first_primes(160))],
+    ids=["P(2,3)", "P(6,10,15)", "P(1,1,1,1,2)", "P(4,6,10,12)", "five-weights", "160-primes"],
+)
+def test_normalize_makes_one_gcd_call_per_weight_and_one_more(monkeypatch, weights):
+    # the reduction loop made 13201 calls on the 160 weights P / p_i
+    calls = []
+    monkeypatch.setattr(wps, "gcd", lambda *a: calls.append(a) or math.gcd(*a))
+    reduced = normalize(weights)
+    assert len(calls) == len(weights) + 1
+    assert reduced.weights == normalize_by_steps(weights)
 
 
 # -- singular strata -------------------------------------------------------------
