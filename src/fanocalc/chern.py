@@ -7,7 +7,8 @@ by the ring's own product (Fulton, *Intersection Theory*, section 3.2).
 Symmetric and exterior powers go through universal integer polynomials:
 apply the functor to formal Chern roots ``x_1..x_r``, rewrite the resulting
 symmetric functions in the elementary symmetric polynomials ``e_1..e_r``
-(Gauss's algorithm), and substitute ``e_i -> c_i``.  The root product keeps
+(Gauss's algorithm), and substitute ``e_i -> c_i`` with one product per
+e-monomial, by the Chern class of its least index.  The root product keeps
 only the exponent vectors that can still reach a partition of weight at
 most the truncation degree, and Gauss's rewrite runs in the basis of
 monomial symmetric functions ``m_lambda``, so no symmetric function is ever
@@ -37,7 +38,7 @@ class FormalBundle(_Record):
 
     Missing entries (``t < rank``) are zero; trailing zero classes are
     stripped so equal bundles compare equal.  This constructor validates
-    its input: a nonnegative rank, at most ``min(rank, truncation)``
+    its input: a nonnegative int rank, at most ``min(rank, truncation)``
     classes, and ``c_i`` homogeneous of degree ``i``.  The kernels of this
     module build their results through ``_bundle`` instead, which only
     strips trailing zeros: their classes are homogeneous by construction.
@@ -48,6 +49,8 @@ class FormalBundle(_Record):
     chern: tuple
 
     def __post_init__(self):
+        if type(self.rank) is not int:
+            raise ValueError(f"rank must be an int, got {self.rank!r}")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         cs = _stripped(self.chern)
@@ -84,6 +87,8 @@ def line_bundle(ring: GradedRing, c1) -> FormalBundle:
 
 def chern_class(b: FormalBundle, i: int):
     """``c_i`` of the bundle, with ``c_0 = 1``; zero beyond the stored list."""
+    if type(i) is not int:
+        raise ValueError(f"Chern index must be an int, got {i!r}")
     if i < 0 or i > b.ring.truncation:
         raise ValueError(f"Chern index {i} outside 0..{b.ring.truncation}")
     if i == 0:
@@ -139,10 +144,9 @@ def _from_total(rank: int, total) -> FormalBundle:
 
 def sym_power(b: FormalBundle, k: int) -> FormalBundle:
     """k-th symmetric power; rank ``C(rank+k-1, k)``."""
+    _check_power(k)
     if b.rank < 1:
         raise ValueError("symmetric power needs positive rank")
-    if k < 1:
-        raise ValueError("power must be a positive integer")
     rank = comb(b.rank + k - 1, k)
     epolys = _power_epolys("sym", b.rank, k, b.ring.truncation)
     return _bundle(b.ring, rank, _substitute_all(epolys, b))
@@ -150,8 +154,7 @@ def sym_power(b: FormalBundle, k: int) -> FormalBundle:
 
 def ext_power(b: FormalBundle, k: int) -> FormalBundle:
     """k-th exterior power; rank ``C(rank, k)``."""
-    if k < 1:
-        raise ValueError("power must be a positive integer")
+    _check_power(k)
     if k > b.rank:
         raise ValueError(f"exterior power {k} exceeds rank {b.rank}")
     rank = comb(b.rank, k)
@@ -159,34 +162,41 @@ def ext_power(b: FormalBundle, k: int) -> FormalBundle:
     return _bundle(b.ring, rank, _substitute_all(epolys, b))
 
 
+def _check_power(k) -> None:
+    if type(k) is not int:
+        raise ValueError(f"power must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError("power must be a positive integer")
+
+
 # -- universal polynomials -------------------------------------------------
 
 def _substitute_all(epolys, b: FormalBundle) -> tuple:
     """Substitute ``e_j -> c_j(b)``, zero beyond the stored classes, into each
-    e-polynomial; every term's product starts from its first factor."""
-    ring = b.ring
-    powers: dict[int, list] = {}
-
-    def power(j: int, m: int):
-        """``c_j ** m`` for ``m >= 1``, each power built once per call."""
-        if j > len(b.chern):
-            return ring.zero()
-        built = powers.setdefault(j, [b.chern[j - 1]])
-        while len(built) < m:
-            built.append(built[-1] * built[0])
-        return built[m - 1]
+    e-polynomial: one product per e-monomial, by the Chern class of its least
+    index j, times the monomial with one e_j taken out, each monomial built
+    once per call along its chain of such quotients.  The unit and a zero
+    factor take no product.  On a Grassmannian the factor is mostly ``c_1``."""
+    zero = b.ring.zero()
+    classes = b.chern + (zero,) * (b.rank - len(b.chern))
+    built = {(0,) * b.rank: None}  # the unit, which no product uses
 
     def substitute(epoly):
-        total = ring.zero()
+        total = zero
         for emon, coeff in epoly:
-            term = None
-            for j, mult in enumerate(emon, start=1):
-                if mult:
-                    factor = power(j, mult)
-                    if not factor:
-                        break
-                    term = factor if term is None else term * factor
-            else:
+            chain = []
+            while emon not in built:
+                j = 0
+                while not emon[j]:
+                    j += 1
+                chain.append((emon, j))
+                emon = emon[:j] + (emon[j] - 1,) + emon[j + 1:]
+            term = built[emon]
+            for emon, j in reversed(chain):
+                c = classes[j]
+                term = c if term is None else (term * c if term and c else zero)
+                built[emon] = term
+            if term:
                 total = total + coeff * term
         return total
 

@@ -196,6 +196,8 @@ def _horizontal_strips(lam: Partition, a: int, rows: int, cols: int) -> tuple[Pa
 
 def pieri(x: ChowElement, a: int) -> ChowElement:
     """Multiply by the single-row class ``sigma_a`` (horizontal strips)."""
+    if type(a) is not int:
+        raise ValueError(f"Pieri index must be an int, got {a!r}")
     if a < 1:
         raise ValueError("Pieri index must be a positive integer")
     ctx = x.ring

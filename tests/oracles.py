@@ -6,7 +6,8 @@ tableaux), Schubert expressions by splitting the text on its operators and
 folding those products, horizontal strips by filtering every partition of the box
 through the interlacing inequalities, power bundles through direct
 enumeration of root multisets over actual split bundles, universal
-polynomials through full monomial expansions, products of monomial and
+polynomials through full monomial expansions, their substitution into the
+base ring through each term's product of Chern-class powers, products of monomial and
 elementary symmetric functions by counting subsets, direct sums and line
 twists through the index formulas for each Chern class, the multiplier
 search through a scan of every candidate, base-point freeness on
@@ -280,6 +281,38 @@ def power_epolys_brute(op: str, rank: int, k: int, dmax: int) -> tuple:
                     residue.pop(mono, None)
         out.append(tuple(sorted(epoly.items())))
     return tuple(out)
+
+
+def substitute_by_terms(epolys, b) -> tuple:
+    """Substitute ``e_j -> c_j(b)``, zero beyond the stored classes, into each
+    e-polynomial term by term: each power ``c_j ** m`` as a chain of products
+    by ``c_j``, then each term as the product of its powers in index order."""
+    ring = b.ring
+    powers: dict[int, list] = {}
+
+    def power(j: int, m: int):
+        if j > len(b.chern):
+            return ring.zero()
+        built = powers.setdefault(j, [b.chern[j - 1]])
+        while len(built) < m:
+            built.append(built[-1] * built[0])
+        return built[m - 1]
+
+    def substitute(epoly):
+        total = ring.zero()
+        for emon, coeff in epoly:
+            term = None
+            for j, mult in enumerate(emon, start=1):
+                if mult:
+                    factor = power(j, mult)
+                    if not factor:
+                        break
+                    term = factor if term is None else term * factor
+            else:
+                total = total + coeff * term
+        return total
+
+    return tuple(map(substitute, epolys))
 
 
 def m_times_e_brute(lam: tuple[int, ...], j: int, nvars: int) -> dict:

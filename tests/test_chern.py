@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fanocalc import chern, schubert
@@ -29,6 +29,7 @@ from oracles import (
     m_times_e_brute,
     power_epolys_brute,
     split_power_chern,
+    substitute_by_terms,
     twist_binomial,
     whitney_convolution,
 )
@@ -257,28 +258,37 @@ def test_cubic_surface_27_lines():
         (6, 305093061),
         (7, 210480374951),
         (8, 210776836330775),
+        (9, 289139638632755625),
+        (10, 520764738758073845321),
+        (11, 1192221463356102320754899),
+        (12, 3381929766320534635615064019),
     ],
 )
 def test_lines_on_hypersurfaces_of_degree_2n_minus_3(n, count):
-    # OEIS A027363: lines on a general hypersurface of degree 2n-3 in P^n
+    # OEIS A027363: lines on a general hypersurface of degree 2n-3 in P^n, also
+    # the residue sum of c_top(S^(2n-3) U*) over the fixed points of G(2, n+1)
     ctx = GrassmannContext.from_projective(1, n)
     assert integrate(top_chern(sym_power(tautological_dual(ctx), 2 * n - 3))) == count
+    top = CHECKS.bott_integral(2, n + 1, lambda roots: CHECKS.sym_power_top(roots, 2 * n - 3))
+    assert top == count
 
 
 def test_three_planes_on_a_cubic_sevenfold(monkeypatch):
     # projective 3-planes of a general cubic in P^8: the zero locus of
     # S^3 U* (rank 20) on the 20-dimensional G(3,8)
     ctx = GrassmannContext.from_projective(3, 8)
-    one, multiply, with_unit = ctx.one(), schubert.multiply, []
+    one, multiply, pieri, with_unit, pieris = ctx.one(), schubert.multiply, schubert.pieri, [], []
 
     def counting(x, y):
         with_unit.append(one in (x, y))
         return multiply(x, y)
 
     monkeypatch.setattr(schubert, "multiply", counting)
+    monkeypatch.setattr(schubert, "pieri", lambda x, a: pieris.append(a) or pieri(x, a))
     assert integrate(top_chern(sym_power(tautological_dual(ctx), 3))) == 321489
-    # every e-monomial's product starts from its first factor, never the unit
-    assert len(with_unit) == 864 and not any(with_unit)
+    # one product per e-monomial, by the Chern class of its least index, never the unit
+    assert len(with_unit) == 481 and not any(with_unit)
+    assert len(pieris) == 786
 
 
 def test_two_spinor_tenfolds_in_g510():
@@ -368,6 +378,62 @@ PINNED_SHAPES = [
 @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=lambda s: "{}-{}-{}-{}".format(*s))
 def test_universal_polynomials_pinned_shapes(shape):
     assert chern._power_epolys(*shape) == power_epolys_brute(*shape)
+
+
+# -- substitution into the base ring ----------------------------------------------
+
+TWO_GENERATORS = TruncatedPolynomialRing(("a", "b"), (1, 1), truncation=4)
+P5 = line_ring(5)
+# c_2 = 0 with c_3 != 0; and a rank-4 bundle that stores only c_1
+MIDDLE_ZERO = FormalBundle(P5, 3, (2 * P5.gen(), P5.zero(), -(P5.gen() ** 3)))
+ONLY_C1 = FormalBundle(TWO_GENERATORS, 4, (TWO_GENERATORS.gen(0) - 3 * TWO_GENERATORS.gen(1),))
+
+
+def quotient_bundle(ctx):
+    """The universal quotient bundle Q: ``c_i(Q) = sigma_i``."""
+    rank = ctx.n - ctx.k
+    return FormalBundle(ctx, rank, tuple(sigma(ctx, i) for i in range(1, rank + 1)))
+
+
+@st.composite
+def substitution_bundles(draw):
+    """Bundles of rank at most 5: random classes over a line ring or a
+    two-generator ring (zero classes and fewer classes than the rank
+    included), or U*, U, Q on G(2,5) and G(3,6), twisted and summed with lines."""
+    source = draw(st.sampled_from(["line", "two", "G(2,5)", "G(3,6)"]))
+    if source in ("line", "two"):
+        ring = line_ring(draw(st.integers(1, 6))) if source == "line" else TWO_GENERATORS
+        rank = draw(st.integers(1, 5))
+        classes = []
+        for i in range(1, draw(st.integers(0, min(rank, ring.truncation))) + 1):
+            if source == "line":
+                monomials = [ring.gen() ** i]
+            else:
+                a, b = ring.gens
+                monomials = [a**p * b ** (i - p) for p in range(i + 1)]
+            size = len(monomials)
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+            classes.append(sum((c * m for c, m in zip(coeffs, monomials)), ring.zero()))
+        return FormalBundle(ring, rank, classes)
+    ctx = GrassmannContext(2, 5) if source == "G(2,5)" else GrassmannContext(3, 6)
+    u = tautological_dual(ctx)
+    bundle = draw(st.sampled_from([u, dual(u), quotient_bundle(ctx)]))
+    bundle = twist_line(bundle, draw(st.integers(-2, 2)) * sigma(ctx, 1))
+    if draw(st.booleans()):
+        bundle = whitney_sum(bundle, line_bundle(ctx, draw(st.integers(-2, 2)) * sigma(ctx, 1)))
+    return bundle
+
+
+@given(substitution_bundles(), st.sampled_from(["sym", "ext"]), st.integers(1, 4))
+@example(MIDDLE_ZERO, "sym", 3)
+@example(MIDDLE_ZERO, "ext", 2)
+@example(ONLY_C1, "sym", 2)
+@example(ONLY_C1, "ext", 3)
+def test_substitution_matches_the_term_by_term_products(bundle, op, k):
+    if op == "ext":
+        k = min(k, bundle.rank)
+    epolys = chern._power_epolys(op, bundle.rank, k, bundle.ring.truncation)
+    assert chern._substitute_all(epolys, bundle) == substitute_by_terms(epolys, bundle)
 
 
 def test_high_symmetric_power_runs_in_flat_memory():
@@ -535,6 +601,22 @@ def test_top_chern_degree():
 def test_bundle_constructions_refuse(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda k: sym_power(line_bundle(P3, H), k), "power"),
+        (lambda k: ext_power(split_bundle(P3, [1, 2]), k), "power"),
+        (lambda i: chern_class(line_bundle(P3, H), i), "Chern index"),
+        (lambda r: trivial_bundle(P3, r), "rank"),
+    ],
+    ids=["sym_power", "ext_power", "chern_class", "rank"],
+)
+def test_a_power_or_index_must_be_an_int(call, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be an int, got {bad!r}"):
+        call(bad)
 
 
 def test_bundle_validation():

@@ -171,6 +171,12 @@ def test_pieri_rejects_nonpositive_index():
         pieri(sigma(G25, 1), 0)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0])
+def test_pieri_index_must_be_an_int(bad):
+    with pytest.raises(ValueError, match=f"Pieri index must be an int, got {bad!r}"):
+        pieri(sigma(G25, 1), bad)
+
+
 @pytest.mark.parametrize("ctx", [G24, G25])
 def test_pieri_matches_tableau_oracle_exhaustively(ctx):
     for lam in ctx.partitions():
