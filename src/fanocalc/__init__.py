@@ -64,7 +64,20 @@ def _ints(text: str, source: str, sep: str = ",") -> tuple[int, ...]:
         raise ValueError(f"{source} expects integers, got {text!r}") from None
 
 
+def _typed(value, name: str, kind: type = int):
+    """``value`` itself if its type is exactly ``kind`` (``int`` or ``bool``), else a
+    ``ValueError`` naming ``name``: a float, a string and, for ``int``, a bool are
+    refused.  The one rule for integer (and bool) arguments and record fields."""
+    if type(value) is not kind:
+        article = "an" if kind is int else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+    return value
+
+
 _MappingProxy = type(type.__dict__)  # types.MappingProxyType, without importing types
+# The field annotations a record enforces, written or evaluated, and the test that refuses.
+_CHECKS = {"int": "type({0}) is not int", "bool": "type({0}) is not bool",
+           "int | None": "type({0}) is not int and {0} is not None"}
 
 
 class _Record:
@@ -77,7 +90,10 @@ class _Record:
     ``set`` default, which every instance would share, is refused.  Each
     subclass gets one compiled ``__init__``, binding the fields positionally
     or by name and then calling ``__post_init__`` if the class has one, and
-    a ``__hash__`` of the fields in order.  Instances refuse assignment and
+    a ``__hash__`` of the fields in order.  That ``__init__`` tests each field
+    annotated ``int``, ``int | None`` or ``bool`` (as text or evaluated) inline
+    for the exact type, ``None`` passing ``int | None`` only, and refuses a value
+    through ``_typed``; other annotations go unchecked.  Instances refuse assignment and
     deletion (a ``__post_init__`` that normalizes a field writes it with
     ``object.__setattr__``), ``==`` compares the fields of two instances of
     one class, ``repr`` is ``Name(field=value, ...)``, and pickling rebuilds
@@ -89,8 +105,9 @@ class _Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         namespace = vars(cls)
-        fields = tuple(namespace.get("__annotations__", ()))
-        defaults = []
+        annotations = namespace.get("__annotations__", {})
+        fields = tuple(annotations)
+        defaults, body = [], []
         for name in fields:
             if name in namespace:
                 default = namespace[name]
@@ -99,7 +116,11 @@ class _Record:
                 defaults.append(default)
             elif defaults:
                 raise TypeError(f"{cls.__name__}.{name}: field without a default after one with")
-        body = [f"    d[{name!r}] = {name}" for name in fields]
+            kind = getattr(annotations[name], "__name__", str(annotations[name]))
+            if kind in _CHECKS:
+                body.append(f"    if {_CHECKS[kind].format(name)}: "
+                            f"_typed({name}, {name!r}, {kind.split()[0]})")
+            body.append(f"    d[{name!r}] = {name}")
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
         source = (
@@ -110,7 +131,7 @@ class _Record:
             + "))\n"
         )
         made: dict = {}
-        exec(source, {}, made)
+        exec(source, {"_typed": _typed}, made)
         made["__init__"].__defaults__ = tuple(defaults)
         for method in made.values():
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"

@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from . import _Record
+from . import _Record, _typed
 from .rings import GradedRing
 
 
@@ -49,8 +49,6 @@ class FormalBundle(_Record):
     chern: tuple
 
     def __post_init__(self):
-        if type(self.rank) is not int:
-            raise ValueError(f"rank must be an int, got {self.rank!r}")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         cs = _stripped(self.chern)
@@ -87,9 +85,7 @@ def line_bundle(ring: GradedRing, c1) -> FormalBundle:
 
 def chern_class(b: FormalBundle, i: int):
     """``c_i`` of the bundle, with ``c_0 = 1``; zero beyond the stored list."""
-    if type(i) is not int:
-        raise ValueError(f"Chern index must be an int, got {i!r}")
-    if i < 0 or i > b.ring.truncation:
+    if _typed(i, "Chern index") < 0 or i > b.ring.truncation:
         raise ValueError(f"Chern index {i} outside 0..{b.ring.truncation}")
     if i == 0:
         return b.ring.one()
@@ -144,7 +140,8 @@ def _from_total(rank: int, total) -> FormalBundle:
 
 def sym_power(b: FormalBundle, k: int) -> FormalBundle:
     """k-th symmetric power; rank ``C(rank+k-1, k)``."""
-    _check_power(k)
+    if _typed(k, "power") < 1:
+        raise ValueError("power must be a positive integer")
     if b.rank < 1:
         raise ValueError("symmetric power needs positive rank")
     rank = comb(b.rank + k - 1, k)
@@ -154,19 +151,13 @@ def sym_power(b: FormalBundle, k: int) -> FormalBundle:
 
 def ext_power(b: FormalBundle, k: int) -> FormalBundle:
     """k-th exterior power; rank ``C(rank, k)``."""
-    _check_power(k)
+    if _typed(k, "power") < 1:
+        raise ValueError("power must be a positive integer")
     if k > b.rank:
         raise ValueError(f"exterior power {k} exceeds rank {b.rank}")
     rank = comb(b.rank, k)
     epolys = _power_epolys("ext", b.rank, k, b.ring.truncation)
     return _bundle(b.ring, rank, _substitute_all(epolys, b))
-
-
-def _check_power(k) -> None:
-    if type(k) is not int:
-        raise ValueError(f"power must be an int, got {k!r}")
-    if k < 1:
-        raise ValueError("power must be a positive integer")
 
 
 # -- universal polynomials -------------------------------------------------

@@ -26,7 +26,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 from math import inf, isqrt
 
-from . import _Record, wps
+from . import _Record, _typed, wps
 from .fano_db import (
     FanoRecord,
     conic_normal_bundle_degrees,
@@ -50,8 +50,7 @@ class SourceInvariants(_Record):
     def __post_init__(self):
         if self.H3X < 1:
             raise ValueError("H_X^3 must be positive")
-        if self.kappa < -4:
-            raise ValueError("a Fano with cyclic Picard group has index at most 4")
+        noether_lefschetz_threshold(self.kappa)  # refuses a kappa below -4
 
 
 def source_invariants(record: FanoRecord) -> SourceInvariants:
@@ -82,8 +81,7 @@ def cotangent_twist(Y: FanoRecord) -> int:
 def E_value(Y: FanoRecord, l: int) -> int:
     """The certificate integer ``(b3 - 4) + l(24/r) - l^2 r H^3``, with
     ``c2.H`` and ``c3(Omega)`` from ``derive_fano_invariants``."""
-    if type(l) is not int:
-        raise ValueError(f"twist must be an int, got {l!r}")
+    _typed(l, "twist")
     if Y.b3 is None:
         raise ValueError(f"{Y.name}: b3 unknown, E(Y,l) not computable")
     inv = derive_fano_invariants(Y.index, Y.H3, Y.b3)
@@ -158,11 +156,9 @@ def _last_nonpositive(a: int, b: int, c: int, d: int) -> int:
 def degree_from_multiplier(m: int, H3X: int, H3Y: int) -> int:
     """``m^3 H_X^3 / H_Y^3`` when integral, else an error: no morphism with
     this multiplier exists numerically."""
-    if type(m) is not int or type(H3X) is not int or type(H3Y) is not int:
-        raise ValueError(f"multiplier and degrees must be ints, got {m!r}, {H3X!r}, {H3Y!r}")
-    if m < 1:
+    if _typed(m, "multiplier") < 1:
         raise ValueError("multiplier must be at least 1")
-    if H3X < 1 or H3Y < 1:
+    if _typed(H3X, "H3X") < 1 or _typed(H3Y, "H3Y") < 1:
         raise ValueError("degrees must be positive")
     total = m**3 * H3X
     if total % H3Y:
@@ -202,9 +198,9 @@ def ramification_feasibility(rY: int, k: int, X: SourceInvariants) -> Ramificati
 
     The verdict reports for which m that inequality is satisfiable.
     """
-    if rY not in (1, 2):
+    if _typed(rY, "target index") not in (1, 2):
         raise ValueError("target index must be 1 or 2")
-    if k < 1:
+    if _typed(k, "surface multiple k") < 1:
         raise ValueError("the surface multiple k must be positive")
     # With slope k/2 - rY = (k - 2 rY)/2 > 0 the bound is m <= 2 kappa / (k - 2 rY).
     slope = k - 2 * rY
@@ -279,7 +275,7 @@ def _multiplier_interval(ttype: tuple[int, int], h: int, src: tuple[int, int]) -
     return (lo, hi) if lo <= hi else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so 1.0 or 1 is no cached 1 or True
 def _multiplier_table(rX: int, rY: int, very_ample: bool) -> tuple[tuple, ...]:
     """Each (component, h, source, target type) that is a witness for some
     multiplier, with the interval ``(lo, hi)`` of the multipliers it is a
@@ -296,13 +292,6 @@ def _multiplier_table(rX: int, rY: int, very_ample: bool) -> tuple[tuple, ...]:
     return tuple(table)
 
 
-def _check_multiplier(m) -> None:
-    if type(m) is not int:
-        raise ValueError(f"multiplier must be an int, got {m!r}")
-    if m < 1:
-        raise ValueError("multiplier must be at least 1")
-
-
 def feasibility_witnesses(
     rX: int, rY: int, very_ample: bool, m: int
 ) -> tuple[FeasibilityWitness, ...]:
@@ -315,7 +304,8 @@ def feasibility_witnesses(
     The witnesses are the rows of the multiplier table whose interval
     holds m.
     """
-    _check_multiplier(m)
+    if _typed(m, "multiplier") < 1:
+        raise ValueError("multiplier must be at least 1")
     return tuple(
         FeasibilityWitness(component, h, src, ttype, (ttype[0] * m * h, ttype[1] * m * h))
         for component, h, src, ttype, lo, hi in _multiplier_table(rX, rY, very_ample)
@@ -334,8 +324,8 @@ def feasible_multipliers(
     values = set(m_range)
     if not values:
         raise ValueError("empty multiplier range")
-    not_ints = [m for m in values if type(m) is not int]
-    _check_multiplier(not_ints[0] if not_ints else min(values))
+    if min(_typed(m, "multiplier") for m in values) < 1:
+        raise ValueError("multiplier must be at least 1")
     union: list[list] = []
     for lo, hi in sorted(row[-2:] for row in _multiplier_table(rX, rY, very_ample)):
         if union and lo <= union[-1][1] + 1:
@@ -350,8 +340,10 @@ def noether_lefschetz_threshold(kappa: int) -> int:
 
     A surface S ~ (3 kappa + 16) H_X is of the form 3K_X + 16A with A = H_X
     very ample, which is ample enough for the infinitesimal
-    Noether-Lefschetz property to hold on S.
+    Noether-Lefschetz property to hold on S; kappa >= -4 keeps it >= 4.
     """
+    if _typed(kappa, "kappa") < -4:
+        raise ValueError("a Fano with cyclic Picard group has index at most 4")
     return 3 * kappa + 16
 
 
@@ -371,7 +363,7 @@ def quadric_degree_bound(X: SourceInvariants) -> int:
     """Largest integral degree m^3 H_X^3 / 2 with m at most the threshold.
 
     m^3 H_X^3 is even unless m and H_X^3 are both odd, so m is the
-    threshold or one less; kappa >= -4 keeps the threshold at least 4.
+    threshold or one less, and the threshold is at least 4.
     """
     m = quadric_multiplier_bound(X)
     if m % 2 and X.H3X % 2:

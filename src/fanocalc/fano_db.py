@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from . import _Record, _ints
+from . import _Record, _ints, _typed
 from .wps import WeightVector
 
 
@@ -208,9 +208,10 @@ def line_normal_bundle_options(r: int, very_ample: bool) -> frozenset[tuple[int,
     families (finitely many (2,-2) lines in the index-2 degree-2 family); the
     index-1 analogue (2,-3) is included by the same extrapolation.
     """
-    if r not in (1, 2):
+    if _typed(r, "index") not in (1, 2):
         raise ValueError(f"normal-bundle table only covers index 1 and 2, got {r}")
-    return frozenset((a, r - 2 - a) for a in range(2 if very_ample else 3))
+    top = 2 if _typed(very_ample, "very_ample", bool) else 3
+    return frozenset((a, r - 2 - a) for a in range(top))
 
 
 def conic_normal_bundle_degrees() -> frozenset[tuple[int, int]]:
@@ -230,8 +231,8 @@ CONIC_OPTION_NOTES: Mapping[int, str] = MappingProxyType(
 def expected_line_family_dim(n: int, d: int) -> int:
     """Expected dimension of the family of lines on a degree-d hypersurface
     in projective n-space: ``dim G(1,n) - h^0(O_P1(d)) = 2(n-1) - (d+1)``."""
-    if n < 2:
+    if _typed(n, "n") < 2:
         raise ValueError("ambient projective space must have dimension >= 2")
-    if d < 1:
+    if _typed(d, "d") < 1:
         raise ValueError("hypersurface degree must be positive")
     return 2 * (n - 1) - (d + 1)

@@ -18,7 +18,7 @@ number.
 
 from __future__ import annotations
 
-from . import _Record
+from . import _Record, _typed
 
 
 class SurfaceIntersectionData(_Record):
@@ -117,11 +117,11 @@ def derive_fano_invariants(r: int, H3: int, b3: int) -> FanoNumericalInvariants:
     ``chi_top = 4 - b3`` for ``(b0, b2, b4, b6) = (1, 1, 1, 1)`` gives
     ``c_3(Omega) = b3 - 4``.  In index 1, ``H^3 = 2g - 2``.
     """
-    if r not in (1, 2, 3, 4):
+    if _typed(r, "index") not in (1, 2, 3, 4):
         raise ValueError(f"index must be 1..4, got {r}")
-    if H3 < 1:
+    if _typed(H3, "H3") < 1:
         raise ValueError("degree H^3 must be positive")
-    if b3 < 0 or b3 % 2:
+    if _typed(b3, "b3") < 0 or b3 % 2:
         raise ValueError("b3 must be a nonnegative even integer")
     genus = None
     if r == 1:

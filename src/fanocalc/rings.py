@@ -14,6 +14,12 @@ cancels it, and wraps it once, uncopied, through ``GradedElement._new``.
 generators, products cut off above the truncation degree); the
 Grassmannian of ``schubert`` is the other one, its own Chow ring with
 Schubert classes as keys.
+
+Two integer rules meet here.  An arithmetic operand (coefficient, scalar,
+exponent) passes ``_integer``, ``operator.index`` with bools refused, whose
+``TypeError`` lets ``__rmul__`` answer ``NotImplemented`` as the operator
+protocol needs.  An argument or a record field (truncation, degrees, a key's
+exponents) passes the package's rule, ``fanocalc._typed``: exactly an ``int``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from collections.abc import Iterable, Mapping
 from math import comb
 from operator import add, index, mul
 
-from . import _Record
+from . import _Record, _typed
 
 
 class GradedRing:
@@ -55,8 +61,7 @@ class GradedRing:
 
 
 def _integer(x) -> int:
-    """``x`` as an int through ``operator.index``, or ``TypeError``; a bool is
-    refused, as it is for a partition part or an exponent."""
+    """The operand rule: ``x`` through ``operator.index``, a bool refused."""
     if type(x) is bool:
         raise TypeError(f"expected an integer, got {x!r}")
     return index(x)
@@ -68,8 +73,7 @@ class GradedElement:
     Elements support ``+``, ``-``, ``*`` (the ring product, which each
     subclass defines, and scaling by integers), ``**`` with nonnegative
     integer exponents, ``==`` and truthiness (zero is falsy).  Coefficients,
-    scalars and exponents all pass one rule, ``_integer``: ``operator.index``,
-    with bools refused.
+    scalars and exponents pass ``_integer``.
 
     ``terms`` never holds a zero coefficient, so equality is equality of
     dicts.  ``ring.element(ring, terms)`` is the one public constructor
@@ -273,11 +277,7 @@ class TruncatedPolynomialRing(GradedRing, _Record):
     def __post_init__(self):
         if len(self.variables) != len(self.degrees):
             raise ValueError("one degree per variable required")
-        if not all(type(x) is int for x in (*self.degrees, self.truncation)):
-            raise ValueError(
-                f"degrees and truncation must be ints, got {self.degrees!r}, {self.truncation!r}"
-            )
-        if any(d < 1 for d in self.degrees):
+        if any(_typed(d, "generator degree") < 1 for d in self.degrees):
             raise ValueError("generator degrees must be positive")
         if self.truncation < 0:
             raise ValueError("truncation degree must be nonnegative")
@@ -293,7 +293,7 @@ class TruncatedPolynomialRing(GradedRing, _Record):
         """A tuple of nonnegative ints, one per generator; ``None`` above the truncation."""
         width = len(self.variables)
         if type(exps) is not tuple or len(exps) != width or not all(
-            type(x) is int and x >= 0 for x in exps
+            _typed(x, "exponent") >= 0 for x in exps
         ):
             raise ValueError(f"{exps!r} is not a tuple of {width} nonnegative int exponents")
         return exps if self.key_degree(exps) <= self.truncation else None
@@ -309,7 +309,7 @@ class TruncatedPolynomialRing(GradedRing, _Record):
 
     def gen(self, index: int = 0) -> PolyElement:
         exps = [0] * len(self.variables)
-        exps[index] = 1
+        exps[_typed(index, "generator index")] = 1
         return PolyElement(self, {tuple(exps): 1})
 
     @property

@@ -37,7 +37,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from . import _Record
+from . import _Record, _typed
 from .chern import FormalBundle
 from .rings import GradedElement, GradedRing
 
@@ -47,12 +47,10 @@ Partition = tuple[int, ...]
 def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize to a weakly decreasing tuple of positive ``int`` parts."""
     p = tuple(parts)
-    if not all(type(x) is int for x in p):
-        raise ValueError(f"partition parts must be ints, got {p!r}")
+    if any(_typed(x, "partition part") < 0 for x in p):
+        raise ValueError(f"negative part in partition {p}")
     while p and p[-1] == 0:
         p = p[:-1]
-    if any(x < 0 for x in p):
-        raise ValueError(f"negative part in partition {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValueError(f"parts must be weakly decreasing, got {p}")
     return p
@@ -81,8 +79,6 @@ class GrassmannContext(GradedRing, _Record):
     unit_key = ()
 
     def __post_init__(self):
-        if type(self.k) is not int or type(self.n) is not int:
-            raise ValueError(f"k and n must be ints, got k={self.k!r}, n={self.n!r}")
         if not 1 <= self.k < self.n:
             raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
 
@@ -144,6 +140,8 @@ class GrassmannContext(GradedRing, _Record):
         """All in-box partitions, optionally restricted to one weight: the
         weakly decreasing choices of ``rows`` parts from ``cols, ..., 0``,
         less their trailing zeros."""
+        if weight is not None:
+            _typed(weight, "weight")
         for p in combinations_with_replacement(range(self.cols, -1, -1), self.rows):
             if weight is None or sum(p) == weight:
                 yield p[: len(p) - p.count(0)]
@@ -196,9 +194,7 @@ def _horizontal_strips(lam: Partition, a: int, rows: int, cols: int) -> tuple[Pa
 
 def pieri(x: ChowElement, a: int) -> ChowElement:
     """Multiply by the single-row class ``sigma_a`` (horizontal strips)."""
-    if type(a) is not int:
-        raise ValueError(f"Pieri index must be an int, got {a!r}")
-    if a < 1:
+    if _typed(a, "Pieri index") < 1:
         raise ValueError("Pieri index must be a positive integer")
     ctx = x.ring
     rows, cols = ctx.rows, ctx.cols

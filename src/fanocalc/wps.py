@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd, prod
 
-from . import _Record, _ints
+from . import _Record, _ints, _typed
 
 
 class WeightVector(_Record):
@@ -34,11 +34,9 @@ class WeightVector(_Record):
 
     def __post_init__(self):
         w = tuple(self.weights)
-        if not all(type(a) is int for a in w):
-            raise ValueError(f"weights must be ints, got {w!r}")
         if len(w) < 2:
             raise ValueError("need at least two weights")
-        if any(a < 1 for a in w):
+        if any(_typed(a, "weight") < 1 for a in w):
             raise ValueError(f"weights must be positive, got {w}")
         object.__setattr__(self, "weights", w)
 
@@ -220,7 +218,7 @@ def is_generated(w, m: int) -> bool:
     O(min(a, m + 1).|T|.log a) beside the O(2^n) support scan.
     """
     wv = _require_well_formed(w)
-    if m < 0:
+    if _typed(m, "twist") < 0:
         raise ValueError("twist must be nonnegative")
     return all(m % min(gens) in _apery_set(gens, m) for gens in _unit_support_gens(wv))
 
@@ -276,7 +274,7 @@ def double_cover_model(base: str, k: int) -> HypersurfaceModel:
     ``n``; an ``n`` whose weights cannot be held is a ``ValueError`` naming
     the base.
     """
-    if k < 1:
+    if _typed(k, "k") < 1:
         raise ValueError("branch half-degree k must be positive")
     name = base.strip().lower()
     if name.startswith("projective-space-"):

@@ -239,8 +239,8 @@ def test_degree_from_multiplier():
 
 def test_degree_from_multiplier_requires_ints():
     # degree_from_multiplier(2.0, 1, 1) was 8.0
-    for args in ((2.0, 1, 1), (2, 1.0, 1), (2, 1, True)):
-        with pytest.raises(ValueError, match="must be ints"):
+    for args, name in (((2.0, 1, 1), "multiplier"), ((2, 1.0, 1), "H3X"), ((2, 1, True), "H3Y")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
             degree_from_multiplier(*args)
 
 
@@ -465,6 +465,17 @@ def test_feasibility_is_downward_closed(rX, rY, very_ample):
 def test_threshold_values():
     assert noether_lefschetz_threshold(-3) == 7
     assert noether_lefschetz_threshold(0) == 16
+
+
+@pytest.mark.parametrize("kappa", [-5, -10, -1000])
+def test_threshold_refuses_an_index_above_4_as_a_source_does(kappa):
+    # noether_lefschetz_threshold(-10) was -14, below the 4 the quadric bound relies on
+    message = "a Fano with cyclic Picard group has index at most 4"
+    with pytest.raises(ValueError, match=message):
+        noether_lefschetz_threshold(kappa)
+    with pytest.raises(ValueError, match=message):
+        SourceInvariants(H3X=1, kappa=kappa, c2HX=0, c3OmegaX=0)
+    assert noether_lefschetz_threshold(-4) == 4
 
 
 def test_quadric_chain():

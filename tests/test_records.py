@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 
@@ -138,9 +139,10 @@ def _record_classes(cls=_Record) -> set[type]:
     return found
 
 
-def test_every_record_survives_a_pickle_round_trip():
+def _samples() -> list:
+    """Instances of every record class, each class at least once."""
     ring = line_ring(3, 4)
-    samples = [
+    return [
         *default_database().records(),
         CommandResult("db list", "ok", {"db": None}, [1, 2], ["table"]),
         SurfaceIntersectionData(1, -3, 9, 3),
@@ -158,9 +160,59 @@ def test_every_record_survives_a_pickle_round_trip():
         SingularStratum(2, (0, 1)),
         double_cover_model("veronese-cone", 3),
     ]
+
+
+def test_every_record_survives_a_pickle_round_trip():
+    samples = _samples()
     assert {type(sample) for sample in samples} == _record_classes()
     assert len(default_database().records()) == 19
     for sample in samples:
         assert pickle.loads(pickle.dumps(sample)) == sample, sample
     facts = default_database().lookup("A1")
     assert pickle.loads(pickle.dumps(facts)).ambient == WeightVector((1, 1, 1, 2, 3))
+
+
+# The values each checked annotation refuses; ``None`` passes only ``int | None``.
+REFUSED = {
+    "int": (True, 1.0, "1", None),
+    "int | None": (True, 1.0, "1"),
+    "bool": (1, "false", None),
+}
+
+
+def _checked_fields(cls) -> list[tuple[str, str]]:
+    """The fields of ``cls`` whose annotation the record base enforces, with it."""
+    annotations = vars(cls)["__annotations__"]
+    kinds = [(name, getattr(annotations[name], "__name__", str(annotations[name])))
+             for name in cls._fields]
+    return [(name, kind) for name, kind in kinds if kind in REFUSED]
+
+
+@pytest.mark.parametrize("cls", sorted(_record_classes(), key=lambda cls: cls.__qualname__),
+                         ids=lambda cls: cls.__qualname__)
+def test_every_int_and_bool_field_refuses_other_types(cls):
+    # 31 of the 35 int fields once took a float, a bool or a string, and
+    # FanoRecord(..., very_ample="false") stored the string
+    examples = {type(sample): sample for sample in _samples()}
+    assert cls in examples, f"{cls.__qualname__} has no example in _samples"
+    fields = {name: getattr(examples[cls], name) for name in cls._fields}
+    assert cls(**fields) == examples[cls]
+    for name, kind in _checked_fields(cls):
+        expected = kind.split()[0]
+        for bad in REFUSED[kind]:
+            message = f"^{name} must be an? {expected}, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=message):
+                cls(**{**fields, name: bad})
+        if kind == "int | None":
+            assert getattr(cls(**{**fields, name: None}), name) is None
+
+
+def test_evaluated_annotations_are_checked_too():
+    namespace = {"_Record": _Record}
+    exec("class Evaluated(_Record):\n    n: int\n    m: int | None = None\n    b: bool = False",
+         namespace)
+    Evaluated = namespace["Evaluated"]
+    assert Evaluated(1, None, True).m is None
+    for args, name in (((1.0,), "n"), ((1, 2.0), "m"), ((1, 2, 1), "b")):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            Evaluated(*args)

@@ -279,7 +279,7 @@ def test_coefficient_lookup_checks_its_key():
 def test_line_ring_rejects_an_inexact_truncation():
     # line_ring(2.5) once built a ring
     for truncation in (2.5, True):
-        with pytest.raises(ValueError, match="must be ints"):
+        with pytest.raises(ValueError, match="truncation must be an int"):
             line_ring(truncation)
 
 

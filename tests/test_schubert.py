@@ -55,8 +55,8 @@ def test_context_rejects_bad_dimensions():
 
 def test_context_rejects_inexact_dimensions():
     # GrassmannContext(1.5, 4) was G(0.5,3) with top degree 3.75, and True passed as 1
-    for k, n in ((1.5, 4), (True, 3), (2, 4.0)):
-        with pytest.raises(ValueError, match="must be ints"):
+    for k, n, name in ((1.5, 4, "k"), (True, 3, "k"), (2, 4.0, "n")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
             GrassmannContext(k, n)
 
 
