@@ -65,12 +65,25 @@ def _ints(text: str, source: str, sep: str = ",") -> tuple[int, ...]:
 
 
 def _typed(value, name: str, kind: type = int):
-    """``value`` itself if its type is exactly ``kind`` (``int`` or ``bool``), else a
-    ``ValueError`` naming ``name``: a float, a string and, for ``int``, a bool are
-    refused.  The one rule for integer (and bool) arguments and record fields."""
+    """``value`` itself if its type is exactly ``kind`` (``int``, ``bool`` or
+    ``tuple``), else a ``ValueError`` naming ``name``: a float, a string and,
+    for ``int``, a bool are refused.  The one rule for integer (and bool)
+    arguments and record fields."""
     if type(value) is not kind:
         article = "an" if kind is int else "a"
         raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+    return value
+
+
+def _typed_ints(value, name: str, size: int | None = None) -> tuple:
+    """``value`` itself if it is a tuple (of ``size`` entries, if given) whose
+    every entry passes :func:`_typed`, else the ``ValueError`` naming ``name``
+    (``"<name> entry"`` for an entry)."""
+    _typed(value, name, tuple)
+    if size is not None and len(value) != size:
+        raise ValueError(f"{name} must hold {size} ints, got {value!r}")
+    for entry in value:
+        _typed(entry, f"{name} entry")
     return value
 
 
@@ -78,6 +91,14 @@ _MappingProxy = type(type.__dict__)  # types.MappingProxyType, without importing
 # The field annotations a record enforces, written or evaluated, and the test that refuses.
 _CHECKS = {"int": "type({0}) is not int", "bool": "type({0}) is not bool",
            "int | None": "type({0}) is not int and {0} is not None"}
+# The tuple field annotations a record enforces, and the lines that test the stored value.
+_TUPLE_CHECKS = {
+    "tuple[int, ...]": "    if type({0}) is not tuple: _typed_ints({0}, {0!r})\n"
+                       "    for _entry in {0}:\n"
+                       "        if type(_entry) is not int: _typed_ints({0}, {0!r})",
+    "tuple[int, int]": "    if type({0}) is not tuple or len({0}) != 2 or type({0}[0]) is not int"
+                       " or type({0}[1]) is not int: _typed_ints({0}, {0!r}, 2)",
+}
 
 
 class _Record:
@@ -93,11 +114,15 @@ class _Record:
     a ``__hash__`` of the fields in order.  That ``__init__`` tests each field
     annotated ``int``, ``int | None`` or ``bool`` (as text or evaluated) inline
     for the exact type, ``None`` passing ``int | None`` only, and refuses a value
-    through ``_typed``; other annotations go unchecked.  Instances refuse assignment and
-    deletion (a ``__post_init__`` that normalizes a field writes it with
-    ``object.__setattr__``), ``==`` compares the fields of two instances of
-    one class, ``repr`` is ``Name(field=value, ...)``, and pickling rebuilds
-    an instance from its fields through the class.
+    through ``_typed``.  A field annotated ``tuple[int, ...]`` or ``tuple[int,
+    int]`` is tested inline as stored, after ``__post_init__`` (which may turn
+    an iterable into that tuple and name its entries itself, as ``WeightVector``
+    does), and refused through ``_typed_ints``; other annotations go
+    unchecked.  Instances refuse assignment and deletion (a ``__post_init__``
+    that normalizes a field writes it with ``object.__setattr__``), ``==``
+    compares the fields of two instances of one class, ``repr`` is
+    ``Name(field=value, ...)``, and pickling rebuilds an instance from its
+    fields through the class.
     """
 
     _fields: tuple = ()
@@ -107,7 +132,7 @@ class _Record:
         namespace = vars(cls)
         annotations = namespace.get("__annotations__", {})
         fields = tuple(annotations)
-        defaults, body = [], []
+        defaults, body, stored = [], [], []
         for name in fields:
             if name in namespace:
                 default = namespace[name]
@@ -116,13 +141,18 @@ class _Record:
                 defaults.append(default)
             elif defaults:
                 raise TypeError(f"{cls.__name__}.{name}: field without a default after one with")
-            kind = getattr(annotations[name], "__name__", str(annotations[name]))
+            annotation = annotations[name]
+            # an evaluated tuple[int, int] has the __name__ "tuple" of its origin
+            kind = annotation.__name__ if type(annotation) is type else str(annotation)
             if kind in _CHECKS:
                 body.append(f"    if {_CHECKS[kind].format(name)}: "
                             f"_typed({name}, {name!r}, {kind.split()[0]})")
+            elif kind in _TUPLE_CHECKS:
+                stored.append(f"    {name} = d[{name!r}]\n" + _TUPLE_CHECKS[kind].format(name))
             body.append(f"    d[{name!r}] = {name}")
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
+        body += stored
         source = (
             f"def __init__(self, {', '.join(fields)}):\n    d = self.__dict__\n"
             + "\n".join(body)
@@ -131,7 +161,7 @@ class _Record:
             + "))\n"
         )
         made: dict = {}
-        exec(source, {"_typed": _typed}, made)
+        exec(source, {"_typed": _typed, "_typed_ints": _typed_ints}, made)
         made["__init__"].__defaults__ = tuple(defaults)
         for method in made.values():
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"

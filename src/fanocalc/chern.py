@@ -4,30 +4,31 @@ A :class:`FormalBundle` is a rank together with Chern classes ``c_1..c_t``
 living in a truncated graded coefficient ring (see :mod:`fanocalc.rings`).
 Whitney sums and line twists are identities of the total Chern class, taken
 by the ring's own product (Fulton, *Intersection Theory*, section 3.2).
-Symmetric and exterior powers go through universal integer polynomials:
-apply the functor to formal Chern roots ``x_1..x_r``, rewrite the resulting
-symmetric functions in the elementary symmetric polynomials ``e_1..e_r``
-(Gauss's algorithm), and substitute ``e_i -> c_i`` with one product per
-e-monomial, by the Chern class of its least index.  The root product keeps
-only the exponent vectors that can still reach a partition of weight at
-most the truncation degree, and Gauss's rewrite runs in the basis of
-monomial symmetric functions ``m_lambda``, so no symmetric function is ever
-expanded into all the plain monomials of r variables (Macdonald, *Symmetric
-Functions and Hall Polynomials*, I.2 and I.6).  Every coefficient is an
-exact integer; no division ever occurs.  Validation happens once, at the
-public :class:`FormalBundle` constructor (and ``line_bundle``,
-``trivial_bundle``); the kernels here build classes that are homogeneous
-by construction and wrap them through ``_bundle`` without re-checking
-their degrees.  The universal polynomials are
-memoized per (functor, rank, power, truncation degree), which is safe under
-concurrent use because the computation is pure and idempotent.
+Symmetric and exterior powers go through universal integer polynomials in
+the elementary symmetric functions ``e_1..e_r`` of formal Chern roots
+``x_1..x_r``, then ``e_i -> c_i`` with one product per e-monomial, by the
+Chern class of its least index.  The new roots are never listed: the power
+sums of the new roots have closed-form coefficients on the monomial
+symmetric functions ``m_lambda`` (binomials for Lambda^k, Eulerian
+polynomials for S^k), Gauss's algorithm rewrites each in ``e_1..e_r``
+within the m-basis, and Newton's identities turn power sums into Chern
+classes (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2).  The
+cost depends on the rank and the truncation degree, not on the power.
+Every coefficient is an exact integer; Newton's divisions are checked
+exact.  Validation happens once, at the public :class:`FormalBundle`
+constructor (and ``line_bundle``, ``trivial_bundle``); the kernels here
+build classes that are homogeneous by construction and wrap them through
+``_bundle`` without re-checking their degrees.  The universal polynomials
+are memoized per (functor, rank, power, truncation degree), which is safe
+under concurrent use because the computation is pure and idempotent.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from math import comb, factorial
+from operator import mul
 
 from . import _Record, _typed
 from .rings import GradedRing
@@ -202,89 +203,161 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
     Returns one frozen e-polynomial per degree ``1..min(new rank, dmax)``,
     each a tuple of ``(e-exponent tuple, integer coefficient)`` pairs.
 
-    The root product ``prod_g (1 + sum_{i in g} x_i)`` is taken one linear
-    factor at a time, keeping only the exponent vectors that can still grow
-    into a monomial ``x^lambda`` with ``lambda`` a partition of weight at
-    most ``dmax``: every factor only raises exponents, and the least
-    partition above ``alpha`` has weight ``sum_i max_{j >= i} alpha_j``.
-    Those partition coefficients are the coefficients of the symmetric
-    result on the monomial symmetric functions, which is all Gauss's
-    rewrite needs.  The factors are generated one at a time, so the time
-    is linear in their number, the new rank.
+    The new roots are the sums ``sum_i g_i x_i`` over the factors ``g``: the
+    k-subsets of the roots for Lambda^k, the multisets of k roots for S^k.
+    Their d-th power sum ``Q_d`` has the coefficient
+    ``d!/prod(lambda_i!) * _factor_moment(op, rank, k, lambda)`` on the
+    monomial symmetric function ``m_lambda``, so no factor is ever listed.
+    Gauss's rewrite turns each ``Q_d`` into e_1..e_rank, and Newton's
+    identity ``n c_n = sum_i (-1)^(i-1) c_(n-i) Q_i`` gives the classes,
+    divided by n exactly.  The cost depends on the rank and the truncation,
+    not on k.  In the Newton products an e-exponent tuple is one integer,
+    its entries the digits in base ``top + 1`` (most significant first, so
+    integer order is tuple order): no entry of a degree-``top`` product
+    reaches the base, so multiplying monomials adds their keys.
     """
-    poly = {(0,) * rank: 1}
-    for factor in _root_factors(op, rank, k):
-        grown = dict(poly)
-        for alpha, coeff in poly.items():
-            for i, c in factor:
-                beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                kept = grown.get(beta)
-                if kept is not None:  # every kept key passed the bound; none cancels
-                    grown[beta] = kept + c * coeff
-                elif _hull_weight(beta) <= dmax:
-                    grown[beta] = c * coeff
-        poly = grown
     top = min(comb(rank, k) if op == "ext" else comb(rank + k - 1, k), dmax)  # new rank
-    components: list[dict] = [{} for _ in range(top + 1)]
-    for alpha, coeff in poly.items():
-        components[sum(alpha)][alpha] = coeff
+    base = top + 1
+    places = tuple(base ** (rank - 1 - j) for j in range(rank))
+    signed_sums = [None]  # (-1)^(d-1) Q_d, packed
+    for d in range(1, top + 1):
+        shapes = _partitions(d, rank)
+        coefficients = [
+            multinomial * _factor_moment(op, rank, k, lam) for lam, _, multinomial in shapes
+        ]
+        power_sum = _symmetric_to_elementary(coefficients, shapes, places)
+        signed_sums.append(power_sum if d % 2 else {key: -c for key, c in power_sum.items()})
+    classes = [{0: 1}]
+    for n in range(1, top + 1):
+        total = defaultdict(int)
+        for i in range(1, n + 1):
+            power_sum = signed_sums[i].items()
+            for a, x in classes[n - i].items():
+                for b, y in power_sum:
+                    total[a + b] += x * y
+        quotients = {}
+        for key, value in total.items():
+            q, r = divmod(value, n)
+            if r:
+                raise ArithmeticError(f"Newton's identity left {value} not divisible by {n}")
+            if q:
+                quotients[key] = q
+        classes.append(quotients)
     return tuple(
-        tuple(sorted(_symmetric_to_elementary(components[d], rank).items()))
-        for d in range(1, top + 1)
+        tuple((_unpacked(key, base, rank), c) for key, c in sorted(classes[n].items()))
+        for n in range(1, top + 1)
     )
 
 
-def _root_factors(op: str, rank: int, k: int):
-    """The linear factors ``1 + sum_i c_i x_i`` of the root product, one at
-    a time, as the pairs ``(i, c_i)`` with ``c_i > 0``: a k-subset of the
-    roots for ``ext``; for ``sym`` a multiset of k roots, whose counts are
-    the gaps between ``rank - 1`` bars placed among ``k + rank - 1`` slots."""
-    if op == "ext":
-        for subset in combinations(range(rank), k):
-            yield [(i, 1) for i in subset]
-        return
-    slots = k + rank - 1
-    for bars in combinations(range(slots), rank - 1):
-        edges = (-1, *bars, slots)
-        yield [(i, c) for i in range(rank) if (c := edges[i + 1] - edges[i] - 1)]
+def _unpacked(key: int, base: int, rank: int) -> tuple:
+    """The e-exponent tuple of a packed key: its ``rank`` digits in ``base``."""
+    digits = []
+    for _ in range(rank):
+        key, digit = divmod(key, base)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
-def _hull_weight(alpha: tuple) -> int:
-    """Weight of the least partition lying componentwise above ``alpha``."""
-    total = peak = 0
-    for a in reversed(alpha):
-        if a > peak:
-            peak = a
-        total += peak
-    return total
+def _factor_moment(op: str, rank: int, k: int, lam: tuple) -> int:
+    """``N(lambda) = sum_g prod_i g_i^lambda_i`` over the factors ``g`` of
+    S^k (``g`` in N^rank with sum k) or Lambda^k (``g`` a 0/1 vector with
+    sum k), for a partition ``lambda`` with at most ``rank`` parts.
 
-
-def _symmetric_to_elementary(poly: dict, nvars: int) -> dict:
-    """Rewrite a symmetric integer polynomial in ``e_1..e_nvars``.
-
-    Only the coefficients on weakly decreasing exponents are read: they are
-    the coefficients on the monomial symmetric functions ``m_lambda``, which
-    determine a symmetric polynomial.  Gauss's algorithm then works in that
-    basis: kill the lex-leading ``m_alpha`` with the elementary product
-    ``e_1^(a1-a2) e_2^(a2-a3) ... e_n^(an)``, whose expansion in the
-    m-basis has leading term ``m_alpha`` with coefficient 1.
+    For Lambda^k a term is 1 exactly when ``g`` covers the l = len(lambda)
+    first roots, so N = C(rank - l, k - l).  For S^k, N is the coefficient
+    of z^k in ``prod_i (sum_n n^lambda_i z^n) / (1 - z)^(rank - l)``; with
+    ``sum_n n^p z^n = z A_p(z) / (1 - z)^(p + 1)``, A_p the Eulerian
+    polynomial (Stanley, *Enumerative Combinatorics* I, 1.4), that is
+    ``sum_j a_j C(k - j + d + rank - 1, d + rank - 1)``, a the coefficients
+    of ``prod_i z A_lambda_i(z)`` and d = |lambda|.
     """
-    residue = {
-        e: c for e, c in poly.items()
-        if c and all(e[i] >= e[i + 1] for i in range(nvars - 1))
-    }
-    out: dict = {}
-    while residue:
-        alpha = max(residue)
+    if op == "ext":
+        return comb(rank - len(lam), k - len(lam)) if len(lam) <= k else 0
+    return sum(map(mul, _eulerian_product(lam), _binomial_row(k, sum(lam) + rank - 1)))
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(k: int, span: int) -> tuple:
+    """``C(k - j + span, span)`` for ``j = 0..span``, each from the one
+    before: ``C(n - 1, s) = C(n, s) (n - s) / n``, exact."""
+    row = [comb(k + span, span)]
+    for n in range(k + span, k, -1):
+        row.append(row[-1] * (n - span) // n)
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _partitions(d: int, parts: int) -> tuple:
+    """The partitions of ``d`` into at most ``parts`` parts, in decreasing
+    lexicographic order, each as ``(lambda, lambda padded with zeros to
+    parts entries, d!/prod(lambda_i!))``."""
+    def below(rest, cap, room):
+        if not rest:
+            yield ()
+            return
+        if room:
+            for head in range(min(rest, cap), 0, -1):
+                for tail in below(rest - head, head, room - 1):
+                    yield (head, *tail)
+
+    out = []
+    for lam in below(d, d, parts):
+        multinomial = factorial(d)
+        for part in lam:
+            multinomial //= factorial(part)
+        out.append((lam, lam + (0,) * (parts - len(lam)), multinomial))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _eulerian_product(lam: tuple) -> tuple:
+    """Coefficients of ``prod_i z A_lambda_i(z)``, built on the product of
+    every part but the last, so shared prefixes are multiplied once."""
+    if not lam:
+        return (1,)
+    head = _eulerian_product(lam[:-1])
+    factor = _eulerian(lam[-1])
+    out = [0] * (len(head) + len(factor) - 1)
+    for i, a in enumerate(head):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _eulerian(p: int) -> tuple:
+    """Coefficients of ``z A_p(z)``, p >= 1, by the Eulerian recurrence
+    ``A(p, m) = (m + 1) A(p - 1, m) + (p - m) A(p - 1, m - 1)``."""
+    row = [1]
+    for q in range(2, p + 1):
+        row = [(m + 1) * (row[m] if m < q - 1 else 0) + (q - m) * (row[m - 1] if m else 0)
+               for m in range(q)]
+    return (0, *row)
+
+
+def _symmetric_to_elementary(coefficients: list, shapes: tuple, places: tuple) -> dict:
+    """Rewrite a homogeneous symmetric integer polynomial in ``e_1..e_nvars``.
+
+    ``coefficients[i]`` is its coefficient on the monomial symmetric function
+    ``m_lambda`` of ``shapes[i]``, the partitions of its degree as
+    :func:`_partitions` lists them, in decreasing lexicographic order.
+    Gauss's algorithm kills the leading ``m_alpha`` with the elementary
+    product ``e_1^(a1-a2) e_2^(a2-a3) ... e_n^(an)``, whose expansion in
+    the m-basis has leading term ``m_alpha`` with coefficient 1 and every
+    other term lexicographically lower, so one pass over the shapes in
+    order finds each leading term.  The e-monomials come out packed: the
+    exponent of ``e_j`` times ``places[j - 1]``, summed.
+    """
+    residue = {alpha: c for c, (_, alpha, _) in zip(coefficients, shapes)}
+    out = {}
+    for _, alpha, _ in shapes:
         c = residue[alpha]
-        emon = tuple(alpha[i] - alpha[i + 1] for i in range(nvars - 1)) + (alpha[-1],)
-        out[emon] = out.get(emon, 0) + c
-        for lam, coeff in _emonomial_expansion_m(emon, nvars):
-            val = residue.get(lam, 0) - c * coeff
-            if val:
-                residue[lam] = val
-            else:
-                residue.pop(lam, None)
+        if not c:
+            continue
+        emon = tuple(alpha[i] - alpha[i + 1] for i in range(len(alpha) - 1)) + (alpha[-1],)
+        out[sum(map(mul, emon, places))] = c
+        for lam, coeff in _emonomial_expansion_m(emon, len(alpha)):
+            residue[lam] -= c * coeff
     return out
 
 
@@ -294,12 +367,13 @@ def _emonomial_expansion_m(emon: tuple, nvars: int) -> tuple:
     pairs with ``lambda`` a weakly decreasing ``nvars``-tuple."""
     if not any(emon):
         return (((0,) * nvars, 1),)
-    j = max(i for i, mult in enumerate(emon, start=1) if mult)
+    # one e_j of the least index out: m_lambda * e_j has fewest terms for small j
+    j = min(i for i, mult in enumerate(emon, start=1) if mult)
     rest = emon[: j - 1] + (emon[j - 1] - 1,) + emon[j:]
-    out: dict = {}
+    out = defaultdict(int)
     for lam, c in _emonomial_expansion_m(rest, nvars):
         for nu, mult in _m_times_e(lam, j, nvars):
-            out[nu] = out.get(nu, 0) + c * mult
+            out[nu] += c * mult
     return tuple(out.items())
 
 
@@ -316,27 +390,32 @@ def _m_times_e(lam: tuple, j: int, nvars: int) -> tuple:
     binomials ``prod_w C(b_w, t_(w-1))`` (Macdonald, I.2).
     """
     values = sorted(set(lam), reverse=True)
-    counts = [lam.count(v) for v in values]
+    counts = tuple(map(lam.count, values))
+    # whether the next value is v - 1, whose raised parts then meet the
+    # unraised parts equal to v
+    adjacent = [a - b == 1 for a, b in zip(values, values[1:])] + [False]
     out = []
     for raised in _bounded_compositions(j, counts):
         nu: list = []
         coeff = 1
         above = 0  # unraised parts of lam equal to v + 1
-        for i, (v, a, t) in enumerate(zip(values, counts, raised)):
-            coeff *= comb(t + above, t)
+        for v, a, t, next_adjacent in zip(values, counts, raised, adjacent):
+            if t and above:
+                coeff *= comb(t + above, t)
             nu += [v + 1] * t + [v] * (a - t)
-            above = a - t if i + 1 < len(values) and values[i + 1] == v - 1 else 0
+            above = a - t if next_adjacent else 0
         out.append((tuple(nu), coeff))
     return tuple(out)
 
 
-def _bounded_compositions(total: int, caps: list):
+@lru_cache(maxsize=None)
+def _bounded_compositions(total: int, caps: tuple) -> tuple:
     """Every tuple ``t`` with ``0 <= t_i <= caps[i]`` and ``sum t = total``."""
     if not caps:
-        if not total:
-            yield ()
-        return
+        return () if total else ((),)
     rest = sum(caps[1:])
-    for t in range(max(0, total - rest), min(total, caps[0]) + 1):
-        for tail in _bounded_compositions(total - t, caps[1:]):
-            yield (t, *tail)
+    return tuple(
+        (t, *tail)
+        for t in range(max(0, total - rest), min(total, caps[0]) + 1)
+        for tail in _bounded_compositions(total - t, caps[1:])
+    )

@@ -220,8 +220,8 @@ def generic_iso_exists(src: tuple[int, int], dst: tuple[int, int]) -> bool:
     """Whether split rank-2 bundles on a rational curve admit a map with
     generically nonvanishing determinant: sorted target dominates sorted
     source componentwise."""
-    a, b = sorted(src, reverse=True)
-    c, d = sorted(dst, reverse=True)
+    a, b = sorted((_typed(x, "source degree") for x in src), reverse=True)
+    c, d = sorted((_typed(x, "target degree") for x in dst), reverse=True)
     return c >= a and d >= b
 
 

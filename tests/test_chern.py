@@ -3,7 +3,8 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -380,6 +381,59 @@ def test_universal_polynomials_pinned_shapes(shape):
     assert chern._power_epolys(*shape) == power_epolys_brute(*shape)
 
 
+def partitions_of(d, parts, cap=None):
+    """Every partition of ``d`` with at most ``parts`` parts, none above ``cap``."""
+    if not d:
+        yield ()
+        return
+    if parts:
+        for head in range(min(d, cap or d), 0, -1):
+            for tail in partitions_of(d - head, parts - 1, head):
+                yield (head, *tail)
+
+
+@given(st.sampled_from(["sym", "ext"]), st.integers(1, 5), st.integers(1, 8))
+def test_factor_moments_match_enumerated_factors(op, rank, k):
+    # N(lambda) = sum over the factors g of prod_i g_i^lambda_i, with every
+    # factor listed: the k-subsets (ext) or k-multisets (sym) of the roots
+    picker = combinations if op == "ext" else combinations_with_replacement
+    factors = [[group.count(i) for i in range(rank)] for group in picker(range(rank), k)]
+    for d in range(9):
+        for lam in partitions_of(d, rank):
+            expected = sum(prod(g[i] ** part for i, part in enumerate(lam)) for g in factors)
+            assert chern._factor_moment(op, rank, k, lam) == expected, lam
+
+
+def test_factor_moments_do_not_grow_with_the_power(monkeypatch):
+    # S^10 and S^1000000 of a rank-3 bundle on P^3 take one N(lambda) per
+    # partition of d = 1, 2, 3: six each, counted through the module global
+    real = chern._factor_moment
+    calls = []
+    monkeypatch.setattr(chern, "_factor_moment", lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for k in (10, 10**6):
+        calls.clear()
+        chern._power_epolys.__wrapped__("sym", 3, k, 3)  # past the memo
+        counts.append(len(calls))
+    assert counts == [6, 6]
+
+
+def test_s300_of_a_split_bundle_is_the_product_over_its_root_sums():
+    # S^300(O(1) + O(2) + O(3)) on P^3 splits as the sum of the C(302, 2) =
+    # 45451 lines O(a + 2b + 3c), a + b + c = 300; e_1..e_3 of those roots
+    e = [1, 0, 0, 0]
+    roots = 0
+    for a in range(301):
+        for b in range(301 - a):
+            root = a + 2 * b + 3 * (300 - a - b)
+            e = [e[0]] + [e[j] + root * e[j - 1] for j in range(1, 4)]
+            roots += 1
+    assert roots == comb(302, 2) == 45451
+    got = sym_power(split_bundle(P3, [1, 2, 3]), 300)
+    assert got.rank == 45451
+    assert classes(got) == [e[j] * H**j for j in range(1, 4)]
+
+
 # -- substitution into the base ring ----------------------------------------------
 
 TWO_GENERATORS = TruncatedPolynomialRing(("a", "b"), (1, 1), truncation=4)
@@ -437,10 +491,11 @@ def test_substitution_matches_the_term_by_term_products(bundle, op, k):
 
 
 def test_high_symmetric_power_runs_in_flat_memory():
-    # S^10000 of O(1) + O(2) over P^3 has 10001 root factors, taken one at a
-    # time.  The command runs in a fresh interpreter capped at 512 MiB of
-    # address space, which listing every 10000-tuple of roots first exceeds,
-    # and prints its traced peak after the JSON document.
+    # S^10000 of O(1) + O(2) over P^3 has 10001 roots, and none is listed:
+    # the power sums of the roots are closed forms in k.  The command runs in
+    # a fresh interpreter capped at 512 MiB of address space, which listing
+    # every 10000-tuple of roots would exceed, and prints its traced peak
+    # after the JSON document.
     code = (
         "import resource, tracemalloc\n"
         "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"

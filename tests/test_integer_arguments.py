@@ -5,11 +5,13 @@ import pytest
 
 from fanocalc.chern import chern_class, ext_power, line_bundle, sym_power, trivial_bundle
 from fanocalc.degree_bound import (
+    FeasibilityWitness,
     SourceInvariants,
     boundedness_verdict,
     degree_from_multiplier,
     feasibility_witnesses,
     feasible_multipliers,
+    generic_iso_exists,
     max_multiplier,
     noether_lefschetz_threshold,
     ramification_feasibility,
@@ -78,6 +80,15 @@ CALLS = {
     # is_generated((1, 2, 3), True) answered as m = 1
     "is_generated": (lambda v: is_generated((1, 2, 3), v), "twist"),
     "SingularStratum": (lambda v: SingularStratum(v, (0,)), "k"),
+    # SingularStratum(2, (0.5,)) built a stratum with coordinate 0.5
+    "SingularStratum-coords": (lambda v: SingularStratum(2, (0, v)), "coords entry"),
+    "FeasibilityWitness-source": (
+        lambda v: FeasibilityWitness("line", 1, (v, 1), (0, 0), (0, 0)), "source entry"),
+    "FeasibilityWitness-target": (
+        lambda v: FeasibilityWitness("line", 1, (0, 1), (0, 0), (0, v)), "target entry"),
+    # generic_iso_exists((1.5, 0), (2, 0.5)) was True
+    "generic_iso_exists-source": (lambda v: generic_iso_exists((v, 0), (2, 0)), "source degree"),
+    "generic_iso_exists-target": (lambda v: generic_iso_exists((1, 0), (2, v)), "target degree"),
     # double_cover_model("P3", 1.5) blamed the weights
     "double_cover_model": (lambda v: double_cover_model("P3", v), "k"),
 }

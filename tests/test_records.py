@@ -178,26 +178,51 @@ REFUSED = {
     "int | None": (True, 1.0, "1"),
     "bool": (1, "false", None),
 }
+# A tuple field refuses each of these as its last entry.
+REFUSED_ENTRIES = (True, 0.5, "1", None)
+TUPLE_KINDS = ("tuple[int, ...]", "tuple[int, int]")
 
 
 def _checked_fields(cls) -> list[tuple[str, str]]:
     """The fields of ``cls`` whose annotation the record base enforces, with it."""
     annotations = vars(cls)["__annotations__"]
-    kinds = [(name, getattr(annotations[name], "__name__", str(annotations[name])))
-             for name in cls._fields]
-    return [(name, kind) for name, kind in kinds if kind in REFUSED]
+    kinds = [(name, str(annotations[name])) for name in cls._fields]
+    return [(name, kind) for name, kind in kinds if kind in REFUSED or kind in TUPLE_KINDS]
+
+
+def _refuses_tuple_entries(cls, fields: dict, name: str, kind: str) -> None:
+    value = fields[name]
+    for bad in REFUSED_ENTRIES:
+        # "<name> entry", or the entry's own name in a __post_init__ that
+        # checks it first (WeightVector's "weight")
+        with pytest.raises(ValueError, match=f" must be an int, got {re.escape(repr(bad))}$"):
+            cls(**{**fields, name: value[:-1] + (bad,)})
+    # a list is refused, or stored as the tuple it holds
+    try:
+        made = cls(**{**fields, name: list(value)})
+    except ValueError as error:
+        assert str(error) == f"{name} must be a tuple, got {list(value)!r}"
+    else:
+        assert type(getattr(made, name)) is tuple and getattr(made, name) == value
+    if kind == "tuple[int, int]":
+        with pytest.raises(ValueError, match=f"^{name} must hold 2 ints, got "):
+            cls(**{**fields, name: value + (0,)})
 
 
 @pytest.mark.parametrize("cls", sorted(_record_classes(), key=lambda cls: cls.__qualname__),
                          ids=lambda cls: cls.__qualname__)
 def test_every_int_and_bool_field_refuses_other_types(cls):
     # 31 of the 35 int fields once took a float, a bool or a string, and
-    # FanoRecord(..., very_ample="false") stored the string
+    # FanoRecord(..., very_ample="false") stored the string; SingularStratum(2, (0.5,))
+    # and FeasibilityWitness(source=(0.5, 1), ...) built
     examples = {type(sample): sample for sample in _samples()}
     assert cls in examples, f"{cls.__qualname__} has no example in _samples"
     fields = {name: getattr(examples[cls], name) for name in cls._fields}
     assert cls(**fields) == examples[cls]
     for name, kind in _checked_fields(cls):
+        if kind in TUPLE_KINDS:
+            _refuses_tuple_entries(cls, fields, name, kind)
+            continue
         expected = kind.split()[0]
         for bad in REFUSED[kind]:
             message = f"^{name} must be an? {expected}, got {re.escape(repr(bad))}$"
@@ -209,10 +234,13 @@ def test_every_int_and_bool_field_refuses_other_types(cls):
 
 def test_evaluated_annotations_are_checked_too():
     namespace = {"_Record": _Record}
-    exec("class Evaluated(_Record):\n    n: int\n    m: int | None = None\n    b: bool = False",
-         namespace)
+    exec("class Evaluated(_Record):\n    n: int\n    m: int | None = None\n    b: bool = False\n"
+         "    t: tuple[int, ...] = ()\n    p: tuple[int, int] = (0, 0)", namespace)
     Evaluated = namespace["Evaluated"]
     assert Evaluated(1, None, True).m is None
-    for args, name in (((1.0,), "n"), ((1, 2.0), "m"), ((1, 2, 1), "b")):
-        with pytest.raises(ValueError, match=f"{name} must be"):
+    assert Evaluated(1, None, True, (1, 2, 3), (4, 5)).t == (1, 2, 3)
+    for args, name in (((1.0,), "n"), ((1, 2.0), "m"), ((1, 2, 1), "b"),
+                       ((1, 2, True, (1, 0.5)), "t entry"), ((1, 2, True, [1]), "t"),
+                       ((1, 2, True, (), (1, 2, 3)), "p")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
             Evaluated(*args)
