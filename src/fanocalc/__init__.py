@@ -88,11 +88,12 @@ def _typed_ints(value, name: str, size: int | None = None) -> tuple:
 
 
 _MappingProxy = type(type.__dict__)  # types.MappingProxyType, without importing types
-# The field annotations a record enforces, written or evaluated, and the test that refuses.
-_CHECKS = {"int": "type({0}) is not int", "bool": "type({0}) is not bool",
-           "int | None": "type({0}) is not int and {0} is not None"}
-# The tuple field annotations a record enforces, and the lines that test the stored value.
-_TUPLE_CHECKS = {
+# The field annotations a record enforces, written or evaluated, and the lines
+# of ``__init__`` that refuse a bad value before the field is bound.
+_CHECKS = {
+    "int": "    if type({0}) is not int: _typed({0}, {0!r})",
+    "bool": "    if type({0}) is not bool: _typed({0}, {0!r}, bool)",
+    "int | None": "    if type({0}) is not int and {0} is not None: _typed({0}, {0!r})",
     "tuple[int, ...]": "    if type({0}) is not tuple: _typed_ints({0}, {0!r})\n"
                        "    for _entry in {0}:\n"
                        "        if type(_entry) is not int: _typed_ints({0}, {0!r})",
@@ -109,20 +110,20 @@ class _Record:
     A subclass's fields are its own annotations, in order, and a class
     attribute of a field's name is its default; a ``list``, ``dict`` or
     ``set`` default, which every instance would share, is refused.  Each
-    subclass gets one compiled ``__init__``, binding the fields positionally
-    or by name and then calling ``__post_init__`` if the class has one, and
-    a ``__hash__`` of the fields in order.  That ``__init__`` tests each field
-    annotated ``int``, ``int | None`` or ``bool`` (as text or evaluated) inline
-    for the exact type, ``None`` passing ``int | None`` only, and refuses a value
-    through ``_typed``.  A field annotated ``tuple[int, ...]`` or ``tuple[int,
-    int]`` is tested inline as stored, after ``__post_init__`` (which may turn
-    an iterable into that tuple and name its entries itself, as ``WeightVector``
-    does), and refused through ``_typed_ints``; other annotations go
-    unchecked.  Instances refuse assignment and deletion (a ``__post_init__``
-    that normalizes a field writes it with ``object.__setattr__``), ``==``
-    compares the fields of two instances of one class, ``repr`` is
-    ``Name(field=value, ...)``, and pickling rebuilds an instance from its
-    fields through the class.
+    subclass gets one compiled ``__init__``, which tests and binds the
+    fields, positionally or by name, in one pass and then calls
+    ``__post_init__`` if the class has one, and a ``__hash__`` of the fields
+    in order.  The test is inline and by exact type for a field annotated
+    ``int``, ``bool``, ``int | None`` (``None`` passes), ``tuple[int, ...]``
+    or ``tuple[int, int]`` (a tuple of exact ints), as text or evaluated; a
+    refused value raises through ``_typed`` or ``_typed_ints``.  Other
+    annotations go unchecked: a field that ``__post_init__`` takes in another
+    form and checks itself, as ``WeightVector`` turns any iterable into its
+    weights, is annotated plain ``tuple``.  Instances refuse assignment and
+    deletion, so a ``__post_init__`` writes a normalized field as
+    ``self.__dict__[name] = value``.  ``==`` compares the fields of two
+    instances of one class, ``repr`` is ``Name(field=value, ...)``, and
+    pickling rebuilds an instance from its fields through the class.
     """
 
     _fields: tuple = ()
@@ -132,7 +133,7 @@ class _Record:
         namespace = vars(cls)
         annotations = namespace.get("__annotations__", {})
         fields = tuple(annotations)
-        defaults, body, stored = [], [], []
+        defaults, body = [], []
         for name in fields:
             if name in namespace:
                 default = namespace[name]
@@ -145,14 +146,10 @@ class _Record:
             # an evaluated tuple[int, int] has the __name__ "tuple" of its origin
             kind = annotation.__name__ if type(annotation) is type else str(annotation)
             if kind in _CHECKS:
-                body.append(f"    if {_CHECKS[kind].format(name)}: "
-                            f"_typed({name}, {name!r}, {kind.split()[0]})")
-            elif kind in _TUPLE_CHECKS:
-                stored.append(f"    {name} = d[{name!r}]\n" + _TUPLE_CHECKS[kind].format(name))
+                body.append(_CHECKS[kind].format(name))
             body.append(f"    d[{name!r}] = {name}")
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
-        body += stored
         source = (
             f"def __init__(self, {', '.join(fields)}):\n    d = self.__dict__\n"
             + "\n".join(body)

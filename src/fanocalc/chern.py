@@ -19,8 +19,8 @@ exact.  Validation happens once, at the public :class:`FormalBundle`
 constructor (and ``line_bundle``, ``trivial_bundle``); the kernels here
 build classes that are homogeneous by construction and wrap them through
 ``_bundle`` without re-checking their degrees.  The universal polynomials
-are memoized per (functor, rank, power, truncation degree), which is safe
-under concurrent use because the computation is pure and idempotent.
+are memoized, bounded, per (functor, rank, power, truncation degree), which
+is safe under concurrent use because the computation is pure and idempotent.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class FormalBundle(_Record):
         for i, c in enumerate(cs):
             if c and self.ring.degree(c) != i + 1:
                 raise ValueError(f"c_{i + 1} is not homogeneous of degree {i + 1}")
-        object.__setattr__(self, "chern", cs)
+        self.__dict__["chern"] = cs
 
 
 def _stripped(chern) -> tuple:
@@ -195,7 +195,14 @@ def _substitute_all(epolys, b: FormalBundle) -> tuple:
     return tuple(map(substitute, epolys))
 
 
-@lru_cache(maxsize=None)
+# Bounds on the memos of universal polynomials and of binomial rows, in keys;
+# the least recently used go first.  S^k of a rank-3 bundle on P^3 for k = 1..2000
+# held 4.7 MB unbounded, 1.1 MB bounded; the benchmarks use 23 and 119 keys.
+EPOLY_MEMO_SIZE = 256
+BINOMIAL_ROW_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=EPOLY_MEMO_SIZE)
 def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
     """Chern classes of S^k/Lambda^k of a rank-``rank`` bundle, as
     polynomials in the elementary symmetric functions of the Chern roots.
@@ -276,7 +283,7 @@ def _factor_moment(op: str, rank: int, k: int, lam: tuple) -> int:
     return sum(map(mul, _eulerian_product(lam), _binomial_row(k, sum(lam) + rank - 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BINOMIAL_ROW_MEMO_SIZE)
 def _binomial_row(k: int, span: int) -> tuple:
     """``C(k - j + span, span)`` for ``j = 0..span``, each from the one
     before: ``C(n - 1, s) = C(n, s) (n - s) / n``, exact."""

@@ -48,18 +48,13 @@ class CommandResult(fc._Record):
     def __post_init__(self):
         # a fresh {} and [] per result, never one shared default
         if self.inputs is None:
-            object.__setattr__(self, "inputs", {})
+            self.__dict__["inputs"] = {}
         if self.provenance is None:
-            object.__setattr__(self, "provenance", [])
+            self.__dict__["provenance"] = []
 
     def to_json(self) -> str:
-        doc = {"command": self.command, "status": self.status}
-        if self.status == "ok":
-            doc["inputs"] = self.inputs
-            doc["result"] = self.result
-            doc["provenance"] = self.provenance
-        else:
-            doc["message"] = self.message
+        keys = ("inputs", "result", "provenance") if self.status == "ok" else ("message",)
+        doc = {key: getattr(self, key) for key in ("command", "status", *keys)}
         return json.dumps(doc, sort_keys=True, ensure_ascii=False)
 
 
@@ -167,11 +162,10 @@ def _plain(value):
         return {name: _plain(getattr(value, name)) for name in value._fields}
     if isinstance(value, Mapping):
         return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items)
-        return [_plain(v) for v in items]
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
     return value
 
 

@@ -268,7 +268,7 @@ class TruncatedPolynomialRing(GradedRing, _Record):
     """
 
     variables: tuple[str, ...]
-    degrees: tuple[int, ...]
+    degrees: tuple  # of ints: __post_init__ checks them
     truncation: int
     top_integral: int | None = None
 
@@ -281,6 +281,7 @@ class TruncatedPolynomialRing(GradedRing, _Record):
             raise ValueError("generator degrees must be positive")
         if self.truncation < 0:
             raise ValueError("truncation degree must be nonnegative")
+        _typed(self.degrees, "degrees", tuple)
 
     @property
     def unit_key(self) -> tuple[int, ...]:

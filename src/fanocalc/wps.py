@@ -30,7 +30,7 @@ from . import _Record, _ints, _typed
 class WeightVector(_Record):
     """The ``int`` weights ``(a_0, ..., a_n)`` of a weighted projective space."""
 
-    weights: tuple[int, ...]
+    weights: tuple  # of ints, from any iterable: __post_init__ checks them
 
     def __post_init__(self):
         w = tuple(self.weights)
@@ -38,7 +38,7 @@ class WeightVector(_Record):
             raise ValueError("need at least two weights")
         if any(_typed(a, "weight") < 1 for a in w):
             raise ValueError(f"weights must be positive, got {w}")
-        object.__setattr__(self, "weights", w)
+        self.__dict__["weights"] = w
 
     @property
     def n(self) -> int:

@@ -418,20 +418,39 @@ def test_factor_moments_do_not_grow_with_the_power(monkeypatch):
     assert counts == [6, 6]
 
 
-def test_s300_of_a_split_bundle_is_the_product_over_its_root_sums():
-    # S^300(O(1) + O(2) + O(3)) on P^3 splits as the sum of the C(302, 2) =
-    # 45451 lines O(a + 2b + 3c), a + b + c = 300; e_1..e_3 of those roots
+def root_sum_classes(k):
+    """S^k(O(1) + O(2) + O(3)) on P^3 splits as the sum of the C(k + 2, 2)
+    lines O(a + 2b + 3c), a + b + c = k: the count and e_1..e_3 of those roots."""
     e = [1, 0, 0, 0]
     roots = 0
-    for a in range(301):
-        for b in range(301 - a):
-            root = a + 2 * b + 3 * (300 - a - b)
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            root = a + 2 * b + 3 * (k - a - b)
             e = [e[0]] + [e[j] + root * e[j - 1] for j in range(1, 4)]
             roots += 1
+    return roots, [e[j] * H**j for j in range(1, 4)]
+
+
+def test_s300_of_a_split_bundle_is_the_product_over_its_root_sums():
+    roots, expected = root_sum_classes(300)
     assert roots == comb(302, 2) == 45451
     got = sym_power(split_bundle(P3, [1, 2, 3]), 300)
     assert got.rank == 45451
-    assert classes(got) == [e[j] * H**j for j in range(1, 4)]
+    assert classes(got) == expected
+
+
+def test_power_memos_stay_within_their_bounds():
+    # S^k for k = 1..2000 once left 2000 universal polynomials and 6000
+    # binomial rows in the memos; evicted ones are made again, the same
+    bundle = split_bundle(P3, [1, 2, 3])
+    answers = [sym_power(bundle, k) for k in range(1, 2001)]
+    assert chern._power_epolys.cache_info().currsize <= chern.EPOLY_MEMO_SIZE
+    assert chern._binomial_row.cache_info().currsize <= chern.BINOMIAL_ROW_MEMO_SIZE
+    for k in (1, 2, 3, 300):
+        roots, expected = root_sum_classes(k)
+        assert answers[k - 1].rank == roots and classes(answers[k - 1]) == expected
+    for k in (1, 2, 3, 300, 1999, 2000):
+        assert sym_power(bundle, k) == answers[k - 1]
 
 
 # -- substitution into the base ring ----------------------------------------------

@@ -102,6 +102,16 @@ def test_an_integer_argument_refuses_a_bool_or_a_float(case, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("bad", ["1", None], ids=["'1'", "None"])
+@pytest.mark.parametrize("case", ["WeightVector", "generator-degree"])
+def test_a_self_checked_entry_refuses_a_string_or_none(case, bad):
+    # checked by the record's own __post_init__, not by the record base, so the
+    # annotation sweep of test_records.py does not reach these two fields
+    call, name = CALLS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
+        call(bad)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -23,7 +23,7 @@ from fanocalc.riemann_roch import (
     derive_fano_invariants,
     noether_surface_fano,
 )
-from fanocalc.rings import line_ring
+from fanocalc.rings import TruncatedPolynomialRing, line_ring
 from fanocalc.schubert import GrassmannContext, tautological_dual
 from fanocalc.wps import SingularStratum, WeightVector, double_cover_model
 
@@ -99,7 +99,12 @@ def test_defaults_apply():
 
 
 def test_post_init_still_normalizes_and_validates():
+    # two plain ``tuple`` fields, left by the base to their __post_init__:
+    # WeightVector takes any iterable of weights, while TruncatedPolynomialRing
+    # refuses a list of degrees rather than storing it
     assert WeightVector([1, 2]).weights == (1, 2)
+    with pytest.raises(ValueError, match=r"^degrees must be a tuple, got \[1\]$"):
+        TruncatedPolynomialRing(("a",), [1], 3)
     with pytest.raises(ValueError):
         GrassmannContext(4, 4)
 
@@ -193,17 +198,13 @@ def _checked_fields(cls) -> list[tuple[str, str]]:
 def _refuses_tuple_entries(cls, fields: dict, name: str, kind: str) -> None:
     value = fields[name]
     for bad in REFUSED_ENTRIES:
-        # "<name> entry", or the entry's own name in a __post_init__ that
-        # checks it first (WeightVector's "weight")
-        with pytest.raises(ValueError, match=f" must be an int, got {re.escape(repr(bad))}$"):
+        # refused by the record base, before any __post_init__ reads it
+        with pytest.raises(ValueError, match=f"^{name} entry must be an int, got "
+                                             f"{re.escape(repr(bad))}$"):
             cls(**{**fields, name: value[:-1] + (bad,)})
-    # a list is refused, or stored as the tuple it holds
-    try:
-        made = cls(**{**fields, name: list(value)})
-    except ValueError as error:
-        assert str(error) == f"{name} must be a tuple, got {list(value)!r}"
-    else:
-        assert type(getattr(made, name)) is tuple and getattr(made, name) == value
+    with pytest.raises(ValueError, match=f"^{name} must be a tuple, got "
+                                         f"{re.escape(repr(list(value)))}$"):
+        cls(**{**fields, name: list(value)})
     if kind == "tuple[int, int]":
         with pytest.raises(ValueError, match=f"^{name} must hold 2 ints, got "):
             cls(**{**fields, name: value + (0,)})
@@ -244,3 +245,18 @@ def test_evaluated_annotations_are_checked_too():
                        ((1, 2, True, (), (1, 2, 3)), "p")):
         with pytest.raises(ValueError, match=f"^{name} must"):
             Evaluated(*args)
+
+
+def test_fields_are_checked_before_post_init_runs():
+    ran = []
+
+    class Checked(_Record):
+        t: tuple[int, ...]
+
+        def __post_init__(self):
+            ran.append(self.t)
+
+    assert Checked((1, 2)).t == (1, 2) and ran == [(1, 2)]
+    with pytest.raises(ValueError, match=r"^t entry must be an int, got 0\.5$"):
+        Checked((1, 0.5))
+    assert ran == [(1, 2)]
