@@ -19,8 +19,9 @@ exact.  Validation happens once, at the public :class:`FormalBundle`
 constructor (and ``line_bundle``, ``trivial_bundle``); the kernels here
 build classes that are homogeneous by construction and wrap them through
 ``_bundle`` without re-checking their degrees.  The universal polynomials
-are memoized, bounded, per (functor, rank, power, truncation degree), which
-is safe under concurrent use because the computation is pure and idempotent.
+are memoized per (functor, rank, power, truncation degree), bounded in keys;
+the six helper memos under them are unbounded and grow with each new power
+or truncation.  All are safe under concurrent use: the computation is pure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import comb, factorial
 from operator import mul
 
 from . import _Record, _typed
-from .rings import GradedRing
+from .rings import GradedRing, _accumulate
 
 
 class FormalBundle(_Record):
@@ -168,13 +169,14 @@ def _substitute_all(epolys, b: FormalBundle) -> tuple:
     e-polynomial: one product per e-monomial, by the Chern class of its least
     index j, times the monomial with one e_j taken out, each monomial built
     once per call along its chain of such quotients.  The unit and a zero
-    factor take no product.  On a Grassmannian the factor is mostly ``c_1``."""
+    factor take no product.  On a Grassmannian the factor is mostly ``c_1``.
+    Each class accumulates its scaled monomials into one dict, wrapped once."""
     zero = b.ring.zero()
     classes = b.chern + (zero,) * (b.rank - len(b.chern))
     built = {(0,) * b.rank: None}  # the unit, which no product uses
 
     def substitute(epoly):
-        total = zero
+        total: dict = {}
         for emon, coeff in epoly:
             chain = []
             while emon not in built:
@@ -188,9 +190,8 @@ def _substitute_all(epolys, b: FormalBundle) -> tuple:
                 c = classes[j]
                 term = c if term is None else (term * c if term and c else zero)
                 built[emon] = term
-            if term:
-                total = total + coeff * term
-        return total
+            _accumulate(total, term.terms, coeff)
+        return zero._new(b.ring, total)
 
     return tuple(map(substitute, epolys))
 

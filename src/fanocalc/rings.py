@@ -6,10 +6,14 @@ degree above which all products vanish.  ``GradedRing`` fixes that interface
 and ``GradedElement`` implements everything but the ring product once: an
 element is a map from basis keys to nonzero integers, and the ring tells the
 degree, the printed name and the rule of a key.  The terms never hold a
-zero.  The one public constructor, ``GradedElement(ring, terms)``, puts
-each key in the ring's canonical form and adds the coefficients of equal
-keys; a kernel builds its dict itself, deletes a key at the ``+=`` that
-cancels it, and wraps it once, uncopied, through ``GradedElement._new``.
+zero, a rule ``_accumulate`` owns: it adds a scaled term dict into a dict
+in place and deletes a key that cancels.  Sums, binomial powers, Schubert
+products and Chern substitution accumulate into one dict each and wrap it
+once, uncopied, through ``GradedElement._new``.  Three loops, no sums of
+scaled dicts, cancel on their own: the public constructor
+``GradedElement(ring, terms)`` puts each key in canonical form,
+``PolyElement.__mul__`` computes its keys and stops at the truncation, and
+``schubert.pieri`` adds one coefficient to a tuple of strips.
 ``TruncatedPolynomialRing`` is the workhorse instance (weighted polynomial
 generators, products cut off above the truncation degree); the
 Grassmannian of ``schubert`` is the other one, its own Chow ring with
@@ -60,6 +64,19 @@ class GradedRing:
         return x.degree()
 
 
+def _accumulate(out: dict, terms: Mapping, scale: int = 1) -> dict:
+    """Add ``scale`` (nonzero) times the zero-free ``terms`` into ``out`` in
+    place, deleting a key whose coefficient cancels; return ``out``."""
+    get = out.get
+    for key, c in terms.items():
+        c = get(key, 0) + scale * c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
+
+
 def _integer(x) -> int:
     """The operand rule: ``x`` through ``operator.index``, a bool refused."""
     if type(x) is bool:
@@ -79,8 +96,9 @@ class GradedElement:
     dicts.  ``ring.element(ring, terms)`` is the one public constructor
     (``ring.key`` per key, ``_integer`` per coefficient, equal keys
     added, a cancelled key deleted); ``_new`` is the one trusted constructor,
-    which wraps a zero-free dict of valid keys without copying it, and every
-    kernel deletes a cancelled key where it adds the coefficient that cancels.
+    which wraps a zero-free dict of valid keys without copying it, and
+    ``_accumulate`` sums scaled term dicts.  ``+`` and ``-`` refuse an
+    operand that is not an element with ``TypeError``.
     """
 
     __slots__ = ("ring", "terms")
@@ -133,21 +151,13 @@ class GradedElement:
         return self._new(self.ring, {key: -c for key, c in self.terms.items()})
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
+        if not isinstance(other, GradedElement):
+            return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            c += out.get(key, 0)
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-        return self._new(self.ring, out)
+        return self._new(self.ring, _accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-other)
-
-    def _scaled(self, n: int) -> "GradedElement":
-        return self._new(self.ring, {key: c * n for key, c in self.terms.items()} if n else {})
+        return self + (-other) if isinstance(other, GradedElement) else NotImplemented
 
     def __rmul__(self, other):
         """``n * x`` for an integer ``n``; the product of two elements is
@@ -156,7 +166,7 @@ class GradedElement:
             n = _integer(other)
         except TypeError:
             return NotImplemented
-        return self._scaled(n)
+        return self._new(self.ring, {key: c * n for key, c in self.terms.items()} if n else {})
 
     def __pow__(self, exponent: int) -> "GradedElement":
         """A power of an element with a unit part is a binomial sum: the rest
@@ -171,17 +181,18 @@ class GradedElement:
         if exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         ring = self.ring
-        constant = self.terms.get(ring.unit_key, 0)
+        unit = ring.unit_key
+        constant = self.terms.get(unit, 0)
         if constant:
-            rest = self - constant * ring.one()
-            total, term = ring.one()._scaled(constant**exponent), rest
+            rest = term = self._new(ring, {k: c for k, c in self.terms.items() if k != unit})
+            out = {unit: constant**exponent}
             for i in range(1, exponent + 1):
                 if not term:
                     break
-                total = total + comb(exponent, i) * constant ** (exponent - i) * term
+                _accumulate(out, term.terms, comb(exponent, i) * constant ** (exponent - i))
                 if i < exponent:
                     term = term * rest
-            return total
+            return self._new(ring, out)
         if exponent and (
             not self.terms or min(map(ring.key_degree, self.terms)) * exponent > ring.truncation
         ):

@@ -39,7 +39,7 @@ from itertools import combinations_with_replacement
 
 from . import _Record, _typed
 from .chern import FormalBundle
-from .rings import GradedElement, GradedRing
+from .rings import GradedElement, GradedRing, _accumulate
 
 Partition = tuple[int, ...]
 
@@ -234,16 +234,8 @@ def _times_schubert(x: ChowElement, lam: Partition) -> ChowElement:
                 if used & bit or d < 0 or d > ctx.cols:
                     continue
                 moved = pieri(term, d) if d else term
-                if not moved:
-                    continue
                 sign = -1 if (used >> (j + 1)).bit_count() % 2 else 1
-                out = sums.setdefault(used | bit, {})
-                for mu, coeff in moved.terms.items():
-                    c = out.get(mu, 0) + sign * coeff
-                    if c:
-                        out[mu] = c
-                    else:
-                        del out[mu]
+                _accumulate(sums.setdefault(used | bit, {}), moved.terms, sign)
         partial = {used: ChowElement._new(ctx, terms) for used, terms in sums.items() if terms}
     return partial.get((1 << size) - 1) or ctx.zero()
 
@@ -264,12 +256,7 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
         x, y = y, x
     out: dict[Partition, int] = {}
     for lam, coeff in y.terms.items():
-        for mu, c in _times_schubert(x, lam).terms.items():
-            c = out.get(mu, 0) + coeff * c
-            if c:
-                out[mu] = c
-            else:
-                del out[mu]
+        _accumulate(out, _times_schubert(x, lam).terms, coeff)
     return ChowElement._new(x.ring, out)
 
 

@@ -30,6 +30,10 @@ def test_ring_axioms(x, y, z):
     assert x * RING.one() == x
     assert x - x == RING.zero()
     assert 3 * x == x + x + x
+    # sums cancel in place: no stored zero, and x - x keeps no key at all
+    for total in (x + y, x - y, y - x, x + y + z, x - y - z):
+        assert 0 not in total.terms.values()
+    assert (x - x).terms == {}
 
 
 @given(ring_elements(), ring_elements())
@@ -72,6 +76,10 @@ def test_power_truncates():
     h = h_ring.gen()
     assert not h ** 4
     assert (h ** 3).coefficient((3,)) == 1
+    # the binomial sum cancels its h^2 and h^4 terms: (1 + h - h^2)^3 on P^4
+    p4 = line_ring(4)
+    g = p4.gen()
+    assert ((p4.one() + g - g**2) ** 3).terms == {(0,): 1, (1,): 3, (3,): -5}
 
 
 def counting_products(monkeypatch):
@@ -155,6 +163,12 @@ def test_foreign_elements_rejected():
         RING.degree(other.gen())
     with pytest.raises(ValueError):
         RING.degree(3)
+    # an operand that is no element is a TypeError on either ring, not an
+    # AttributeError; a foreign-ring element above stays a ValueError
+    for x in (line_ring(3).gen(), sigma(GrassmannContext(2, 4), 1)):
+        for bad in (lambda: x + 1, lambda: x - 1, lambda: x + None, lambda: x - 2):
+            with pytest.raises(TypeError):
+                bad()
 
 
 def test_equal_rings_built_apart_combine():
