@@ -19,17 +19,19 @@ exact.  Validation happens once, at the public :class:`FormalBundle`
 constructor (and ``line_bundle``, ``trivial_bundle``); the kernels here
 build classes that are homogeneous by construction and wrap them through
 ``_bundle`` without re-checking their degrees.  The universal polynomials
-are memoized per (functor, rank, power, truncation degree), bounded in keys;
-the six helper memos under them are unbounded and grow with each new power
-or truncation.  All are safe under concurrent use: the computation is pure.
+are memoized per (functor, rank, power, truncation degree), bounded in keys.
+What Gauss's rewrite reads is one table per (degree, rank), unbounded: it
+grows with each new rank or truncation, not with the power.  All are safe
+under concurrent use: the computation is pure.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from math import comb, factorial
-from operator import mul
+from math import comb
+from operator import mul, sub
+from types import MappingProxyType
 
 from . import _Record, _typed
 from .rings import GradedRing, _accumulate
@@ -196,11 +198,10 @@ def _substitute_all(epolys, b: FormalBundle) -> tuple:
     return tuple(map(substitute, epolys))
 
 
-# Bounds on the memos of universal polynomials and of binomial rows, in keys;
-# the least recently used go first.  S^k of a rank-3 bundle on P^3 for k = 1..2000
-# held 4.7 MB unbounded, 1.1 MB bounded; the benchmarks use 23 and 119 keys.
+# The bound on the memo of universal polynomials, in keys; the least recently
+# used go first.  S^k of a rank-3 bundle on P^3 for k = 1..2000 held 4.7 MB
+# unbounded, 1.1 MB bounded; the benchmarks use 23 keys.
 EPOLY_MEMO_SIZE = 256
-BINOMIAL_ROW_MEMO_SIZE = 1024
 
 
 @lru_cache(maxsize=EPOLY_MEMO_SIZE)
@@ -214,27 +215,39 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
     The new roots are the sums ``sum_i g_i x_i`` over the factors ``g``: the
     k-subsets of the roots for Lambda^k, the multisets of k roots for S^k.
     Their d-th power sum ``Q_d`` has the coefficient
-    ``d!/prod(lambda_i!) * _factor_moment(op, rank, k, lambda)`` on the
-    monomial symmetric function ``m_lambda``, so no factor is ever listed.
-    Gauss's rewrite turns each ``Q_d`` into e_1..e_rank, and Newton's
-    identity ``n c_n = sum_i (-1)^(i-1) c_(n-i) Q_i`` gives the classes,
-    divided by n exactly.  The cost depends on the rank and the truncation,
-    not on k.  In the Newton products an e-exponent tuple is one integer,
-    its entries the digits in base ``top + 1`` (most significant first, so
-    integer order is tuple order): no entry of a degree-``top`` product
-    reaches the base, so multiplying monomials adds their keys.
+    ``d!/prod(lambda_i!) * N(lambda)`` on the monomial symmetric function
+    ``m_lambda``, N from :func:`_factor_moment`, so no factor is ever listed.
+    Gauss's algorithm rewrites each ``Q_d`` in e_1..e_rank in one pass over
+    :func:`_gauss_table`, and Newton's identity
+    ``n c_n = sum_i (-1)^(i-1) c_(n-i) Q_i`` gives the classes, divided by n
+    exactly.  The cost depends on the rank and the truncation, not on k.
+    An e-exponent tuple is packed as one integer, its entries the digits in
+    base ``top + 1`` (most significant first, so integer order is tuple
+    order): no entry of a degree-``top`` product reaches the base, so
+    multiplying monomials in Newton's products adds their keys.
     """
     top = min(comb(rank, k) if op == "ext" else comb(rank + k - 1, k), dmax)  # new rank
     base = top + 1
     places = tuple(base ** (rank - 1 - j) for j in range(rank))
     signed_sums = [None]  # (-1)^(d-1) Q_d, packed
     for d in range(1, top + 1):
-        shapes = _partitions(d, rank)
-        coefficients = [
-            multinomial * _factor_moment(op, rank, k, lam) for lam, _, multinomial in shapes
-        ]
-        power_sum = _symmetric_to_elementary(coefficients, shapes, places)
-        signed_sums.append(power_sum if d % 2 else {key: -c for key, c in power_sum.items()})
+        table = _gauss_table(d, rank)
+        row = _binomial_row(k, d + rank - 1)
+        residue = {
+            alpha: multinomial * _factor_moment(op, rank, k, lam, eulerian, row)
+            for alpha, (lam, multinomial, _, eulerian) in table.items()
+        }
+        sign = 1 if d % 2 else -1
+        power_sum = {}
+        for alpha, (_, _, column, _) in table.items():
+            c = residue[alpha]
+            if not c:
+                continue
+            emon = map(sub, alpha, alpha[1:] + (0,))
+            power_sum[sum(map(mul, emon, places))] = sign * c
+            for nu, coeff in column:
+                residue[nu] -= c * coeff
+        signed_sums.append(power_sum)
     classes = [{0: 1}]
     for n in range(1, top + 1):
         total = defaultdict(int)
@@ -266,7 +279,7 @@ def _unpacked(key: int, base: int, rank: int) -> tuple:
     return tuple(reversed(digits))
 
 
-def _factor_moment(op: str, rank: int, k: int, lam: tuple) -> int:
+def _factor_moment(op: str, rank: int, k: int, lam: tuple, eulerian: tuple, row: tuple) -> int:
     """``N(lambda) = sum_g prod_i g_i^lambda_i`` over the factors ``g`` of
     S^k (``g`` in N^rank with sum k) or Lambda^k (``g`` a 0/1 vector with
     sum k), for a partition ``lambda`` with at most ``rank`` parts.
@@ -276,15 +289,16 @@ def _factor_moment(op: str, rank: int, k: int, lam: tuple) -> int:
     of z^k in ``prod_i (sum_n n^lambda_i z^n) / (1 - z)^(rank - l)``; with
     ``sum_n n^p z^n = z A_p(z) / (1 - z)^(p + 1)``, A_p the Eulerian
     polynomial (Stanley, *Enumerative Combinatorics* I, 1.4), that is
-    ``sum_j a_j C(k - j + d + rank - 1, d + rank - 1)``, a the coefficients
-    of ``prod_i z A_lambda_i(z)`` and d = |lambda|.
+    ``sum_j a_j C(k - j + d + rank - 1, d + rank - 1)`` with d = |lambda|:
+    ``eulerian`` is the coefficients a of ``prod_i z A_lambda_i(z)``, as
+    :func:`_gauss_table` holds them, and ``row`` is
+    ``_binomial_row(k, d + rank - 1)``.
     """
     if op == "ext":
         return comb(rank - len(lam), k - len(lam)) if len(lam) <= k else 0
-    return sum(map(mul, _eulerian_product(lam), _binomial_row(k, sum(lam) + rank - 1)))
+    return sum(map(mul, eulerian, row))
 
 
-@lru_cache(maxsize=BINOMIAL_ROW_MEMO_SIZE)
 def _binomial_row(k: int, span: int) -> tuple:
     """``C(k - j + span, span)`` for ``j = 0..span``, each from the one
     before: ``C(n - 1, s) = C(n, s) (n - s) / n``, exact."""
@@ -295,41 +309,65 @@ def _binomial_row(k: int, span: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _partitions(d: int, parts: int) -> tuple:
-    """The partitions of ``d`` into at most ``parts`` parts, in decreasing
-    lexicographic order, each as ``(lambda, lambda padded with zeros to
-    parts entries, d!/prod(lambda_i!))``."""
-    def below(rest, cap, room):
-        if not rest:
-            yield ()
-            return
-        if room:
-            for head in range(min(rest, cap), 0, -1):
-                for tail in below(rest - head, head, room - 1):
-                    yield (head, *tail)
+def _gauss_table(d: int, rank: int) -> MappingProxyType:
+    """What Gauss's rewrite of a degree-``d`` symmetric function in ``rank``
+    variables reads (Macdonald, *Symmetric Functions and Hall Polynomials*,
+    I.2 and I.6), read-only since every caller shares it.
 
-    out = []
-    for lam in below(d, d, parts):
-        multinomial = factorial(d)
-        for part in lam:
-            multinomial //= factorial(part)
-        out.append((lam, lam + (0,) * (parts - len(lam)), multinomial))
-    return tuple(out)
+    Maps each partition ``lambda`` of ``d`` into at most ``rank`` parts,
+    padded with zeros to ``alpha``, in decreasing lexicographic order, to
+    ``(lambda, d!/prod(lambda_i!), column, eulerian)``.  ``column`` is the
+    e-monomial ``e_1^(a1-a2) ... e_rank^(a_rank)`` in the m-basis, as
+    ``(nu, coeff)`` pairs with ``nu`` padded: its leading term is
+    ``m_alpha`` with coefficient 1, every other term lexicographically
+    lower, so a pass in order kills each leading term of the residue with
+    one column.  It is the column of alpha less one e_j of least index j,
+    from the table of degree d - j, times e_j, each ``m_nu * e_j`` made
+    once per table.  ``eulerian`` is the coefficients of
+    ``prod_i z A_lambda_i(z)``: those of lambda less its last part, from the
+    table of degree d - lambda_last, times :func:`_eulerian` of that part;
+    the multinomial comes from the same entry.
+    """
+    zero = (0,) * rank
+    if not d:
+        return MappingProxyType({zero: ((), 1, ((zero, 1),), (1,))})
+    products: dict = {}  # nu -> m_nu * e_j, where j = d - |nu|
+    table = {}
+    for lam in _partitions(d, rank):
+        alpha = lam + zero[len(lam):]
+        j = 1
+        while j < rank and alpha[j] == alpha[j - 1]:
+            j += 1
+        column = defaultdict(int)
+        rest = tuple(a - 1 for a in alpha[:j]) + alpha[j:]
+        for nu, c in _gauss_table(d - j, rank)[rest][2]:
+            product = products.get(nu)
+            if product is None:
+                product = products[nu] = _m_times_e(nu, j, rank)
+            for mu, mult in product:
+                column[mu] += c * mult
+        last = lam[-1]
+        shorter = lam[:-1] + zero[len(lam) - 1:]
+        _, multinomial, _, head = _gauss_table(d - last, rank)[shorter]
+        factor = _eulerian(last)
+        eulerian = [0] * (len(head) + len(factor) - 1)
+        for i, a in enumerate(head):
+            for m, b in enumerate(factor):
+                eulerian[i + m] += a * b
+        table[alpha] = (lam, multinomial * comb(d, last), tuple(column.items()), tuple(eulerian))
+    return MappingProxyType(table)
 
 
-@lru_cache(maxsize=None)
-def _eulerian_product(lam: tuple) -> tuple:
-    """Coefficients of ``prod_i z A_lambda_i(z)``, built on the product of
-    every part but the last, so shared prefixes are multiplied once."""
-    if not lam:
-        return (1,)
-    head = _eulerian_product(lam[:-1])
-    factor = _eulerian(lam[-1])
-    out = [0] * (len(head) + len(factor) - 1)
-    for i, a in enumerate(head):
-        for j, b in enumerate(factor):
-            out[i + j] += a * b
-    return tuple(out)
+def _partitions(d: int, parts: int, cap: int = 0):
+    """The partitions of ``d`` into at most ``parts`` parts, none above
+    ``cap`` (when given), in decreasing lexicographic order."""
+    if not d:
+        yield ()
+        return
+    if parts:
+        for head in range(min(d, cap or d), 0, -1):
+            for tail in _partitions(d - head, parts - 1, head):
+                yield (head, *tail)
 
 
 @lru_cache(maxsize=None)
@@ -343,49 +381,6 @@ def _eulerian(p: int) -> tuple:
     return (0, *row)
 
 
-def _symmetric_to_elementary(coefficients: list, shapes: tuple, places: tuple) -> dict:
-    """Rewrite a homogeneous symmetric integer polynomial in ``e_1..e_nvars``.
-
-    ``coefficients[i]`` is its coefficient on the monomial symmetric function
-    ``m_lambda`` of ``shapes[i]``, the partitions of its degree as
-    :func:`_partitions` lists them, in decreasing lexicographic order.
-    Gauss's algorithm kills the leading ``m_alpha`` with the elementary
-    product ``e_1^(a1-a2) e_2^(a2-a3) ... e_n^(an)``, whose expansion in
-    the m-basis has leading term ``m_alpha`` with coefficient 1 and every
-    other term lexicographically lower, so one pass over the shapes in
-    order finds each leading term.  The e-monomials come out packed: the
-    exponent of ``e_j`` times ``places[j - 1]``, summed.
-    """
-    residue = {alpha: c for c, (_, alpha, _) in zip(coefficients, shapes)}
-    out = {}
-    for _, alpha, _ in shapes:
-        c = residue[alpha]
-        if not c:
-            continue
-        emon = tuple(alpha[i] - alpha[i + 1] for i in range(len(alpha) - 1)) + (alpha[-1],)
-        out[sum(map(mul, emon, places))] = c
-        for lam, coeff in _emonomial_expansion_m(emon, len(alpha)):
-            residue[lam] -= c * coeff
-    return out
-
-
-@lru_cache(maxsize=None)
-def _emonomial_expansion_m(emon: tuple, nvars: int) -> tuple:
-    """Expansion of ``prod e_j**m_j`` in the m-basis, as ``(lambda, coeff)``
-    pairs with ``lambda`` a weakly decreasing ``nvars``-tuple."""
-    if not any(emon):
-        return (((0,) * nvars, 1),)
-    # one e_j of the least index out: m_lambda * e_j has fewest terms for small j
-    j = min(i for i, mult in enumerate(emon, start=1) if mult)
-    rest = emon[: j - 1] + (emon[j - 1] - 1,) + emon[j:]
-    out = defaultdict(int)
-    for lam, c in _emonomial_expansion_m(rest, nvars):
-        for nu, mult in _m_times_e(lam, j, nvars):
-            out[nu] += c * mult
-    return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
 def _m_times_e(lam: tuple, j: int, nvars: int) -> tuple:
     """``m_lam * e_j`` in the m-basis, as ``(nu, coeff)`` pairs.
 

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations, combinations_with_replacement
-from math import comb, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,7 @@ from fanocalc.chern import (
 from fanocalc.rings import TruncatedPolynomialRing, line_ring
 from fanocalc.schubert import GrassmannContext, integrate, sigma, tautological_dual
 from oracles import (
+    _elementary_product,
     m_times_e_brute,
     power_epolys_brute,
     split_power_chern,
@@ -346,17 +347,25 @@ def test_powers_match_direct_root_enumeration(op, power_fn):
         (8, [-2, -1, 0, 1, 3]), (8, [1, 1, 2, 2, 3]),
         (8, [-1, 0, 0, 1, 2, 2]), (8, [1, 1, 1, 1, 1, 2]),
     ]
-    for truncation, multiples in cases:
+    runs = [
+        (truncation, multiples, k)
+        for truncation, multiples in cases
+        for k in range(1, 4)
+        if op == "sym" or k <= len(multiples)
+    ]
+    # the largest Gauss tables: rank 6 above degree 8, rank 4 in degree 12
+    runs += {
+        "ext": [(10, [-2, -1, 0, 1, 2, 3], 2), (12, [-1, 0, 1, 1, 2, 4], 3), (12, [-1, 0, 1, 1, 2, 4], 4)],
+        "sym": [(12, [-1, 1, 2, 3], 3)],
+    }[op]
+    for truncation, multiples, k in runs:
         ring = line_ring(truncation)
         h = ring.gen()
-        for k in range(1, 4):
-            if op == "ext" and k > len(multiples):
-                continue
-            bundle = split_bundle(ring, multiples)
-            expected = split_power_chern(ring, [a * h for a in multiples], k, op)
-            got = power_fn(bundle, k)
-            for i in range(1, ring.truncation + 1):
-                assert chern_class(got, i) == expected[i - 1], (multiples, k, i)
+        bundle = split_bundle(ring, multiples)
+        expected = split_power_chern(ring, [a * h for a in multiples], k, op)
+        got = power_fn(bundle, k)
+        for i in range(1, ring.truncation + 1):
+            assert chern_class(got, i) == expected[i - 1], (multiples, k, i)
 
 
 @given(st.sampled_from(["sym", "ext"]), st.integers(1, 4), st.integers(1, 4), st.integers(0, 8))
@@ -392,6 +401,49 @@ def partitions_of(d, parts, cap=None):
                 yield (head, *tail)
 
 
+def padded(lam, rank):
+    return lam + (0,) * (rank - len(lam))
+
+
+def eulerian_brute(p):
+    """Coefficients of ``z A_p(z)``, with ``A(p, m)`` from the explicit sum
+    ``sum_i (-1)^i C(p + 1, i) (m + 1 - i)^p`` (Stanley, *Enumerative
+    Combinatorics* I, 1.4)."""
+    return [0] + [
+        sum((-1) ** i * comb(p + 1, i) * (m + 1 - i) ** p for i in range(m + 1)) for m in range(p)
+    ]
+
+
+def test_gauss_tables_match_brute_force():
+    # every table of degree <= 8 in <= 6 variables: its partitions in
+    # decreasing lexicographic order, each e-monomial's column against the
+    # full product of elementary polynomials, with leading term m_alpha of
+    # coefficient 1 (Gauss's one pass needs it), and the Eulerian products
+    for rank in range(1, 7):
+        for d in range(9):
+            table = chern._gauss_table(d, rank)
+            shapes = list(partitions_of(d, rank))
+            assert list(table) == [padded(lam, rank) for lam in shapes]
+            for alpha, (lam, multinomial, column, eulerian) in table.items():
+                assert lam == tuple(a for a in alpha if a)
+                assert multinomial == factorial(d) // prod(map(factorial, lam))
+                emon = tuple(a - b for a, b in zip(alpha, alpha[1:] + (0,)))
+                full = _elementary_product(emon, rank)
+                on_m = {mono: c for mono, c in full.items() if list(mono) == sorted(mono, reverse=True)}
+                assert len(dict(column)) == len(column)  # no key twice
+                assert dict(column) == on_m, alpha
+                assert max(on_m) == alpha and on_m[alpha] == 1
+                expected = [1]
+                for part in lam:
+                    factor = eulerian_brute(part)
+                    product = [0] * (len(expected) + len(factor) - 1)
+                    for i, a in enumerate(expected):
+                        for j, b in enumerate(factor):
+                            product[i + j] += a * b
+                    expected = product
+                assert list(eulerian) == expected, lam
+
+
 @given(st.sampled_from(["sym", "ext"]), st.integers(1, 5), st.integers(1, 8))
 def test_factor_moments_match_enumerated_factors(op, rank, k):
     # N(lambda) = sum over the factors g of prod_i g_i^lambda_i, with every
@@ -399,9 +451,12 @@ def test_factor_moments_match_enumerated_factors(op, rank, k):
     picker = combinations if op == "ext" else combinations_with_replacement
     factors = [[group.count(i) for i in range(rank)] for group in picker(range(rank), k)]
     for d in range(9):
+        table = chern._gauss_table(d, rank)
+        row = chern._binomial_row(k, d + rank - 1)
         for lam in partitions_of(d, rank):
             expected = sum(prod(g[i] ** part for i, part in enumerate(lam)) for g in factors)
-            assert chern._factor_moment(op, rank, k, lam) == expected, lam
+            eulerian = table[padded(lam, rank)][3]
+            assert chern._factor_moment(op, rank, k, lam, eulerian, row) == expected, lam
 
 
 def test_factor_moments_do_not_grow_with_the_power(monkeypatch):
@@ -440,12 +495,14 @@ def test_s300_of_a_split_bundle_is_the_product_over_its_root_sums():
 
 
 def test_power_memos_stay_within_their_bounds():
-    # S^k for k = 1..2000 once left 2000 universal polynomials and 6000
-    # binomial rows in the memos; evicted ones are made again, the same
+    # S^k for k = 1..2000 once left 2000 universal polynomials in the memo;
+    # evicted ones are made again, the same.  What they read does not grow
+    # with k: one Gauss table per degree 0..3 of rank 3
     bundle = split_bundle(P3, [1, 2, 3])
+    chern._gauss_table.cache_clear()
     answers = [sym_power(bundle, k) for k in range(1, 2001)]
     assert chern._power_epolys.cache_info().currsize <= chern.EPOLY_MEMO_SIZE
-    assert chern._binomial_row.cache_info().currsize <= chern.BINOMIAL_ROW_MEMO_SIZE
+    assert chern._gauss_table.cache_info().currsize <= 4
     for k in (1, 2, 3, 300):
         roots, expected = root_sum_classes(k)
         assert answers[k - 1].rank == roots and classes(answers[k - 1]) == expected
