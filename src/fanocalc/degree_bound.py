@@ -196,7 +196,8 @@ def ramification_feasibility(rY: int, k: int, X: SourceInvariants) -> Ramificati
 
         kappa >= m (k/2 - rY).
 
-    The verdict reports for which m that inequality is satisfiable.
+    The verdict reports for which m that inequality is satisfiable.  It holds
+    for every large m (``ALWAYS_OK``) when the slope is negative, or zero with kappa >= 0.
     """
     if _typed(rY, "target index") not in (1, 2):
         raise ValueError("target index must be 1 or 2")
@@ -208,11 +209,8 @@ def ramification_feasibility(rY: int, k: int, X: SourceInvariants) -> Ramificati
         if 2 * X.kappa < slope:
             return RamificationVerdict(INFEASIBLE_FOR_ALL_M)
         return RamificationVerdict(BOUND, (2 * X.kappa) // slope)
-    if slope == 0:
-        if X.kappa < 0:
-            return RamificationVerdict(INFEASIBLE_FOR_ALL_M)
-        return RamificationVerdict(ALWAYS_OK)
-    # Negative slope: the inequality holds for every sufficiently large m.
+    if slope == 0 and X.kappa < 0:
+        return RamificationVerdict(INFEASIBLE_FOR_ALL_M)
     return RamificationVerdict(ALWAYS_OK)
 
 

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 from . import _Record, _typed
-from .chern import FormalBundle
+from .chern import FormalBundle, _partitions
 from .rings import GradedElement, GradedRing, _accumulate
 
 Partition = tuple[int, ...]
@@ -138,13 +137,11 @@ class GrassmannContext(GradedRing, _Record):
 
     def partitions(self, weight: int | None = None) -> Iterator[Partition]:
         """All in-box partitions, optionally restricted to one weight: the
-        weakly decreasing choices of ``rows`` parts from ``cols, ..., 0``,
-        less their trailing zeros."""
-        if weight is not None:
-            _typed(weight, "weight")
-        for p in combinations_with_replacement(range(self.cols, -1, -1), self.rows):
-            if weight is None or sum(p) == weight:
-                yield p[: len(p) - p.count(0)]
+        partitions of each weight into at most ``rows`` parts none above
+        ``cols``, enumerated directly one weight at a time."""
+        weights = range(self.top_degree + 1) if weight is None else (_typed(weight, "weight"),)
+        for w in weights:
+            yield from _partitions(w, self.rows, self.cols)
 
     def __str__(self) -> str:
         a, b = self.to_projective()

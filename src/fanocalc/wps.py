@@ -13,9 +13,9 @@ inclusion-minimal coprime support.  Each such semigroup is held by its Apéry
 set modulo its least generator a, the least element of every residue class
 mod a (Nijenhuis's minimal-path algorithm, a shortest-path search over the a
 residues): m belongs iff ``m >= apery[m % a]``, and ``max(apery) - a`` is
-the exact Frobenius number.  Membership therefore costs at most
-O(a.|T|.log a) per support T however large m is, and the Frobenius numbers
-give the proven search limit of ``cotangent_twist_lmin``.
+the exact Frobenius number.  One lazy list of (a, Apéry set) per support and
+one membership rule serve ``is_generated`` and ``cotangent_twist_lmin``, at
+O(a.|T|.log a) per support T however large m is.
 """
 
 from __future__ import annotations
@@ -196,12 +196,17 @@ def _apery_set(gens: tuple[int, ...], bound: int | None = None) -> dict[int, int
     return apery
 
 
-def _unit_support_gens(wv: WeightVector) -> list[tuple[int, ...]]:
-    """The weights of each minimal unit support."""
-    return [
-        tuple(wv.weights[i] for i in support)
-        for support in _minimal_unit_supports(wv.weights)
-    ]
+def _support_aperys(wv: WeightVector, bound: int | None = None):
+    """Lazily, each minimal unit support's least weight a and Apéry set mod a (to ``bound``)."""
+    for support in _minimal_unit_supports(wv.weights):
+        gens = tuple(wv.weights[i] for i in support)
+        yield min(gens), _apery_set(gens, bound)
+
+
+def _generated(m: int, aperys) -> bool:
+    """The one membership rule: m lies in the semigroup of every support.  A residue
+    missing from a set searched up to a bound >= m has its least element above m."""
+    return m >= 0 and all(m >= apery.get(m % a, m + 1) for a, apery in aperys)
 
 
 def is_generated(w, m: int) -> bool:
@@ -213,14 +218,14 @@ def is_generated(w, m: int) -> bool:
     locus iff those weights have gcd 1, and the inclusion-minimal such T
     carry the binding conditions.  Membership is read off the Apéry set of
     each of those semigroups modulo its least weight a (the least element in
-    each residue class mod a): m belongs iff ``m >= apery[m % a]``.  Only
-    entries up to m are searched, so each support costs
-    O(min(a, m + 1).|T|.log a) beside the O(2^n) support scan.
+    each residue class mod a): m belongs iff ``m >= apery[m % a]``.  The
+    supports are visited lazily, each searched only up to m, and the first
+    failing one ends the test: each costs O(min(a, m + 1).|T|.log a).
     """
     wv = _require_well_formed(w)
     if _typed(m, "twist") < 0:
         raise ValueError("twist must be nonnegative")
-    return all(m % min(gens) in _apery_set(gens, m) for gens in _unit_support_gens(wv))
+    return _generated(m, _support_aperys(wv, m))
 
 
 def cotangent_twist_lmin(w) -> int:
@@ -232,25 +237,22 @@ def cotangent_twist_lmin(w) -> int:
     such summand of nonnegative degree and base-point free on the smooth
     locus.  This is an upper bound for the true minimal twist.
 
-    The Apéry sets of the minimal unit supports are computed once per call
-    and answer every membership test of the search.  They also give the
-    exact Frobenius number ``max(apery) - a`` of each support; ``O(m)`` is
-    generated for every m beyond the largest of them, F, so the twist
-    ``max(pair sums) + 1 + F`` always generates and bounds the search.
+    The full Apéry sets of the minimal unit supports are listed once and
+    every twist asks them the membership rule of ``is_generated``.  They
+    give the exact Frobenius number ``max(apery) - a`` of each support;
+    ``O(m)`` is generated for every m beyond the largest of them, F, so the
+    search runs from the largest pair sum (a lower twist has a summand of
+    negative degree) up to ``max(pair sums) + 1 + F``, which generates.
     """
     wv = _require_well_formed(w)
     if wv.n < 2:
         raise ValueError("need at least three weights")
     pair_sums = sorted({a + b for a, b in combinations(wv.weights, 2)})
-    aperys = [(min(gens), _apery_set(gens)) for gens in _unit_support_gens(wv)]
+    aperys = list(_support_aperys(wv))
     frobenius = max(max(apery.values()) - a for a, apery in aperys)
     limit = pair_sums[-1] + 1 + frobenius
-
-    def generated(m: int) -> bool:
-        return m >= 0 and all(m >= apery[m % a] for a, apery in aperys)
-
-    for twist in range(0, limit):
-        if all(generated(twist - s) for s in pair_sums):
+    for twist in range(pair_sums[-1], limit):
+        if all(_generated(twist - s, aperys) for s in pair_sums):
             return twist
     return limit
 

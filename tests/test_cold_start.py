@@ -164,6 +164,14 @@ def test_exports_are_unchanged_and_resolve():
     assert set(EXPORTS) <= set(dir(fanocalc))
 
 
+def test_dir_lists_exports_not_yet_resolved(monkeypatch):
+    # an export is bound in the package namespace only on first access;
+    # dir() lists it before that, and listing it resolves nothing
+    monkeypatch.delitem(vars(fanocalc), "sigma", raising=False)
+    assert "sigma" in dir(fanocalc)
+    assert "sigma" not in vars(fanocalc)
+
+
 def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from fanocalc import *", namespace)

@@ -131,6 +131,8 @@ def test_records_serialize_and_pickle_by_fields():
     verdict = RamificationVerdict("bound", 2)
     assert _plain(verdict) == {"kind": "bound", "bound": 2}
     assert _plain([SingularStratum(2, (0, 1))]) == [{"k": 2, "coords": [0, 1], "dimension": 1}]
+    # a value with no form of its own, here a float, passes through unchanged
+    assert _plain({"ratio": (0.5,)}) == {"ratio": [0.5]}
     assert pickle.loads(pickle.dumps(GrassmannContext(3, 6))) == GrassmannContext(3, 6)
 
 

@@ -15,6 +15,7 @@ from fanocalc import wps
 from fanocalc.wps import (
     SingularStratum,
     WeightVector,
+    _apery_set,
     _minimal_unit_supports,
     canonical_degree,
     cotangent_twist_lmin,
@@ -281,6 +282,27 @@ def test_generated_searches_no_further_than_m():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_generated_stops_at_the_first_failing_support(monkeypatch):
+    # three coprime pairs, none of whose semigroups holds 5: the first
+    # support decides, and the other two Apéry sets are never searched
+    calls = []
+
+    def counted(gens, bound=None):
+        calls.append(gens)
+        return _apery_set(gens, bound)
+
+    monkeypatch.setattr(wps, "_apery_set", counted)
+    assert not is_generated((1000003, 1000033, 1000037), 5)
+    assert len(calls) == 1
+
+
+def test_apery_set_keeps_the_least_element_per_residue():
+    # residue 2 is reached at 11, lowered to 8 by 4 + 4, and the stale heap
+    # entry at 11 is popped and skipped; a bound of 7 keeps neither
+    assert _apery_set((3, 4, 11)) == {0: 0, 1: 4, 2: 8}
+    assert _apery_set((3, 4, 11), 7) == {0: 0, 1: 4}
 
 
 @settings(max_examples=200, deadline=None)
