@@ -4,16 +4,18 @@ A :class:`FormalBundle` is a rank together with Chern classes ``c_1..c_t``
 living in a truncated graded coefficient ring (see :mod:`fanocalc.rings`).
 Whitney sums and line twists are identities of the total Chern class, taken
 by the ring's own product (Fulton, *Intersection Theory*, section 3.2).
-Symmetric and exterior powers go through universal integer polynomials in
-the elementary symmetric functions ``e_1..e_r`` of formal Chern roots
-``x_1..x_r``, then ``e_i -> c_i`` with one product per e-monomial, by the
-Chern class of its least index.  The new roots are never listed: the power
-sums of the new roots have closed-form coefficients on the monomial
-symmetric functions ``m_lambda`` (binomials for Lambda^k, Eulerian
-polynomials for S^k), Gauss's algorithm rewrites each in ``e_1..e_r``
-within the m-basis, and Newton's identities turn power sums into Chern
-classes (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2).  The
-cost depends on the rank and the truncation degree, not on the power.
+Symmetric and exterior powers, other than ``S^1`` and ``Lambda^1`` (the
+bundle itself) and ``Lambda^rank`` (its determinant), go through universal
+integer polynomials in the elementary symmetric functions ``e_1..e_r`` of
+formal Chern roots ``x_1..x_r``, then ``e_i -> c_i`` with one product per
+e-monomial, by the Chern class of its least index.  The new roots are
+never listed: the power sums of the new roots have closed-form
+coefficients on the monomial symmetric functions ``m_lambda`` (binomials
+for Lambda^k, Eulerian polynomials for S^k), Gauss's algorithm rewrites
+each in ``e_1..e_r`` within the m-basis, and Newton's identities turn
+power sums into Chern classes (Macdonald, *Symmetric Functions and Hall
+Polynomials*, I.2).  The cost depends on the rank and the truncation
+degree, not on the power.
 Every coefficient is an exact integer; Newton's divisions are checked
 exact.  Validation happens once, at the public :class:`FormalBundle`
 constructor (and ``line_bundle``, ``trivial_bundle``); the kernels here
@@ -104,11 +106,21 @@ def top_chern(b: FormalBundle):
 
 
 def whitney_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
-    """Direct sum: ranks add and total classes multiply, ``c(E+F) = c(E) c(F)``."""
+    """Direct sum: ranks add and total classes multiply, ``c(E+F) = c(E) c(F)``,
+    one ring product.  Each total class ``1 + c_1 + ... + c_s`` is merged, not
+    summed: its classes have distinct degrees, so their keys are disjoint and
+    nothing cancels."""
     if a.ring is not b.ring and a.ring != b.ring:
         raise ValueError("bundles live over different rings")
-    one = a.ring.one()
-    return _from_total(a.rank + b.rank, sum(a.chern, one) * sum(b.chern, one))
+    return _from_total(a.rank + b.rank, _total_class(a) * _total_class(b))
+
+
+def _total_class(b: FormalBundle):
+    """``1 + c_1 + ... + c_s``, the term dicts of the classes merged into the unit's."""
+    total = b.ring.one()
+    for c in b.chern:
+        total.terms.update(c.terms)
+    return total
 
 
 def dual(b: FormalBundle) -> FormalBundle:
@@ -120,17 +132,23 @@ def dual(b: FormalBundle) -> FormalBundle:
 def twist_line(b: FormalBundle, t) -> FormalBundle:
     """Tensor with the line bundle of first Chern class ``t`` (0 returns ``b``):
     the total class ``sum_j c_j(b) u^(rank-j)``, ``u = 1 + t``, is Horner's rule
-    in ``u`` over the stored ``c_1..c_s``, times ``u^(rank-s)``."""
+    in ``u`` over the stored ``c_1..c_s``, times ``u^(rank-s)``.  No product
+    has the unit as a factor: Horner's rule starts from ``u + c_1``, and the
+    last factor is left out when ``s = rank`` (all of ``u^rank`` when ``s = 0``)."""
     if not t:
         return b
     ring = b.ring
     if ring.degree(t) != 1:
         raise ValueError("twist class must be homogeneous of degree 1")
     u = ring.one() + t
-    total = ring.one()
-    for c in b.chern:
+    if not b.chern:
+        return _from_total(b.rank, u**b.rank)
+    total = u + b.chern[0]
+    for c in b.chern[1:]:
         total = total * u + c
-    return _from_total(b.rank, total * u ** (b.rank - len(b.chern)))
+    if b.rank > len(b.chern):
+        total = total * u ** (b.rank - len(b.chern))
+    return _from_total(b.rank, total)
 
 
 def _from_total(rank: int, total) -> FormalBundle:
@@ -143,22 +161,29 @@ def _from_total(rank: int, total) -> FormalBundle:
 
 
 def sym_power(b: FormalBundle, k: int) -> FormalBundle:
-    """k-th symmetric power; rank ``C(rank+k-1, k)``."""
+    """k-th symmetric power; rank ``C(rank+k-1, k)``.  ``S^1`` is ``b`` itself."""
     if _typed(k, "power") < 1:
         raise ValueError("power must be a positive integer")
     if b.rank < 1:
         raise ValueError("symmetric power needs positive rank")
+    if k == 1:
+        return b
     rank = comb(b.rank + k - 1, k)
     epolys = _power_epolys("sym", b.rank, k, b.ring.truncation)
     return _bundle(b.ring, rank, _substitute_all(epolys, b))
 
 
 def ext_power(b: FormalBundle, k: int) -> FormalBundle:
-    """k-th exterior power; rank ``C(rank, k)``."""
+    """k-th exterior power; rank ``C(rank, k)``.  ``Lambda^1`` is ``b`` itself
+    and ``Lambda^rank`` the determinant, the line bundle with ``c_1(b)``."""
     if _typed(k, "power") < 1:
         raise ValueError("power must be a positive integer")
     if k > b.rank:
         raise ValueError(f"exterior power {k} exceeds rank {b.rank}")
+    if k == 1:
+        return b
+    if k == b.rank:  # the determinant
+        return _bundle(b.ring, 1, b.chern[:1])
     rank = comb(b.rank, k)
     epolys = _power_epolys("ext", b.rank, k, b.ring.truncation)
     return _bundle(b.ring, rank, _substitute_all(epolys, b))

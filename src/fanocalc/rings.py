@@ -17,7 +17,10 @@ scaled dicts, cancel on their own: the public constructor
 ``TruncatedPolynomialRing`` is the workhorse instance (weighted polynomial
 generators, products cut off above the truncation degree); the
 Grassmannian of ``schubert`` is the other one, its own Chow ring with
-Schubert classes as keys.
+Schubert classes as keys.  A product over one generator, as in every
+``line_ring``, goes by exponent: the keys add as integers and the
+truncation bounds the exponent by ``truncation // weight``, so no key is
+graded.
 
 Two integer rules meet here.  An arithmetic operand (coefficient, scalar,
 exponent) passes ``_integer``, ``operator.index`` with bools refused, whose
@@ -242,6 +245,9 @@ class PolyElement(GradedElement):
             return self.__rmul__(other)
         self._check(other)
         ring = self.ring
+        if len(ring.degrees) == 1:
+            top = ring.truncation // ring.degrees[0]
+            return self._new(ring, _exponent_product(self.terms, other.terms, top))
         key_degree, top = ring.key_degree, ring.truncation
         # the right factor's terms by degree, so each left term stops at the
         # first one that would pass the truncation
@@ -265,6 +271,29 @@ class PolyElement(GradedElement):
         """The coefficient of a monomial, checked by ``ring.key``."""
         key = self.ring.key(tuple(exponents))
         return 0 if key is None else self.terms.get(key, 0)
+
+
+def _exponent_product(left: dict, right: dict, top: int) -> dict:
+    """The product of two term dicts over one generator, exponents above
+    ``top`` dropped: a key's degree is its exponent times the generator's
+    weight, so the exponents alone decide the truncation and the key."""
+    # the right factor by exponent, so each left term stops at the first
+    # one that would pass the truncation
+    right = sorted((e2, c2) for (e2,), c2 in right.items())
+    out: dict = {}
+    get = out.get
+    for (e1,), c1 in left.items():
+        room = top - e1
+        for e2, c2 in right:
+            if e2 > room:
+                break
+            key = (e1 + e2,)
+            c = get(key, 0) + c1 * c2
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
 
 
 class TruncatedPolynomialRing(GradedRing, _Record):

@@ -7,7 +7,8 @@ folding those products, horizontal strips by filtering every partition of the bo
 through the interlacing inequalities, power bundles through direct
 enumeration of root multisets over actual split bundles, universal
 polynomials through full monomial expansions, their substitution into the
-base ring through each term's product of Chern-class powers, products of monomial and
+base ring through each term's product of Chern-class powers, products in one
+generator through dense coefficient lists, products of monomial and
 elementary symmetric functions by counting subsets, direct sums and line
 twists through the index formulas for each Chern class, the multiplier
 search through a scan of every candidate, base-point freeness on
@@ -172,6 +173,22 @@ def gaussian_binomial(n: int, k: int) -> tuple[int, ...]:
     for w, c in enumerate(gaussian_binomial(n - 1, k)):
         out[w + k] += c
     return tuple(out)
+
+
+# -- polynomials in one generator, as dense coefficient lists -----------------
+
+def one_generator_product(a: dict, b: dict, weight: int, truncation: int) -> dict:
+    """The product of two polynomials in one generator of degree ``weight``,
+    given and returned as ``{(exponent,): coefficient}``: the full
+    convolution of their dense coefficient lists, then every exponent of
+    degree above ``truncation`` and every zero coefficient dropped."""
+    dense_a = [a.get((e,), 0) for e in range(max((e for (e,) in a), default=0) + 1)]
+    dense_b = [b.get((e,), 0) for e in range(max((e for (e,) in b), default=0) + 1)]
+    full = [0] * (len(dense_a) + len(dense_b) - 1)
+    for i, x in enumerate(dense_a):
+        for j, y in enumerate(dense_b):
+            full[i + j] += x * y
+    return {(e,): c for e, c in enumerate(full) if c and e * weight <= truncation}
 
 
 # -- direct sums and line twists, one Chern class at a time -------------------

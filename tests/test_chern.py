@@ -24,7 +24,7 @@ from fanocalc.chern import (
     twist_line,
     whitney_sum,
 )
-from fanocalc.rings import TruncatedPolynomialRing, line_ring
+from fanocalc.rings import PolyElement, TruncatedPolynomialRing, line_ring
 from fanocalc.schubert import GrassmannContext, integrate, sigma, tautological_dual
 from oracles import (
     _elementary_product,
@@ -123,16 +123,22 @@ def test_equal_rings_built_apart_still_combine():
     )
 
 
-@given(st.lists(st.integers(-3, 3), min_size=0, max_size=3),
-       st.lists(st.integers(-3, 3), min_size=0, max_size=3))
-def test_whitney_total_class_multiplies(xs, ys):
-    ring = line_ring(4)
-    a, b = split_bundle(ring, xs), split_bundle(ring, ys)
+@given(st.integers(0, 6), st.lists(st.integers(-3, 3), min_size=0, max_size=3),
+       st.lists(st.integers(-3, 3), min_size=0, max_size=3), st.integers(0, 2), st.integers(0, 2))
+@example(4, [], [], 3, 0)  # trivial bundles with no classes: the total class is the unit
+@example(2, [1, -1], [2, 2, 2], 0, 1)
+def test_whitney_total_class_multiplies(dim, xs, ys, extra_x, extra_y):
+    # each summand is split, then widened by a trivial summand of rank extra_*
+    ring = line_ring(dim)
+    a = FormalBundle(ring, len(xs) + extra_x, split_bundle(ring, xs).chern)
+    b = FormalBundle(ring, len(ys) + extra_y, split_bundle(ring, ys).chern)
     assert classes(whitney_sum(a, b)) == whitney_convolution(a, b)
 
 
 @given(st.sampled_from([GrassmannContext(2, 5), GrassmannContext(3, 6)]),
        st.lists(PIECES, max_size=4), st.lists(PIECES, max_size=3), st.integers(-3, 3))
+@example(GrassmannContext(2, 5), ["O", "O"], [], 1)  # trivial bundles with no classes
+@example(GrassmannContext(2, 5), ["O"], ["U*", "O"], -1)
 def test_sums_and_twists_match_index_formulas_on_grassmannians(ctx, xs, ys, m):
     # up to four copies of U* exceed the truncation of G(2,5) and G(3,6)
     a, b = grassmann_sum(ctx, xs), grassmann_sum(ctx, ys)
@@ -204,6 +210,53 @@ def test_twist_rejects_wrong_degree():
         twist_line(b, H**2)
 
 
+def ring_products(monkeypatch):
+    """Record every ring product, of polynomials and of Schubert classes, as a pair."""
+    calls = []
+    poly_mul, chow_mul = PolyElement.__mul__, schubert.multiply
+
+    def poly(x, y):
+        if isinstance(y, PolyElement):
+            calls.append((x, y))
+        return poly_mul(x, y)
+
+    def chow(x, y):
+        calls.append((x, y))
+        return chow_mul(x, y)
+
+    monkeypatch.setattr(PolyElement, "__mul__", poly)
+    monkeypatch.setattr(schubert, "multiply", chow)
+    return calls
+
+
+G25 = GrassmannContext(2, 5)
+
+
+@pytest.mark.parametrize(
+    "bundle,t,products",
+    [
+        (line_bundle(P3, 2 * H), H, 0),
+        (split_bundle(line_ring(4), [0, 1, 3]), 2 * line_ring(4).gen(), 2),
+        (tautological_dual(G25), sigma(G25, 1), 1),
+        # classes below the rank: one more product, by a power of u
+        (split_bundle(line_ring(2), [1, 2, -1, 0, 3]), line_ring(2).gen(), None),
+        (whitney_sum(tautological_dual(G25), trivial_bundle(G25, 1)), 2 * sigma(G25, 1), None),
+        (trivial_bundle(P3, 3), H, None),
+    ],
+)
+def test_twist_takes_no_product_by_the_unit(monkeypatch, bundle, t, products):
+    # Horner's rule starts from u + c_1, and u^0 is never a factor: with as many
+    # classes as the rank, s classes take s - 1 products.  A partial sum that
+    # cancels to the unit (c_1 = -t) is not looked for; no case here has one.
+    calls = ring_products(monkeypatch)
+    twisted = twist_line(bundle, t)
+    assert not [pair for pair in calls if bundle.ring.one() in pair]
+    if products is not None:
+        assert len(calls) == products
+    monkeypatch.undo()
+    assert classes(twisted) == twist_binomial(bundle, t)
+
+
 def test_twist_matches_split_shift():
     ring = line_ring(4)
     h = ring.gen()
@@ -215,6 +268,35 @@ def test_twist_matches_split_shift():
 def test_sym_first_power_is_identity():
     b = FormalBundle(P3, 2, (3 * H, 2 * H**2))
     assert sym_power(b, 1) == b
+
+
+def universal_power(op, b, k):
+    """S^k or Lambda^k of ``b`` through the universal polynomials, whatever k."""
+    rank = comb(b.rank + k - 1, k) if op == "sym" else comb(b.rank, k)
+    epolys = chern._power_epolys(op, b.rank, k, b.ring.truncation)
+    return FormalBundle(b.ring, rank, chern._substitute_all(epolys, b))
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        line_bundle(P3, -2 * H),
+        split_bundle(line_ring(4), [1, 2, -1]),
+        tautological_dual(G25),
+        tautological_dual(GrassmannContext(3, 6)),
+        # ranks above the truncation
+        split_bundle(line_ring(2), [1, 2, 3, -1, 2]),
+        trivial_bundle(P3, 5),
+        grassmann_sum(GrassmannContext(2, 4), ["U*"] * 3),
+    ],
+)
+def test_identity_functors_match_the_universal_route(bundle):
+    # S^1 and Lambda^1 are the bundle itself, Lambda^rank its determinant
+    assert sym_power(bundle, 1) is bundle == universal_power("sym", bundle, 1)
+    assert ext_power(bundle, 1) is bundle == universal_power("ext", bundle, 1)
+    determinant = ext_power(bundle, bundle.rank)
+    assert determinant == universal_power("ext", bundle, bundle.rank)
+    assert determinant.rank == 1 and chern_class(determinant, 1) == chern_class(bundle, 1)
 
 
 def test_sym_cubed_first_chern():

@@ -232,6 +232,21 @@ def test_domain_error_json_document(capsys):
     assert "NOPE" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "bug", [ZeroDivisionError("division by zero"), ArithmeticError("inexact"), RuntimeError("x")]
+)
+def test_a_bug_is_not_a_domain_error(capsys, bug):
+    # only ValueError, OSError and KeyError are refusals; anything else propagates
+    def handler(args):
+        raise bug
+
+    command = "bound E"
+    with mock.patch.dict(COMMANDS, {command: (handler, COMMANDS[command][1])}):
+        with pytest.raises(type(bug)):
+            main(["--json", "bound", "E", "--target", "V4-quartic"])
+    assert capsys.readouterr().out == ""
+
+
 # Every input that is a list of integers: the command line, with {} for the
 # list, and the name of the input that the message gives.
 INTEGER_LISTS = {

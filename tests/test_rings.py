@@ -2,11 +2,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fanocalc.rings import PolyElement, TruncatedPolynomialRing, line_ring
 from fanocalc.schubert import ChowElement, GrassmannContext, sigma
+from oracles import one_generator_product
 
 RING = TruncatedPolynomialRing(("a", "b"), (1, 2), truncation=5)
 
@@ -193,6 +194,37 @@ def test_product_matches_full_expansion(x, y):
     product = x * y
     assert product.terms == PolyElement(RING, full).terms
     assert all(product.terms.values())
+
+
+@st.composite
+def one_generator_pairs(draw):
+    """Two elements of a one-generator ring of weight 1-3 truncated at 0-12,
+    the weight dividing the truncation or not; the second is sometimes the
+    first with signs flipped, so that products cancel."""
+    weight, truncation = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+    ring = TruncatedPolynomialRing(("x",), (weight,), truncation)
+    exponents = st.integers(0, truncation // weight).map(lambda e: (e,))
+    terms = st.dictionaries(exponents, st.integers(-4, 4), max_size=5)
+    x = PolyElement(ring, draw(terms))
+    y = draw(st.one_of(terms.map(lambda t: PolyElement(ring, t)), st.just(x), st.just(-x),
+                       st.just(ring.zero()), st.just(ring.one() - x)))
+    return ring, x, y
+
+
+P4, WEIGHT_2 = line_ring(4), TruncatedPolynomialRing(("x",), (2,), 5)
+
+
+@given(one_generator_pairs())
+@example((P4, P4.one() + P4.gen(), P4.one() - P4.gen()))  # the h terms cancel
+@example((WEIGHT_2, WEIGHT_2.gen(), 3 * WEIGHT_2.gen() ** 2))  # degree 6 > 5
+def test_one_generator_product_matches_dense_convolution(pair):
+    # exponents above truncation // weight vanish; cancelled keys disappear
+    ring, x, y = pair
+    for a, b in ((x, y), (y, x)):
+        product = a * b
+        assert product.terms == one_generator_product(a.terms, b.terms, ring.degrees[0], ring.truncation)
+        assert all(type(e) is int for (e,) in product.terms)
+    assert (x * ring.zero()).terms == {} and (ring.zero() * x).terms == {}
 
 
 def test_display():
