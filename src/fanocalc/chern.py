@@ -133,8 +133,10 @@ def twist_line(b: FormalBundle, t) -> FormalBundle:
     """Tensor with the line bundle of first Chern class ``t`` (0 returns ``b``):
     the total class ``sum_j c_j(b) u^(rank-j)``, ``u = 1 + t``, is Horner's rule
     in ``u`` over the stored ``c_1..c_s``, times ``u^(rank-s)``.  No product
-    has the unit as a factor: Horner's rule starts from ``u + c_1``, and the
-    last factor is left out when ``s = rank`` (all of ``u^rank`` when ``s = 0``)."""
+    has the unit as a factor: Horner's rule starts from ``u + c_1``, a partial
+    sum that cancels to the unit (``c_1 = -t``) is replaced by the factor
+    itself, and the last factor is left out when ``s = rank`` (all of
+    ``u^rank`` when ``s = 0``)."""
     if not t:
         return b
     ring = b.ring
@@ -143,11 +145,13 @@ def twist_line(b: FormalBundle, t) -> FormalBundle:
     u = ring.one() + t
     if not b.chern:
         return _from_total(b.rank, u**b.rank)
+    unit = {ring.unit_key: 1}
     total = u + b.chern[0]
     for c in b.chern[1:]:
-        total = total * u + c
+        total = (u if total.terms == unit else total * u) + c
     if b.rank > len(b.chern):
-        total = total * u ** (b.rank - len(b.chern))
+        power = u ** (b.rank - len(b.chern))
+        total = power if total.terms == unit else total * power
     return _from_total(b.rank, total)
 
 

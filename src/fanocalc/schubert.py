@@ -8,12 +8,16 @@ kernel: the Pieri rule handles products with single-row classes, and the
 Giambelli determinant reduces an arbitrary class to an alternating sum of
 single-row products.  The determinant is expanded row by row over subsets of
 its columns (Laplace), so a class with l rows costs l * 2^(l-1) Pieri steps
-rather than the l * l! of the Leibniz rule.  The horizontal strips of each
-(lambda, a, box) are tabulated once per process, in a table bounded at
+rather than the l * l! of the Leibniz rule; a fresh Pieri result that opens
+a column set becomes that set's sum, uncopied.  The horizontal strips of
+each (lambda, a, box) are tabulated once per process, in a table bounded at
 ``STRIP_TABLE_SIZE`` = 2^16 keys, so repeated Pieri steps look their strips
 up instead of enumerating them again; the comment above that constant says
-what the bound costs in memory.  A partition outside the box is zero where
-the ring computes it (``sigma`` and products give zero), while the
+what the bound costs in memory.  A table entry is built box by box: each
+strip adds its boxes top row first, so it is made exactly once, and a
+branch is cut as soon as the rows left cannot hold the boxes still to add,
+so every branch kept ends in a strip.  A partition outside the box is zero
+where the ring computes it (``sigma`` and products give zero), while the
 constructor and ``giambelli`` raise on it, as on a part that is not an int.
 
 ``GrassmannContext`` is this ring as a coefficient ring of
@@ -165,28 +169,37 @@ STRIP_TABLE_SIZE = 2**16
 def _horizontal_strips(lam: Partition, a: int, rows: int, cols: int) -> tuple[Partition, ...]:
     """Partitions ``mu`` in the box with ``mu/lam`` a horizontal strip of size ``a``.
 
-    Row i of ``mu`` lies between ``lam_i`` and ``lam_(i-1)`` (the box width
-    for the first row), and only a new last row may stay empty.  A strip
-    has at most one box per column, so the boxes left after row i fit
-    between the last row of ``lam`` and ``lam_i``; that bounds ``mu_i`` from
-    below, and every branch of the search ends in a strip.
+    Row r of ``mu`` lies between ``lam_r`` and the cap ``lam_(r-1)`` (the box
+    width for the first row), and only a new last row may start empty.  The
+    strips are built box by box, one level per box: a strip of b boxes
+    remembers the row of its last box, and takes its next box in that row or
+    a lower one, so its boxes come top row first and left to right in a row,
+    and each strip is made once.  Once a box sits in row r, the rows above r
+    are closed and those below are untouched, and each row i may still grow
+    up to its cap, so rows r..last (``last`` the lowest usable row) have room
+    for exactly ``cap_r - mu_r + lam_r - lam_last`` more boxes (``lam_last``
+    0 for a new row).  An extension with less room than the boxes still to
+    add is dropped, and since that room is exact, every branch kept ends in
+    a strip.
     """
     length = len(lam)
     last = min(rows, length + 1) - 1
     bottom = lam[last] if last < length else 0
-    out: list[Partition] = []
-
-    def rec(i: int, remaining: int, prefix: Partition) -> None:
-        if not remaining:
-            out.append(prefix + lam[i:])
-            return
-        lo = lam[i] if i < length else 0
-        hi = cols if i == 0 else lam[i - 1]
-        for part in range(max(lo, bottom + remaining), min(hi, lo + remaining) + 1):
-            rec(i + 1, remaining - (part - lo), prefix + (part,))
-
-    rec(0, a, ())
-    return tuple(out)
+    caps = (cols,) + lam
+    level = [(lam, 0)]
+    for left in range(a - 1, -1, -1):
+        grown = []
+        for mu, start in level:
+            for r in range(start, last + 1):
+                part = (mu[r] if r < len(mu) else 0) + 1
+                if part > caps[r]:
+                    continue
+                # the room of rows r..last after this box only shrinks with r
+                if caps[r] - part + (lam[r] if r < length else 0) - bottom < left:
+                    break
+                grown.append((mu[:r] + (part,) + mu[r + 1 :], r))
+        level = grown
+    return tuple(mu for mu, _ in level)
 
 
 def pieri(x: ChowElement, a: int) -> ChowElement:
@@ -215,7 +228,10 @@ def _times_schubert(x: ChowElement, lam: Partition) -> ChowElement:
     unused column j, with sign ``(-1)^(#used columns > j)``; entries whose
     index is negative or exceeds the box width are zero.  That is
     ``l * 2^(l-1)`` Pieri steps for ``l`` rows, against ``l * l!`` for the
-    Leibniz rule.
+    Leibniz rule.  A Pieri result of sign +1 that is the first to reach its
+    column set is kept as that set's dict; a step by ``sigma_0`` adds the
+    partial product itself, so it, like a first result of sign -1, is
+    summed into a new dict.
     """
     if not lam:
         return x
@@ -230,9 +246,16 @@ def _times_schubert(x: ChowElement, lam: Partition) -> ChowElement:
                 d = part + j - i
                 if used & bit or d < 0 or d > ctx.cols:
                     continue
-                moved = pieri(term, d) if d else term
+                moved = pieri(term, d).terms if d else term.terms
                 sign = -1 if (used >> (j + 1)).bit_count() % 2 else 1
-                _accumulate(sums.setdefault(used | bit, {}), moved.terms, sign)
+                target = sums.get(used | bit)
+                if target is None:
+                    if d and sign > 0:
+                        # a fresh Pieri result is nobody else's: keep it
+                        sums[used | bit] = moved
+                        continue
+                    target = sums[used | bit] = {}
+                _accumulate(target, moved, sign)
         partial = {used: ChowElement._new(ctx, terms) for used, terms in sums.items() if terms}
     return partial.get((1 << size) - 1) or ctx.zero()
 
@@ -247,13 +270,20 @@ def giambelli(ctx: GrassmannContext, parts: Iterable[int]) -> ChowElement:
 
 
 def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
-    """Product in the Schubert basis; bilinear, commutative, associative."""
+    """Product in the Schubert basis; bilinear, commutative, associative.
+
+    A first ``x * sigma_lam`` of coefficient 1 becomes the output dict, unless
+    it is ``x`` itself (``lam`` empty)."""
     x._check(y)
     if len(x.terms) < len(y.terms):
         x, y = y, x
     out: dict[Partition, int] = {}
     for lam, coeff in y.terms.items():
-        _accumulate(out, _times_schubert(x, lam).terms, coeff)
+        terms = _times_schubert(x, lam).terms
+        if not out and coeff == 1 and terms is not x.terms:
+            out = terms
+        else:
+            _accumulate(out, terms, coeff)
     return ChowElement._new(x.ring, out)
 
 

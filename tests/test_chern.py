@@ -242,12 +242,17 @@ G25 = GrassmannContext(2, 5)
         (split_bundle(line_ring(2), [1, 2, -1, 0, 3]), line_ring(2).gen(), None),
         (whitney_sum(tautological_dual(G25), trivial_bundle(G25, 1)), 2 * sigma(G25, 1), None),
         (trivial_bundle(P3, 3), H, None),
+        # c_1 = -t: the first partial sum u + c_1 is the unit, and u is taken
+        # instead of 1 * u, here also in place of the power of u that follows it
+        (whitney_sum(tautological_dual(G25), trivial_bundle(G25, 1)), -sigma(G25, 1), 1),
+        (split_bundle(line_ring(4), [1, -2]), line_ring(4).gen(), 0),
+        (FormalBundle(line_ring(4), 2, (-line_ring(4).gen(),)), line_ring(4).gen(), 0),
     ],
 )
 def test_twist_takes_no_product_by_the_unit(monkeypatch, bundle, t, products):
     # Horner's rule starts from u + c_1, and u^0 is never a factor: with as many
-    # classes as the rank, s classes take s - 1 products.  A partial sum that
-    # cancels to the unit (c_1 = -t) is not looked for; no case here has one.
+    # classes as the rank, s classes take s - 1 products, one fewer for each
+    # partial sum that cancels to the unit.
     calls = ring_products(monkeypatch)
     twisted = twist_line(bundle, t)
     assert not [pair for pair in calls if bundle.ring.one() in pair]

@@ -197,6 +197,20 @@ def test_strip_table_matches_interlacing_oracle_exhaustively(n):
                 assert set(strips) == set(horizontal_strips_brute(lam, a, ctx.rows, ctx.cols))
 
 
+@st.composite
+def strip_keys(draw):
+    n = draw(st.integers(2, 16))
+    ctx = GrassmannContext(draw(st.integers(1, n - 1)), n)
+    return draw(boxed_partitions(ctx)), draw(st.integers(0, ctx.cols + 1)), ctx.rows, ctx.cols
+
+
+@given(strip_keys())
+def test_strip_table_matches_interlacing_oracle_up_to_n_16(key):
+    strips = schubert._horizontal_strips(*key)
+    assert len(set(strips)) == len(strips)
+    assert set(strips) == set(horizontal_strips_brute(*key))
+
+
 def test_pieri_steps_are_counted_on_a_filled_strip_table(monkeypatch):
     # With every strip of G(2,4) and G(2,5) already tabulated, the products
     # below hit the table only, and still make one Pieri step per factor.
@@ -377,6 +391,40 @@ def test_cancelled_classes_leave_no_key():
         assert (2, 1) not in product.terms
     # the Giambelli expansion s1 * (s1*s1 - s2) cancels s3 in its partial sum
     assert multiply(sigma(G36, 1), sigma(G36, 1, 1)).terms == {(2, 1): 1, (1, 1, 1): 1}
+
+
+# -- results are fresh dicts ---------------------------------------------------
+
+@st.composite
+def aliasing_cases(draw):
+    ctx = draw(st.sampled_from([G25, G36]))
+    x, y = draw(elements(ctx)), draw(elements(ctx))
+    return ctx, x, y, draw(st.integers(0, 4)), draw(st.integers(1, ctx.cols)), draw(boxed_partitions(ctx))
+
+
+@given(aliasing_cases())
+def test_products_leave_their_operands_alone_and_share_no_terms(case):
+    # the kernels keep fresh Pieri and Giambelli dicts as their results, so
+    # no result may be an operand's dict, and no operand may be changed
+    ctx, x, y, n, a, lam = case
+    one = ctx.one()
+    operands = (x, y, one)
+    before = [dict(z.terms) for z in operands]
+    results = [
+        multiply(x, y),
+        multiply(y, x),
+        multiply(x, x),
+        x * one,
+        one * x,
+        x**n,
+        pieri(x, a),
+        giambelli(ctx, lam),
+        giambelli(ctx, lam),
+    ]
+    assert [z.terms for z in operands] == before
+    for i, result in enumerate(results):
+        assert all(result.terms is not z.terms for z in operands)
+        assert all(result.terms is not other.terms for other in results[:i])
 
 
 # -- integration and duality --------------------------------------------------
