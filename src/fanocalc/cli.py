@@ -665,14 +665,15 @@ def run(argv: list[str], args: SimpleNamespace | None = None) -> CommandResult:
     """Execute one command; usage errors raise ``UsageError``, a ``SystemExit(2)``.
     The parse fills ``args`` if given; ``main`` reads ``--json`` there, also on a usage error.
     A domain error, the ``status: "error"`` result, is what the handlers raise to
-    refuse an input: a ``ValueError``, an ``OSError`` (an unreadable ``--db``
-    table) or a ``KeyError`` (an unknown family).  Any other exception is a bug,
-    such as Newton's inexact division (an ``ArithmeticError``), and propagates."""
+    refuse an input: a ``ValueError`` (an unknown family among them) or an
+    ``OSError`` (an unreadable ``--db`` table).  Any other exception is a bug, such
+    as Newton's inexact division (an ``ArithmeticError``) or a stray ``KeyError``
+    from a kernel dict, and propagates."""
     args = build_parser().parse_args(argv, args)
     inputs = {k: v for k, v in vars(args).items() if k not in _PRIVATE_ARGS}
     try:
         result, provenance = args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         # An OSError (an unreadable --db table) names its file only in its str.
         message = exc if isinstance(exc, OSError) or not exc.args else exc.args[0]
         return CommandResult(command=args.command, status="error", message=str(message))

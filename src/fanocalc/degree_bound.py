@@ -22,6 +22,7 @@ infinitesimal Noether-Lefschetz theorem on the quadric.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from functools import lru_cache
 from math import inf, isqrt
@@ -311,6 +312,18 @@ def feasibility_witnesses(
     )
 
 
+def _cut(values, lo: int, hi: int | float):
+    """The values in ``[lo, hi]`` of a sorted sequence (``hi`` possibly ``inf``),
+    as a slice: for a range of step s from a, the first index i has a + i s >= lo,
+    i = ceil((lo - a) / s), and the stop is one past floor((hi - a) / s); both are
+    clamped at 0, as a negative index would count from the end."""
+    if isinstance(values, range):
+        start, step = values.start, values.step
+        stop = None if hi == inf else max(0, (hi - start) // step + 1)
+        return values[max(0, -((start - lo) // step)) : stop]
+    return values[bisect_left(values, lo) : bisect_right(values, hi)]
+
+
 def feasible_multipliers(
     rX: int, rY: int, very_ample: bool, m_range: Iterable[int]
 ) -> set[int]:
@@ -318,11 +331,23 @@ def feasible_multipliers(
     intervals in closed form: each row of the multiplier table is a witness
     exactly on its interval of m, so the feasible m are the values of the
     range in the union of those intervals, and no m is tested against the
-    option tables."""
-    values = set(m_range)
+    option tables.
+
+    The values form one sorted sequence, and each interval of the union is
+    cut out of it by a slice.  A ``range`` of positive step is already
+    sorted, distinct and of ints: it is cut by index arithmetic (``bisect``
+    calls ``len``, which fails past ``sys.maxsize``), so none of its values
+    is listed and it costs only its answer.  Any other iterable has each
+    value checked by the package's integer rule, is sorted and is cut by
+    bisection.
+    """
+    if isinstance(m_range, range) and m_range.step > 0:
+        values = m_range
+    else:
+        values = sorted(_typed(m, "multiplier") for m in m_range)
     if not values:
         raise ValueError("empty multiplier range")
-    if min(_typed(m, "multiplier") for m in values) < 1:
+    if values[0] < 1:
         raise ValueError("multiplier must be at least 1")
     union: list[list] = []
     for lo, hi in sorted(row[-2:] for row in _multiplier_table(rX, rY, very_ample)):
@@ -330,7 +355,7 @@ def feasible_multipliers(
             union[-1][1] = max(union[-1][1], hi)
         else:
             union.append([lo, hi])
-    return {m for lo, hi in union for m in values if lo <= m <= hi}
+    return {m for lo, hi in union for m in _cut(values, lo, hi)}
 
 
 def noether_lefschetz_threshold(kappa: int) -> int:

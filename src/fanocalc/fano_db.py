@@ -152,6 +152,11 @@ def parse_table(text: str) -> list[FanoRecord]:
     return records
 
 
+class UnknownFamily(KeyError, ValueError):
+    """A family name the table lacks: a ``KeyError`` as for any missing key,
+    and a ``ValueError`` as every refused input is."""
+
+
 class FanoDatabase:
     """Validated, immutable collection of classification records."""
 
@@ -176,7 +181,7 @@ class FanoDatabase:
             return self._records[name]
         except KeyError:
             known = ", ".join(self._records)
-            raise KeyError(f"unknown Fano family {name!r}; known: {known}") from None
+            raise UnknownFamily(f"unknown Fano family {name!r}; known: {known}") from None
 
     def records(self) -> list[FanoRecord]:
         return list(self._records.values())

@@ -15,11 +15,16 @@ mod a (Nijenhuis's minimal-path algorithm, a shortest-path search over the a
 residues): m belongs iff ``m >= apery[m % a]``, and ``max(apery) - a`` is
 the exact Frobenius number.  One lazy list of (a, Apéry set) per support and
 one membership rule serve ``is_generated`` and ``cotangent_twist_lmin``, at
-O(a.|T|.log a) per support T however large m is.
+O(a.|T|.log a) per support T however large m is.  The supports themselves are
+the irredundant index sets of gcd 1 (no member can be dropped without raising
+the gcd), found by a depth-first search that ends a path as soon as one member
+could be dropped, and yielded one by one, so a failing support ends
+``is_generated`` before the later ones are found.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd, prod
@@ -142,32 +147,44 @@ def canonical_degree(w) -> int:
     return -sum(wv.weights)
 
 
-def _minimal_unit_supports(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Inclusion-minimal index sets whose weights have gcd 1.
+def _minimal_unit_supports(weights: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Inclusion-minimal index sets whose weights have gcd 1, lazily and in
+    lexicographic order.
 
     These index the coordinate strata meeting the smooth locus; supersets
     only enlarge the value semigroup, so minimal sets carry the binding
-    base-point conditions.  A depth-first search grows index sets only while
-    their gcd exceeds 1, and only by indices that lower the gcd: in a minimal
-    set each index lowers the running gcd, or dropping it would keep gcd 1.
-    So a search path is at most one longer than the number of prime factors
-    of its first weight.  A set reaching gcd 1 is minimal iff dropping any one
-    index leaves a gcd other than 1 (the gcd can only grow on subsets).
+    base-point conditions.  Call a member k of a set S redundant when
+    ``gcd(S - k) = gcd(S)``.  A member redundant in S stays redundant in
+    every superset T, as ``gcd(T - k) = gcd(gcd(S - k), gcd(T - S)) =
+    gcd(T)``; so every subset of an irredundant set is irredundant, and an
+    irredundant set with gcd 1 is minimal, since dropping any member leaves
+    a gcd above 1.  A minimal set is irredundant and its proper prefixes
+    have gcd > 1, so a depth-first search that grows index sets in index
+    order, keeps only the irredundant ones and stops at gcd 1 reaches
+    exactly the minimal sets, with no minimality check at the end.  It
+    carries the cofactor gcds ``gcd(S - k)`` of its set: adding weight w maps
+    each to ``gcd(., w)`` and appends the old gcd, and the extension is
+    dropped as soon as its gcd is among them.  Each member lowers the running gcd, so
+    a search path is at most one longer than the number of prime factors of
+    its first weight.
     """
-    found: list[tuple[int, ...]] = []
 
-    def grow(subset: tuple[int, ...], g: int) -> None:
+    def grow(subset: tuple[int, ...], g: int, cofactors: list[int]) -> Iterator[tuple[int, ...]]:
         for i in range(subset[-1] + 1 if subset else 0, len(weights)):
-            extended, h = subset + (i,), gcd(g, weights[i])
-            if h == g:
+            w = weights[i]
+            h = gcd(g, w)
+            if h == g:  # the new member itself is redundant
                 continue
+            extended = [gcd(d, w) for d in cofactors]
+            if h in extended:
+                continue
+            extended.append(g)
             if h > 1:
-                grow(extended, h)
-            elif all(gcd(*(weights[j] for j in extended if j != k)) != 1 for k in extended):
-                found.append(extended)
+                yield from grow(subset + (i,), h, extended)
+            else:
+                yield subset + (i,)
 
-    grow((), 0)
-    return found
+    return grow((), 0, [])
 
 
 def _apery_set(gens: tuple[int, ...], bound: int | None = None) -> dict[int, int]:

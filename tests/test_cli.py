@@ -233,10 +233,17 @@ def test_domain_error_json_document(capsys):
 
 
 @pytest.mark.parametrize(
-    "bug", [ZeroDivisionError("division by zero"), ArithmeticError("inexact"), RuntimeError("x")]
+    "bug",
+    [
+        ZeroDivisionError("division by zero"),
+        ArithmeticError("inexact"),
+        RuntimeError("x"),
+        KeyError("stray"),
+    ],
 )
 def test_a_bug_is_not_a_domain_error(capsys, bug):
-    # only ValueError, OSError and KeyError are refusals; anything else propagates
+    # only ValueError and OSError are refusals; an unknown family is a ValueError,
+    # and anything else, a stray KeyError from a kernel dict included, propagates
     def handler(args):
         raise bug
 

@@ -255,12 +255,14 @@ def test_degree_from_multiplier_requires_ints():
         (lambda: feasible_multipliers(1, 2, True, [1.5, True, 2]), "must be an int"),
         (lambda: feasible_multipliers(1, 2, True, [True]), "must be an int"),
         (lambda: feasible_multipliers(1, 2, True, [2, 3.0]), "must be an int"),
+        # each value is checked before any is merged: a set of [1, True] kept only the 1
+        (lambda: feasible_multipliers(1, 2, True, [1, True]), "must be an int"),
         (lambda: feasibility_witnesses(1, 1, True, True), "must be an int"),
         (lambda: feasibility_witnesses(1, 1, True, 1.0), "must be an int"),
         (lambda: feasibility_witnesses(1, 1, True, "1"), "must be an int"),
     ],
     ids=["source-degree-0", "negative-target-degree", "witnesses-for-m-0",
-         "range-float-and-bool", "range-bool", "range-float",
+         "range-float-and-bool", "range-bool", "range-float", "range-bool-equal-to-an-int",
          "witnesses-for-bool", "witnesses-for-float", "witnesses-for-str"],
 )
 def test_multiplier_arithmetic_refuses(call, message):
@@ -417,15 +419,31 @@ multiplier_starts = st.integers(1, 400) | st.integers(1, 10**12)
     st.sampled_from([1, 2]),
     st.booleans(),
     st.sets(multiplier_starts, min_size=1, max_size=40)
+    | st.lists(multiplier_starts, min_size=1, max_size=20).map(lambda ms: ms + ms[::-2])
     | st.builds(lambda lo, n: range(lo, lo + n), multiplier_starts, st.integers(1, 120))
     | st.builds(
         lambda lo, n, step: range(lo, lo + n * step, step),
         multiplier_starts, st.integers(1, 60), st.integers(2, 10**6),
+    )
+    | st.builds(
+        lambda lo, n, step: range(lo + (n - 1) * step, lo - 1, -step),
+        multiplier_starts, st.integers(1, 60), st.integers(1, 10**6),
     ),
+    st.booleans(),
 )
-def test_feasible_multipliers_match_witnesses_per_multiplier(rX, rY, very_ample, ms):
+def test_feasible_multipliers_match_witnesses_per_multiplier(rX, rY, very_ample, ms, lazily):
+    # sets, lists with repeats, ranges up and down, each also given as a generator
     expected = {m for m in ms if _witnesses_reference(rX, rY, very_ample, m)}
-    assert feasible_multipliers(rX, rY, very_ample, ms) == expected
+    given_ms = (m for m in ms) if lazily else ms
+    assert feasible_multipliers(rX, rY, very_ample, given_ms) == expected
+
+
+def test_feasible_multipliers_cut_a_range_past_sys_maxsize():
+    # a range is cut by index arithmetic: neither len() nor a set of its values
+    assert feasible_multipliers(1, 1, True, range(1, 10**30)) == {1}
+    assert feasible_multipliers(1, 1, True, range(2, 10**30)) == set()
+    top = range(10**30, 10**30 + 7, 3)
+    assert feasible_multipliers(1, 2, True, top) == set(top)
 
 
 @given(st.sampled_from([1, 2]), st.sampled_from([1, 2]), st.booleans(), multiplier_starts)

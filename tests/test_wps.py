@@ -308,7 +308,33 @@ def test_apery_set_keeps_the_least_element_per_residue():
 @settings(max_examples=200, deadline=None)
 @given(smooth_weights)
 def test_minimal_unit_supports_match_all_subsets(weights):
-    assert sorted(_minimal_unit_supports(weights)) == minimal_unit_supports_brute(weights)
+    assert sorted(list(_minimal_unit_supports(weights))) == minimal_unit_supports_brute(weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=2, max_size=10).map(tuple))
+def test_minimal_unit_supports_are_the_brute_list_in_order(weights):
+    # any weights, well formed or not, repeats included: the same sets, lexicographic
+    assert list(_minimal_unit_supports(weights)) == minimal_unit_supports_brute(weights)
+
+
+def test_supports_of_many_distinct_weights():
+    # irredundant sets: no superset of a set with a redundant member is searched
+    assert sum(1 for _ in _minimal_unit_supports(tuple(range(1, 201)))) == 20709
+
+
+def test_generated_stops_at_the_fifth_of_many_supports(monkeypatch):
+    # P(1, ..., 200) has 20709 supports, but O(7) fails on the fifth, (2, 9), in
+    # lexicographic order: the test ends there, with five Apéry sets searched
+    calls = []
+
+    def counted(gens, bound=None):
+        calls.append(gens)
+        return _apery_set(gens, bound)
+
+    monkeypatch.setattr(wps, "_apery_set", counted)
+    assert not is_generated(range(1, 201), 7)
+    assert calls == [(1,), (2, 3), (2, 5), (2, 7), (2, 9)]
 
 
 def test_many_equal_weights_are_not_an_exponential_search():
@@ -319,7 +345,7 @@ def test_many_equal_weights_are_not_an_exponential_search():
     for m in (1, 7):
         doc = _cli_json("wps", "generated", ",".join(map(str, weights)), "--m", str(m))
         assert doc["result"] is generated_by_reachability(small, m) is (m != 1)
-    assert len(_minimal_unit_supports(weights)) == 80
+    assert len(list(_minimal_unit_supports(weights))) == 80
 
 
 @given(weight_vectors, st.integers(0, 8), st.integers(0, 8))
