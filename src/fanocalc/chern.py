@@ -6,25 +6,30 @@ Whitney sums and line twists are identities of the total Chern class, taken
 by the ring's own product (Fulton, *Intersection Theory*, section 3.2).
 Symmetric and exterior powers, other than ``S^1`` and ``Lambda^1`` (the
 bundle itself) and ``Lambda^rank`` (its determinant), go through universal
-integer polynomials in the elementary symmetric functions ``e_1..e_r`` of
-formal Chern roots ``x_1..x_r``, then ``e_i -> c_i`` with one product per
-e-monomial, by the Chern class of its least index.  The new roots are
+integer polynomials in the elementary symmetric functions ``e_1..e_w`` of
+formal Chern roots ``x_1..x_r``, ``w = min(r, top)`` for the top degree
+``top`` of the answer (e_j has degree j, so no other can appear), then
+``e_i -> c_i`` with one product per e-monomial, by the Chern class of its
+least index.  An e-monomial is one integer from Gauss's pass to the base
+ring, its exponents packed as digits over ``w`` places.  The new roots are
 never listed: the power sums of the new roots have closed-form
 coefficients on the monomial symmetric functions ``m_lambda`` (binomials
 for Lambda^k, Eulerian polynomials for S^k), Gauss's algorithm rewrites
-each in ``e_1..e_r`` within the m-basis, and Newton's identities turn
+each in ``e_1..e_w`` within the m-basis, and Newton's identities turn
 power sums into Chern classes (Macdonald, *Symmetric Functions and Hall
-Polynomials*, I.2).  The cost depends on the rank and the truncation
-degree, not on the power.
+Polynomials*, I.2).  The cost depends on the truncation degree and on the
+rank up to it, not on the power.
 Every coefficient is an exact integer; Newton's divisions are checked
 exact.  Validation happens once, at the public :class:`FormalBundle`
 constructor (and ``line_bundle``, ``trivial_bundle``); the kernels here
 build classes that are homogeneous by construction and wrap them through
 ``_bundle`` without re-checking their degrees.  The universal polynomials
-are memoized per (functor, rank, power, truncation degree), bounded in keys.
-What Gauss's rewrite reads is one table per (degree, rank), unbounded: it
-grows with each new rank or truncation, not with the power.  All are safe
-under concurrent use: the computation is pure.
+are memoized per (functor, rank, power, truncation degree), bounded in keys;
+an entry holds packed keys over ``w`` places, so it does not grow with the
+rank.  What Gauss's rewrite reads is one table per (degree, width), both at
+most the truncation, unbounded: it grows with the largest truncation asked,
+not with the rank or the power.  All are safe under concurrent use: the
+computation is pure.
 """
 
 from __future__ import annotations
@@ -197,39 +202,47 @@ def ext_power(b: FormalBundle, k: int) -> FormalBundle:
 
 def _substitute_all(epolys, b: FormalBundle) -> tuple:
     """Substitute ``e_j -> c_j(b)``, zero beyond the stored classes, into each
-    e-polynomial: one product per e-monomial, by the Chern class of its least
-    index j, times the monomial with one e_j taken out, each monomial built
-    once per call along its chain of such quotients.  The unit and a zero
-    factor take no product.  On a Grassmannian the factor is mostly ``c_1``.
+    e-polynomial of ``epolys = (places, classes)``, the output of
+    :func:`_power_epolys`: one product per e-monomial, by the Chern class of
+    its least index j, times the monomial with one e_j taken out, each
+    monomial built once per call along its chain of such quotients.  The
+    monomials stay packed over the w = min(rank, top) places, and ``built``
+    is keyed by those integers: j is the first index with
+    ``key >= places[j]`` and the quotient's key is ``key - places[j]``.  The
+    unit and a zero factor take no product.  On a Grassmannian the factor is
+    mostly ``c_1``.
     Each class accumulates its scaled monomials into one dict, wrapped once."""
+    places, polys = epolys
     zero = b.ring.zero()
-    classes = b.chern + (zero,) * (b.rank - len(b.chern))
-    built = {(0,) * b.rank: None}  # the unit, which no product uses
+    classes = b.chern + (zero,) * (len(places) - len(b.chern))
+    built = {0: None}  # the unit, which no product uses
 
     def substitute(epoly):
         total: dict = {}
-        for emon, coeff in epoly:
+        for key, coeff in epoly:
             chain = []
-            while emon not in built:
+            while key not in built:
                 j = 0
-                while not emon[j]:
+                while key < places[j]:
                     j += 1
-                chain.append((emon, j))
-                emon = emon[:j] + (emon[j] - 1,) + emon[j + 1:]
-            term = built[emon]
-            for emon, j in reversed(chain):
+                chain.append((key, j))
+                key -= places[j]
+            term = built[key]
+            for key, j in reversed(chain):
                 c = classes[j]
                 term = c if term is None else (term * c if term and c else zero)
-                built[emon] = term
+                built[key] = term
             _accumulate(total, term.terms, coeff)
         return zero._new(b.ring, total)
 
-    return tuple(map(substitute, epolys))
+    return tuple(map(substitute, polys))
 
 
 # The bound on the memo of universal polynomials, in keys; the least recently
-# used go first.  S^k of a rank-3 bundle on P^3 for k = 1..2000 held 4.7 MB
-# unbounded, 1.1 MB bounded; the benchmarks use 23 keys.
+# used go first.  An entry holds packed keys over min(rank, top) places, so
+# its size does not grow with the rank past the truncation.  S^k of a rank-3
+# bundle on P^3 for k = 1..2000 held 2.1 MB unbounded, 0.29 MB bounded, under
+# tracemalloc; the benchmarks use 23 keys.
 EPOLY_MEMO_SIZE = 256
 
 
@@ -238,29 +251,35 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
     """Chern classes of S^k/Lambda^k of a rank-``rank`` bundle, as
     polynomials in the elementary symmetric functions of the Chern roots.
 
-    Returns one frozen e-polynomial per degree ``1..min(new rank, dmax)``,
-    each a tuple of ``(e-exponent tuple, integer coefficient)`` pairs.
+    Returns ``(places, classes)``: one frozen e-polynomial per degree
+    ``1..top``, top = min(new rank, dmax), each a sorted tuple of
+    ``(packed key, integer coefficient)`` pairs.  Only e_1..e_w appear,
+    w = min(rank, top): e_j has degree j.  A key packs the exponents of
+    e_1..e_w as the digits of one integer in base ``top + 1``, most
+    significant first, so integer order is exponent-tuple order, and
+    ``places`` holds the w place values ``(top + 1)^(w - 1 - j)``.  No digit
+    of a degree-``top`` product reaches the base, so multiplying monomials
+    in Newton's products adds their keys.
 
     The new roots are the sums ``sum_i g_i x_i`` over the factors ``g``: the
     k-subsets of the roots for Lambda^k, the multisets of k roots for S^k.
     Their d-th power sum ``Q_d`` has the coefficient
     ``d!/prod(lambda_i!) * N(lambda)`` on the monomial symmetric function
-    ``m_lambda``, N from :func:`_factor_moment`, so no factor is ever listed.
-    Gauss's algorithm rewrites each ``Q_d`` in e_1..e_rank in one pass over
-    :func:`_gauss_table`, and Newton's identity
-    ``n c_n = sum_i (-1)^(i-1) c_(n-i) Q_i`` gives the classes, divided by n
-    exactly.  The cost depends on the rank and the truncation, not on k.
-    An e-exponent tuple is packed as one integer, its entries the digits in
-    base ``top + 1`` (most significant first, so integer order is tuple
-    order): no entry of a degree-``top`` product reaches the base, so
-    multiplying monomials in Newton's products adds their keys.
+    ``m_lambda``, N from :func:`_factor_moment` at the true rank, so no
+    factor is ever listed.  Gauss's algorithm rewrites each ``Q_d`` in
+    e_1..e_w in one pass over :func:`_gauss_table` of width w, and Newton's
+    identity ``n c_n = sum_i (-1)^(i-1) c_(n-i) Q_i`` gives the classes,
+    divided by n exactly.  The width is exact: a partition of d <= top has
+    at most top parts, and :func:`_m_times_e` reads the count of zero parts
+    only as a cap that ``w >= len(nu) + j`` leaves slack (Macdonald, I.2).
+    The cost depends on the truncation and on the rank up to it, not on k.
     """
     top = min(comb(rank, k) if op == "ext" else comb(rank + k - 1, k), dmax)  # new rank
-    base = top + 1
-    places = tuple(base ** (rank - 1 - j) for j in range(rank))
+    width = min(rank, top)
+    places = tuple((top + 1) ** (width - 1 - j) for j in range(width))
     signed_sums = [None]  # (-1)^(d-1) Q_d, packed
     for d in range(1, top + 1):
-        table = _gauss_table(d, rank)
+        table = _gauss_table(d, width)
         row = _binomial_row(k, d + rank - 1)
         residue = {
             alpha: multinomial * _factor_moment(op, rank, k, lam, eulerian, row)
@@ -293,19 +312,7 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
             if q:
                 quotients[key] = q
         classes.append(quotients)
-    return tuple(
-        tuple((_unpacked(key, base, rank), c) for key, c in sorted(classes[n].items()))
-        for n in range(1, top + 1)
-    )
-
-
-def _unpacked(key: int, base: int, rank: int) -> tuple:
-    """The e-exponent tuple of a packed key: its ``rank`` digits in ``base``."""
-    digits = []
-    for _ in range(rank):
-        key, digit = divmod(key, base)
-        digits.append(digit)
-    return tuple(reversed(digits))
+    return places, tuple(tuple(sorted(classes[n].items())) for n in range(1, top + 1))
 
 
 def _factor_moment(op: str, rank: int, k: int, lam: tuple, eulerian: tuple, row: tuple) -> int:

@@ -276,7 +276,16 @@ class PolyElement(GradedElement):
 def _exponent_product(left: dict, right: dict, top: int) -> dict:
     """The product of two term dicts over one generator, exponents above
     ``top`` dropped: a key's degree is its exponent times the generator's
-    weight, so the exponents alone decide the truncation and the key."""
+    weight, so the exponents alone decide the truncation and the key.  Two
+    monomials multiply with no loop and no sort.  On a line ring every
+    product of Chern substitution is one: the image of an e-monomial, built
+    along its packed key over min(rank, top) places (``chern._substitute_all``),
+    times ``c_j = a h^j``.  The total classes of Whitney sums and twists
+    take the general route."""
+    if len(left) == 1 == len(right):
+        ((e1,), c1), = left.items()
+        ((e2,), c2), = right.items()
+        return {(e1 + e2,): c1 * c2} if e1 + e2 <= top else {}
     # the right factor by exponent, so each left term stops at the first
     # one that would pass the truncation
     right = sorted((e2, c2) for (e2,), c2 in right.items())

@@ -455,26 +455,67 @@ def test_powers_match_direct_root_enumeration(op, power_fn):
             assert chern_class(got, i) == expected[i - 1], (multiples, k, i)
 
 
+def decoded(epolys, rank):
+    """The packed output ``(places, classes)`` of ``_power_epolys`` laid out as
+    the oracles lay it out: each key's digits over the place values, the
+    exponents of e_1..e_w, padded with zeros to e_1..e_rank."""
+    places, classes = epolys
+
+    def exponents(key):
+        digits = []
+        for place in places:
+            digit, key = divmod(key, place)
+            digits.append(digit)
+        return (*digits, *(0,) * (rank - len(places)))
+
+    return tuple(tuple((exponents(key), c) for key, c in epoly) for epoly in classes)
+
+
 @given(st.sampled_from(["sym", "ext"]), st.integers(1, 4), st.integers(1, 4), st.integers(0, 8))
+# ranks above the truncation, whose e_j for j > truncation never appear
+@example("sym", 8, 2, 4)
+@example("ext", 7, 3, 3)
+@example("ext", 9, 4, 4)
 def test_universal_polynomials_match_full_monomial_route(op, rank, k, dmax):
     if op == "ext":
         k = min(k, rank)
-    assert chern._power_epolys(op, rank, k, dmax) == power_epolys_brute(op, rank, k, dmax)
+    epolys = chern._power_epolys(op, rank, k, dmax)
+    assert decoded(epolys, rank) == power_epolys_brute(op, rank, k, dmax)
 
 
-# (functor, rank, power, truncation) of the bundles benchmark workload, and
-# the rank-2 lines ladder S^(2n-3) on G(2, n+1)
+# (functor, rank, power, truncation) of the bundles benchmark workload, the
+# rank-2 lines ladder S^(2n-3) on G(2, n+1), and ranks above the truncation
 PINNED_SHAPES = [
     ("sym", 2, 2, 4), ("sym", 2, 5, 10), ("sym", 3, 2, 6), ("sym", 3, 3, 8),
     ("sym", 3, 4, 10), ("sym", 4, 2, 8), ("sym", 4, 3, 10), ("sym", 5, 2, 10),
     ("ext", 4, 2, 6), ("ext", 5, 2, 8), ("ext", 5, 3, 10), ("ext", 6, 2, 8),
     ("ext", 6, 3, 7), ("ext", 6, 4, 7),
-] + [("sym", 2, 2 * n - 3, 2 * n - 2) for n in range(3, 9)]
+] + [("sym", 2, 2 * n - 3, 2 * n - 2) for n in range(3, 9)] + [
+    ("ext", 12, 2, 5), ("sym", 8, 2, 4),
+]
 
 
 @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=lambda s: "{}-{}-{}-{}".format(*s))
 def test_universal_polynomials_pinned_shapes(shape):
-    assert chern._power_epolys(*shape) == power_epolys_brute(*shape)
+    assert decoded(chern._power_epolys(*shape), shape[1]) == power_epolys_brute(*shape)
+
+
+def test_universal_polynomials_read_tables_no_wider_than_the_truncation(monkeypatch):
+    # Lambda^2 of a rank-12 bundle on P^5: e_6..e_12 have degree above 5, so
+    # every Gauss table read, the recursive reads included, has width <= 5
+    # and every key packs five places
+    real = chern._gauss_table
+    widths = []
+    monkeypatch.setattr(chern, "_gauss_table", lambda d, w: widths.append(w) or real(d, w))
+    chern._power_epolys.cache_clear()
+    real.cache_clear()
+    ring = line_ring(5)
+    multiples = [1, -1, 2, 0, 3, 1, -2, 2, 1, 0, -1, 3]
+    got = ext_power(split_bundle(ring, multiples), 2)
+    assert widths and max(widths) <= 5
+    places, _ = chern._power_epolys("ext", 12, 2, 5)
+    assert len(places) == 5
+    assert classes(got) == split_power_chern(ring, [a * ring.gen() for a in multiples], 2, "ext")
 
 
 def partitions_of(d, parts, cap=None):
@@ -651,7 +692,7 @@ def test_substitution_matches_the_term_by_term_products(bundle, op, k):
         k = min(k, bundle.rank)
     epolys = chern._power_epolys(op, bundle.rank, k, bundle.ring.truncation)
     classes = chern._substitute_all(epolys, bundle)
-    assert classes == substitute_by_terms(epolys, bundle)
+    assert classes == substitute_by_terms(decoded(epolys, bundle.rank), bundle)
     assert all(0 not in c.terms.values() for c in classes)
 
 
@@ -880,3 +921,14 @@ def test_chern_classes_of_functors_of_u_star_by_bott_localization(kn, functor, d
 
     expected = CHECKS.bott_integral(k, n, localized)
     assert integrate(chern_class(bundle, i) * sigma(ctx, *lam)) == expected
+
+
+def test_top_chern_of_a_capped_power_by_bott_localization():
+    # Lambda^2 S^6 U* on G(2,5): S^6 U* has rank 7 above the top degree 6, so
+    # its universal polynomials are built over e_1..e_6 only
+    ctx = GrassmannContext(2, 5)
+    bundle = ext_power(sym_power(tautological_dual(ctx), 6), 2)
+    expected = CHECKS.bott_integral(
+        2, 5, lambda roots: CHECKS.split_chern(
+            CHECKS.functor_roots(CHECKS.functor_roots(roots, "sym", 6), "ext", 2), 6)[5])
+    assert integrate(chern_class(bundle, 6)) == expected == 13761308260

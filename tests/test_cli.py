@@ -1,5 +1,7 @@
 import argparse
 import json
+import traceback
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -619,3 +621,59 @@ def test_parser_agrees_with_argparse(command, data):
         result = run(argv)
     inputs = {k: v for k, v in expected.items() if k not in ("command", "json", "db")}
     assert (result.status, result.command, result.inputs) == ("ok", command, inputs)
+
+
+# -- every chern command on valid-shaped values ------------------------------------
+
+FANOCALC_DIR = Path(fanocalc.__file__).resolve().parent
+
+
+@st.composite
+def _chern_argvs(draw, command):
+    """An argv for a ``chern`` row with small values of the right shape:
+    ``--taut a,n`` with n <= 7, ``--split d:roots`` with d <= 8 and up to
+    five roots in -3..3 (one of the two, rarely both or neither), ints in
+    -1..5 for ``--k``, ``--sym`` and ``--ext``, -3..3 for ``--t``."""
+    argv = command.split(" ")
+    bundles = draw(st.sampled_from([["taut"], ["split"]] * 4 + [["taut", "split"], []]))
+    for names, kwargs in COMMANDS[command][1]:
+        flag = names[0]
+        if flag in ("--taut", "--split"):
+            if flag[2:] not in bundles:
+                continue
+            if flag == "--taut":
+                n = draw(st.integers(0, 7))
+                value = f"{draw(st.integers(-1, n))},{n}"
+            else:
+                roots = draw(st.lists(st.integers(-3, 3), max_size=5))
+                value = f"{draw(st.integers(0, 8))}:{','.join(map(str, roots))}"
+        elif "action" in kwargs:  # --integrate
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        elif flag == "--t":
+            value = str(draw(st.integers(-3, 3)))
+        elif kwargs.get("required") or draw(st.booleans()):
+            value = str(draw(st.integers(-1, 5)))
+        else:
+            continue
+        argv.append(f"{flag}={value}")  # a negative value would read as a flag
+    return argv
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c.startswith("chern ")])
+@given(data=st.data())
+def test_chern_commands_answer_or_refuse_on_valid_shaped_values(command, data):
+    """Each handler returns a result or raises a ``ValueError`` from a ``raise``
+    line of fanocalc: never another exception, and never a ``ValueError`` out
+    of a builtin that no check of the package meant.  Nothing here bounds
+    the time a draw takes."""
+    args = build_parser().parse_args(data.draw(_chern_argvs(command), label="argv"))
+    try:
+        result, provenance = args.func(args)
+    except ValueError as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        assert Path(frame.filename).resolve().is_relative_to(FANOCALC_DIR), frame
+        assert frame.line.startswith("raise "), frame
+    else:
+        assert result is not None and provenance

@@ -217,6 +217,8 @@ P4, WEIGHT_2 = line_ring(4), TruncatedPolynomialRing(("x",), (2,), 5)
 @given(one_generator_pairs())
 @example((P4, P4.one() + P4.gen(), P4.one() - P4.gen()))  # the h terms cancel
 @example((WEIGHT_2, WEIGHT_2.gen(), 3 * WEIGHT_2.gen() ** 2))  # degree 6 > 5
+@example((P4, 2 * P4.gen(), -3 * P4.gen() ** 3))  # two monomials, degree 4
+@example((P4, 2 * P4.gen() ** 2, P4.gen() ** 3))  # two monomials, degree 5 > 4
 def test_one_generator_product_matches_dense_convolution(pair):
     # exponents above truncation // weight vanish; cancelled keys disappear
     ring, x, y = pair
