@@ -5,20 +5,37 @@ living in a truncated graded coefficient ring (see :mod:`fanocalc.rings`).
 Whitney sums and line twists are identities of the total Chern class, taken
 by the ring's own product (Fulton, *Intersection Theory*, section 3.2).
 Symmetric and exterior powers, other than ``S^1`` and ``Lambda^1`` (the
-bundle itself) and ``Lambda^rank`` (its determinant), go through universal
-integer polynomials in the elementary symmetric functions ``e_1..e_w`` of
-formal Chern roots ``x_1..x_r``, ``w = min(r, top)`` for the top degree
-``top`` of the answer (e_j has degree j, so no other can appear), then
-``e_i -> c_i`` with one product per e-monomial, by the Chern class of its
-least index.  An e-monomial is one integer from Gauss's pass to the base
-ring, its exponents packed as digits over ``w`` places.  The new roots are
-never listed: the power sums of the new roots have closed-form
-coefficients on the monomial symmetric functions ``m_lambda`` (binomials
-for Lambda^k, Eulerian polynomials for S^k), Gauss's algorithm rewrites
-each in ``e_1..e_w`` within the m-basis, and Newton's identities turn
-power sums into Chern classes (Macdonald, *Symmetric Functions and Hall
-Polynomials*, I.2).  The cost depends on the truncation degree and on the
-rank up to it, not on the power.
+bundle itself) and ``Lambda^rank`` (its determinant), take one of two
+routes, chosen by the kind of ring (``GradedRing.generator_weight``):
+
+- Over one generator ``h`` (every ``line_ring``: P^n, polarized
+  threefolds), each class is an integer times a power of ``h``.  Newton's
+  identity turns the bundle's Chern numbers into the power sums of its
+  roots; the lambda-ring identity ``sum_k t^k ch(S^k E) = prod_i (1 - t
+  e^(x_i))^(-1)`` (its Lambda^k twin with ``1 + t``) and the Eulerian
+  polynomials turn those into the power sums of the new roots, and Newton
+  again into the classes, all on integers (Fulton-Lang, *Riemann-Roch
+  Algebra*, I).  No polynomial is built and nothing is memoized but the
+  Eulerian rows, one per degree: the cost is O(top^2 min(k, top)^2)
+  integer operations for the top degree ``top`` of the answer, whatever
+  the rank.
+- Over any other ring (a Grassmannian, several generators) a class has
+  many terms, and universal integer polynomials in the elementary
+  symmetric functions ``e_1..e_w`` of formal Chern roots ``x_1..x_r``,
+  ``w = min(r, top)`` (e_j has degree j, so no other can appear), are
+  built once per shape and memoized, then ``e_i -> c_i`` with one ring
+  product per e-monomial, by the Chern class of its least index.  That is
+  cheaper there than power sums in the base ring, whose products have many
+  terms.  An e-monomial is one integer from Gauss's pass to the base ring,
+  its exponents packed as digits over ``w`` places.  The new roots are
+  never listed: the power sums of the new roots have closed-form
+  coefficients on the monomial symmetric functions ``m_lambda`` (binomials
+  for Lambda^k, Eulerian polynomials for S^k), Gauss's algorithm rewrites
+  each in ``e_1..e_w`` within the m-basis, and Newton's identities turn
+  power sums into Chern classes (Macdonald, *Symmetric Functions and Hall
+  Polynomials*, I.2).  The cost depends on the truncation degree and on
+  the rank up to it, not on the power.
+
 Every coefficient is an exact integer; Newton's divisions are checked
 exact.  Validation happens once, at the public :class:`FormalBundle`
 constructor (and ``line_bundle``, ``trivial_bundle``); the kernels here
@@ -170,21 +187,30 @@ def _from_total(rank: int, total) -> FormalBundle:
 
 
 def sym_power(b: FormalBundle, k: int) -> FormalBundle:
-    """k-th symmetric power; rank ``C(rank+k-1, k)``.  ``S^1`` is ``b`` itself."""
+    """k-th symmetric power; rank ``C(rank+k-1, k)``.  ``S^1`` is ``b`` itself.
+
+    Over a ring of one generator (a ``line_ring``) every class is one
+    integer times a power of the generator, so the classes come from
+    integer power sums (:func:`_root_power_classes`), in time polynomial
+    in the truncation whatever the rank.  Over any other ring (a
+    Grassmannian, several generators) they come from the memoized
+    universal polynomials (:func:`_power_epolys`), one base-ring product
+    per e-monomial: products of many-term classes would make power sums
+    in the base ring the slower route there."""
     if _typed(k, "power") < 1:
         raise ValueError("power must be a positive integer")
     if b.rank < 1:
         raise ValueError("symmetric power needs positive rank")
     if k == 1:
         return b
-    rank = comb(b.rank + k - 1, k)
-    epolys = _power_epolys("sym", b.rank, k, b.ring.truncation)
-    return _bundle(b.ring, rank, _substitute_all(epolys, b))
+    return _power("sym", b, k, comb(b.rank + k - 1, k))
 
 
 def ext_power(b: FormalBundle, k: int) -> FormalBundle:
     """k-th exterior power; rank ``C(rank, k)``.  ``Lambda^1`` is ``b`` itself
-    and ``Lambda^rank`` the determinant, the line bundle with ``c_1(b)``."""
+    and ``Lambda^rank`` the determinant, the line bundle with ``c_1(b)``.
+    The other powers take the route of :func:`sym_power`: integer power
+    sums over one generator, the universal polynomials over any other ring."""
     if _typed(k, "power") < 1:
         raise ValueError("power must be a positive integer")
     if k > b.rank:
@@ -193,9 +219,106 @@ def ext_power(b: FormalBundle, k: int) -> FormalBundle:
         return b
     if k == b.rank:  # the determinant
         return _bundle(b.ring, 1, b.chern[:1])
-    rank = comb(b.rank, k)
-    epolys = _power_epolys("ext", b.rank, k, b.ring.truncation)
-    return _bundle(b.ring, rank, _substitute_all(epolys, b))
+    return _power("ext", b, k, comb(b.rank, k))
+
+
+def _power(op: str, b: FormalBundle, k: int, rank: int) -> FormalBundle:
+    """S^k or Lambda^k of ``b``, of this new rank, by the route of its ring:
+    integers over one generator, the universal polynomials otherwise."""
+    ring = b.ring
+    weight = ring.generator_weight
+    if weight:
+        classes = _root_power_classes(op, b, k, min(rank, ring.truncation), weight)
+    else:
+        classes = _substitute_all(_power_epolys(op, b.rank, k, ring.truncation), b)
+    return _bundle(ring, rank, classes)
+
+
+# -- over one generator ------------------------------------------------------------
+
+def _root_power_classes(op: str, b: FormalBundle, k: int, top: int, weight: int) -> tuple:
+    """``c_1..c_top`` of S^k or Lambda^k of ``b`` over a ring of one
+    generator ``h`` of this weight, from integers alone: every class is an
+    integer times a power of ``h``, so the classes of ``b`` are read as
+    integers and the answer's are wrapped once, with no ring product.
+
+    Newton's identity turns the Chern numbers of ``b`` into the power sums
+    ``pi_j`` of its r roots.  The power sums ``Q_d`` of the new roots, the
+    sums ``sum_i g_i x_i`` over the factors ``g``, come from the lambda-ring
+    identity ``sum_(k, d) t^k s^d/d! Q_d = prod_i (1 - t e^(s x_i))^(-1)``
+    for S^k, ``prod_i (1 + t e^(s x_i))`` for Lambda^k.  By ``sum_m
+    m^(j-1) t^m = t A_(j-1)(t) / (1 - t)^j``, A the Eulerian polynomials,
+    its logarithm is ``-r log(1 - t)`` plus ``sum_j s^j/j! pi_j B_j(t) /
+    (1 - t)^j`` with ``B_j(t) = t A_(j-1)(t)`` for S^k, and ``r log(1 + t)``
+    plus the same over ``(1 + t)^j`` with ``B_j(t) = t A_(j-1)(-t)`` for
+    Lambda^k.  Its exponential is ``sum_d s^d/d! E_d(t) (1 - t)^(-r-d)``
+    (``E_d(t) (1 + t)^(r-d)``), ``E_0 = 1`` and ``E_d = sum_j C(d-1, j-1)
+    pi_j B_j E_(d-j)``.  So ``Q_d = sum_s E_d[s] C(k - s + r + d - 1, r +
+    d - 1)`` for S^k and ``sum_s E_d[s] C(r - d, k - s)`` for Lambda^k, a
+    negative top n read as ``C(n, m) = (-1)^m C(m - n - 1, m)``.  No B_j
+    has a constant term and only ``t^k`` is read, so E_d is kept to degree
+    ``min(k, top)``.  Newton's identity, its divisions checked exact, turns
+    the Q_d into the classes (Fulton-Lang, *Riemann-Roch Algebra*, I;
+    Macdonald, *Symmetric Functions and Hall Polynomials*, I.2).  This is
+    O(top^2 min(k, top)^2) integer operations, whatever the rank, and
+    nothing is memoized but the rows of :func:`_eulerian`.  Degrees are
+    counted in the roots' degree 1, so a weight above 1 leaves each degree
+    it does not divide at zero.
+    """
+    ring, r = b.ring, b.rank
+    cap = min(k, top)  # the highest power of t read
+    # eps_i = (-1)^i c_i(b), the coefficients of prod_i (1 - x_i u)
+    eps = [0] * (top + 1)
+    for i, c in enumerate(b.chern[:top], 1):
+        for coeff in c.terms.values():
+            eps[i] = -coeff if i % 2 else coeff
+    sums = [r]  # pi_n = -n eps_n - sum_(0 < i < n) eps_i pi_(n-i)
+    for n in range(1, top + 1):
+        sums.append(-n * eps[n] - sum(map(mul, eps[1:n], reversed(sums[1:n]))))
+    steps = [None]  # pi_j B_j(t) / t, up to t^cap: no B_j has a constant term
+    for j in range(1, top + 1):
+        p = sums[j]
+        eulerian = _eulerian(j - 1)[1 : cap + 1]
+        steps.append([-p * a if op == "ext" and s % 2 else p * a for s, a in enumerate(eulerian)])
+    series = [None]  # E_d(t) / t for d >= 1, up to t^cap
+    power_sums = [None]  # Q_d
+    new_eps = [1]  # (-1)^n c_n of the answer
+    for d in range(1, top + 1):
+        size = min(d, cap)
+        out = steps[d][:size]  # j = d, with E_0 = 1
+        out += [0] * (size - len(out))
+        for j in range(1, d):
+            if not sums[j]:
+                continue
+            scale = comb(d - 1, j - 1)
+            before = series[d - j]
+            for s, a in enumerate(steps[j][: size - 1]):
+                if a:
+                    a *= scale
+                    for u, e in enumerate(before[: size - 1 - s], s + 1):
+                        out[u] += a * e
+        series.append(out)
+        if op == "sym":
+            span = r + d - 1
+            q = sum(e * comb(k - s + span, span) for s, e in enumerate(out, 1) if e)
+        else:
+            n = r - d
+            q = sum(
+                e * (comb(n, k - s) if n >= 0 else (-1) ** (k - s) * comb(k - s - n - 1, k - s))
+                for s, e in enumerate(out, 1)
+                if e
+            )
+        power_sums.append(q)
+        # d eps_d = -Q_d - sum_(0 < i < d) eps_i Q_(d-i)
+        value = -q - sum(map(mul, new_eps[1:d], reversed(power_sums[1:d])))
+        quotient, remainder = divmod(value, d)
+        if remainder:
+            raise ArithmeticError(f"Newton's identity left {value} not divisible by {d}")
+        new_eps.append(quotient)
+    return tuple(
+        ring.element._new(ring, {(n // weight,): -e if n % 2 else e} if e else {})
+        for n, e in enumerate(new_eps[1:], 1)
+    )
 
 
 # -- universal polynomials -------------------------------------------------
@@ -241,8 +364,9 @@ def _substitute_all(epolys, b: FormalBundle) -> tuple:
 # The bound on the memo of universal polynomials, in keys; the least recently
 # used go first.  An entry holds packed keys over min(rank, top) places, so
 # its size does not grow with the rank past the truncation.  S^k of a rank-3
-# bundle on P^3 for k = 1..2000 held 2.1 MB unbounded, 0.29 MB bounded, under
-# tracemalloc; the benchmarks use 23 keys.
+# bundle truncated at 3 for k = 1..2000 held 2.1 MB unbounded, 0.29 MB
+# bounded, under tracemalloc.  Only rings of several generators or
+# Grassmannians fill it: the grassmann benchmark uses 9 keys, bundles none.
 EPOLY_MEMO_SIZE = 256
 
 

@@ -20,7 +20,8 @@ Grassmannian of ``schubert`` is the other one, its own Chow ring with
 Schubert classes as keys.  A product over one generator, as in every
 ``line_ring``, goes by exponent: the keys add as integers and the
 truncation bounds the exponent by ``truncation // weight``, so no key is
-graded.
+graded.  ``GradedRing.generator_weight`` says whether a ring is such a
+ring, for this product and for the Chern powers of :mod:`fanocalc.chern`.
 
 Two integer rules meet here.  An arithmetic operand (coefficient, scalar,
 exponent) passes ``_integer``, ``operator.index`` with bools refused, whose
@@ -45,9 +46,13 @@ class GradedRing:
     (``unit_key``), and grades, prints and checks keys (``key_degree``,
     ``key_name``, ``key``: the canonical form, ``None`` for a key that is
     zero, or ``ValueError``); the keys other than the unit have positive degree.
+    ``generator_weight`` is the weight of the ring's one generator when its
+    keys are the exponent tuples ``(e,)`` of that generator, else ``None``:
+    the one test by which products and Chern powers go by integers.
     """
 
     truncation: int
+    generator_weight = None
 
     def zero(self):
         """The zero element."""
@@ -245,8 +250,9 @@ class PolyElement(GradedElement):
             return self.__rmul__(other)
         self._check(other)
         ring = self.ring
-        if len(ring.degrees) == 1:
-            top = ring.truncation // ring.degrees[0]
+        weight = ring.generator_weight
+        if weight:
+            top = ring.truncation // weight
             return self._new(ring, _exponent_product(self.terms, other.terms, top))
         key_degree, top = ring.key_degree, ring.truncation
         # the right factor's terms by degree, so each left term stops at the
@@ -276,16 +282,10 @@ class PolyElement(GradedElement):
 def _exponent_product(left: dict, right: dict, top: int) -> dict:
     """The product of two term dicts over one generator, exponents above
     ``top`` dropped: a key's degree is its exponent times the generator's
-    weight, so the exponents alone decide the truncation and the key.  Two
-    monomials multiply with no loop and no sort.  On a line ring every
-    product of Chern substitution is one: the image of an e-monomial, built
-    along its packed key over min(rank, top) places (``chern._substitute_all``),
-    times ``c_j = a h^j``.  The total classes of Whitney sums and twists
-    take the general route."""
-    if len(left) == 1 == len(right):
-        ((e1,), c1), = left.items()
-        ((e2,), c2), = right.items()
-        return {(e1 + e2,): c1 * c2} if e1 + e2 <= top else {}
+    weight, so the exponents alone decide the truncation and the key, and
+    no key is graded.  Its callers multiply total classes (Whitney sums,
+    twists, powers of ``1 + t``); Chern classes of symmetric and exterior
+    powers over such a ring take no product (``chern._root_power_classes``)."""
     # the right factor by exponent, so each left term stops at the first
     # one that would pass the truncation
     right = sorted((e2, c2) for (e2,), c2 in right.items())
@@ -336,6 +336,11 @@ class TruncatedPolynomialRing(GradedRing, _Record):
     def unit_key(self) -> tuple[int, ...]:
         return (0,) * len(self.variables)
 
+    @property
+    def generator_weight(self) -> int | None:
+        degrees = self.degrees
+        return degrees[0] if len(degrees) == 1 else None
+
     def key_degree(self, exps: tuple[int, ...]) -> int:
         return sum(map(mul, exps, self.degrees))
 
@@ -370,7 +375,7 @@ class TruncatedPolynomialRing(GradedRing, _Record):
         """Evaluate a top-degree class against the declared intersection number."""
         if self.top_integral is None:
             raise ValueError("ring has no declared intersection number")
-        if len(self.variables) != 1 or self.degrees != (1,):
+        if self.generator_weight != 1:
             raise ValueError("integral only supported on a single degree-1 generator")
         if not x:
             return 0

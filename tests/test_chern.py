@@ -440,7 +440,7 @@ def test_powers_match_direct_root_enumeration(op, power_fn):
         for k in range(1, 4)
         if op == "sym" or k <= len(multiples)
     ]
-    # the largest Gauss tables: rank 6 above degree 8, rank 4 in degree 12
+    # the largest shapes: rank 6 above degree 8, rank 4 in degree 12
     runs += {
         "ext": [(10, [-2, -1, 0, 1, 2, 3], 2), (12, [-1, 0, 1, 1, 2, 4], 3), (12, [-1, 0, 1, 1, 2, 4], 4)],
         "sym": [(12, [-1, 1, 2, 3], 3)],
@@ -501,21 +501,27 @@ def test_universal_polynomials_pinned_shapes(shape):
 
 
 def test_universal_polynomials_read_tables_no_wider_than_the_truncation(monkeypatch):
-    # Lambda^2 of a rank-12 bundle on P^5: e_6..e_12 have degree above 5, so
-    # every Gauss table read, the recursive reads included, has width <= 5
-    # and every key packs five places
+    # Lambda^2 of a rank-12 bundle on a two-generator ring truncated at 5, which
+    # takes the universal route: e_6..e_12 have degree above 5, so every Gauss
+    # table read, the recursive reads included, has width <= 5 and every key
+    # packs five places
     real = chern._gauss_table
     widths = []
     monkeypatch.setattr(chern, "_gauss_table", lambda d, w: widths.append(w) or real(d, w))
     chern._power_epolys.cache_clear()
     real.cache_clear()
-    ring = line_ring(5)
+    ring = TruncatedPolynomialRing(("h", "g"), (1, 1), 5)
+    h, g = ring.gens
     multiples = [1, -1, 2, 0, 3, 1, -2, 2, 1, 0, -1, 3]
-    got = ext_power(split_bundle(ring, multiples), 2)
+    roots = [a * h + (i % 3 - 1) * g for i, a in enumerate(multiples)]
+    bundle = trivial_bundle(ring, 0)
+    for root in roots:
+        bundle = whitney_sum(bundle, line_bundle(ring, root))
+    got = ext_power(bundle, 2)
     assert widths and max(widths) <= 5
     places, _ = chern._power_epolys("ext", 12, 2, 5)
     assert len(places) == 5
-    assert classes(got) == split_power_chern(ring, [a * ring.gen() for a in multiples], 2, "ext")
+    assert classes(got) == split_power_chern(ring, roots, 2, "ext")
 
 
 def partitions_of(d, parts, cap=None):
@@ -601,9 +607,10 @@ def test_factor_moments_do_not_grow_with_the_power(monkeypatch):
     assert counts == [6, 6]
 
 
-def root_sum_classes(k):
-    """S^k(O(1) + O(2) + O(3)) on P^3 splits as the sum of the C(k + 2, 2)
-    lines O(a + 2b + 3c), a + b + c = k: the count and e_1..e_3 of those roots."""
+def root_sum_classes(k, x=H):
+    """S^k(O(x) + O(2x) + O(3x)), x of degree 1 in a ring truncated at 3,
+    splits as the sum of the C(k + 2, 2) lines O((a + 2b + 3c) x),
+    a + b + c = k: the count and e_1..e_3 of those roots."""
     e = [1, 0, 0, 0]
     roots = 0
     for a in range(k + 1):
@@ -611,7 +618,7 @@ def root_sum_classes(k):
             root = a + 2 * b + 3 * (k - a - b)
             e = [e[0]] + [e[j] + root * e[j - 1] for j in range(1, 4)]
             roots += 1
-    return roots, [e[j] * H**j for j in range(1, 4)]
+    return roots, [e[j] * x**j for j in range(1, 4)]
 
 
 def test_s300_of_a_split_bundle_is_the_product_over_its_root_sums():
@@ -625,14 +632,19 @@ def test_s300_of_a_split_bundle_is_the_product_over_its_root_sums():
 def test_power_memos_stay_within_their_bounds():
     # S^k for k = 1..2000 once left 2000 universal polynomials in the memo;
     # evicted ones are made again, the same.  What they read does not grow
-    # with k: one Gauss table per degree 0..3 of rank 3
-    bundle = split_bundle(P3, [1, 2, 3])
+    # with k: one Gauss table per degree 0..3 of rank 3.  The ring has two
+    # generators, so the powers take the universal route
+    ring = TruncatedPolynomialRing(("a", "b"), (1, 1), truncation=3)
+    a = ring.gen(0)
+    bundle = trivial_bundle(ring, 0)
+    for m in (1, 2, 3):
+        bundle = whitney_sum(bundle, line_bundle(ring, m * a))
     chern._gauss_table.cache_clear()
     answers = [sym_power(bundle, k) for k in range(1, 2001)]
-    assert chern._power_epolys.cache_info().currsize <= chern.EPOLY_MEMO_SIZE
-    assert chern._gauss_table.cache_info().currsize <= 4
+    assert 0 < chern._power_epolys.cache_info().currsize <= chern.EPOLY_MEMO_SIZE
+    assert 0 < chern._gauss_table.cache_info().currsize <= 4
     for k in (1, 2, 3, 300):
-        roots, expected = root_sum_classes(k)
+        roots, expected = root_sum_classes(k, a)
         assert answers[k - 1].rank == roots and classes(answers[k - 1]) == expected
     for k in (1, 2, 3, 300, 1999, 2000):
         assert sym_power(bundle, k) == answers[k - 1]
@@ -694,6 +706,104 @@ def test_substitution_matches_the_term_by_term_products(bundle, op, k):
     classes = chern._substitute_all(epolys, bundle)
     assert classes == substitute_by_terms(decoded(epolys, bundle.rank), bundle)
     assert all(0 not in c.terms.values() for c in classes)
+
+
+# -- powers over one generator, from integers --------------------------------------
+
+WEIGHT_2 = TruncatedPolynomialRing(("g",), (2,), 8)
+P6 = line_ring(6)
+
+
+def elementary(values, top):
+    """``e_1..e_top`` of a list of integers: the coefficients of ``prod (1 + v u)``."""
+    e = [1] + [0] * top
+    for v in values:
+        for j in range(top, 0, -1):
+            e[j] += v * e[j - 1]
+    return e[1:]
+
+
+def in_ring(ring, numbers):
+    """The classes ``n_d u^d`` of the integers ``numbers = (n_1, n_2, ...)``
+    over a ring of one generator ``u^weight``: zero where the weight does
+    not divide d, as n_d must be there."""
+    weight, gen = ring.degrees[0], ring.gen()
+    assert not any(n for d, n in enumerate(numbers, 1) if d % weight)
+    return [n * gen ** (d // weight) if d % weight == 0 else ring.zero()
+            for d, n in enumerate(numbers, 1)]
+
+
+@st.composite
+def one_generator_bundles(draw):
+    """A bundle of rank at most 8 over a ring of one generator of weight 1 or
+    2 truncated at 0..12, and its integer roots over the degree-1 class u,
+    the generator being ``u^weight``, when it splits (else ``None``).  A
+    split bundle of weight 2 pairs each root with its negative, so that its
+    classes lie in Z[u^2].  The others take random classes, with zeros and
+    with fewer classes than the rank among them."""
+    weight, truncation = draw(st.sampled_from([1, 2])), draw(st.integers(0, 12))
+    ring = TruncatedPolynomialRing(("h",), (weight,), truncation)
+    if draw(st.booleans()):
+        if weight == 1:
+            roots = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+        else:
+            half = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+            roots = half + [-a for a in half]
+        numbers = elementary(roots, min(len(roots), truncation))
+        return FormalBundle(ring, len(roots), in_ring(ring, numbers)), roots
+    rank = draw(st.integers(1, 8))
+    count = draw(st.integers(0, min(rank, truncation)))
+    numbers = draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
+    numbers = [n if d % weight == 0 else 0 for d, n in enumerate(numbers, 1)]
+    return FormalBundle(ring, rank, in_ring(ring, numbers)), None
+
+
+@given(one_generator_bundles(), st.sampled_from(["sym", "ext"]), st.integers(1, 6))
+# rank above the truncation, split and not
+@example((split_bundle(line_ring(3), [1, -2, 0, 3, 1, 2, -1]), [1, -2, 0, 3, 1, 2, -1]), "ext", 3)
+@example((FormalBundle(WEIGHT_2, 9, in_ring(WEIGHT_2, [0, -1, 0, 2])), None), "sym", 2)
+# k at and above the truncation
+@example((split_bundle(line_ring(2), [1, 2, -1]), [1, 2, -1]), "sym", 6)
+@example((split_bundle(line_ring(4), [1, 2, -1, 3, 0]), [1, 2, -1, 3, 0]), "ext", 4)
+# fewer stored classes than the rank, and a zero class in the middle
+@example((FormalBundle(P6, 4, in_ring(P6, [-3])), None), "sym", 2)
+@example((FormalBundle(P6, 4, in_ring(P6, [-3])), None), "ext", 3)
+@example((MIDDLE_ZERO, None), "sym", 3)
+@example((MIDDLE_ZERO, None), "ext", 2)
+@example((FormalBundle(WEIGHT_2, 4, in_ring(WEIGHT_2, [0, 0, 0, 1])), None), "sym", 3)
+@example((FormalBundle(WEIGHT_2, 6, in_ring(WEIGHT_2, [0, 1, 0, 0, 0, 1])), None), "ext", 3)
+def test_one_generator_powers_match_the_universal_route_and_the_root_sums(case, op, k):
+    bundle, roots = case
+    if op == "ext":
+        k = min(k, bundle.rank)
+    got = (sym_power if op == "sym" else ext_power)(bundle, k)
+    assert got == universal_power(op, bundle, k)
+    if roots is not None:
+        picker = combinations if op == "ext" else combinations_with_replacement
+        sums = [sum(group) for group in picker(roots, k)]
+        assert got.rank == len(sums)
+        top = min(len(sums), bundle.ring.truncation)
+        assert classes(got) == in_ring(bundle.ring, elementary(sums, top))
+
+
+def test_one_generator_powers_build_no_universal_polynomial():
+    # over one generator every class is an integer times a power of the
+    # generator, and the powers are computed from those integers: no
+    # e-polynomial is memoized and no Gauss table is built
+    chern._power_epolys.cache_clear()
+    chern._gauss_table.cache_clear()
+    bundles = [
+        split_bundle(line_ring(10), [1, -2, 3, 0, 2, 1]),
+        FormalBundle(WEIGHT_2, 5, in_ring(WEIGHT_2, [0, 3, 0, -1])),
+        MIDDLE_ZERO,
+    ]
+    for bundle in bundles:
+        for k in range(2, 6):
+            assert sym_power(bundle, k).rank == comb(bundle.rank + k - 1, k)
+            if k < bundle.rank:
+                assert ext_power(bundle, k).rank == comb(bundle.rank, k)
+    assert chern._power_epolys.cache_info().currsize == 0
+    assert chern._gauss_table.cache_info().currsize == 0
 
 
 def test_high_symmetric_power_runs_in_flat_memory():

@@ -66,6 +66,15 @@ def test_generator_degrees():
     assert RING.degree(RING.zero()) is None
 
 
+def test_generator_weight_names_the_one_generator_rings():
+    # the one test by which products and Chern powers go by integers
+    assert line_ring(3).generator_weight == 1
+    assert TruncatedPolynomialRing(("x",), (3,), 7).generator_weight == 3
+    assert RING.generator_weight is None
+    assert TruncatedPolynomialRing((), (), 2).generator_weight is None
+    assert GrassmannContext(1, 4).generator_weight is None
+
+
 def test_mixed_degree_rejected():
     a, b = RING.gens
     with pytest.raises(ValueError):
