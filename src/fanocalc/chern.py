@@ -23,8 +23,8 @@ routes, chosen by the kind of ring (``GradedRing.generator_weight``):
   many terms, and universal integer polynomials in the elementary
   symmetric functions ``e_1..e_w`` of formal Chern roots ``x_1..x_r``,
   ``w = min(r, top)`` (e_j has degree j, so no other can appear), are
-  built once per shape and memoized, then ``e_i -> c_i`` with one ring
-  product per e-monomial, by the Chern class of its least index.  That is
+  built for each call, then ``e_i -> c_i`` with one ring product per
+  e-monomial, by the Chern class of its least index.  That is
   cheaper there than power sums in the base ring, whose products have many
   terms.  An e-monomial is one integer from Gauss's pass to the base ring,
   its exponents packed as digits over ``w`` places.  The new roots are
@@ -40,13 +40,11 @@ Every coefficient is an exact integer; Newton's divisions are checked
 exact.  Validation happens once, at the public :class:`FormalBundle`
 constructor (and ``line_bundle``, ``trivial_bundle``); the kernels here
 build classes that are homogeneous by construction and wrap them through
-``_bundle`` without re-checking their degrees.  The universal polynomials
-are memoized per (functor, rank, power, truncation degree), bounded in keys;
-an entry holds packed keys over ``w`` places, so it does not grow with the
-rank.  What Gauss's rewrite reads is one table per (degree, width), both at
-most the truncation, unbounded: it grows with the largest truncation asked,
-not with the rank or the power.  All are safe under concurrent use: the
-computation is pure.
+``_bundle`` without re-checking their degrees.  Nothing keyed by a rank or
+a power is memoized.  What Gauss's rewrite reads is one table per (degree,
+width), both at most the truncation, unbounded: it grows with the largest
+truncation asked, not with the rank or the power.  The tables are safe
+under concurrent use: the computation is pure.
 """
 
 from __future__ import annotations
@@ -193,8 +191,8 @@ def sym_power(b: FormalBundle, k: int) -> FormalBundle:
     integer times a power of the generator, so the classes come from
     integer power sums (:func:`_root_power_classes`), in time polynomial
     in the truncation whatever the rank.  Over any other ring (a
-    Grassmannian, several generators) they come from the memoized
-    universal polynomials (:func:`_power_epolys`), one base-ring product
+    Grassmannian, several generators) they come from the universal
+    polynomials (:func:`_power_epolys`), one base-ring product
     per e-monomial: products of many-term classes would make power sums
     in the base ring the slower route there."""
     if _typed(k, "power") < 1:
@@ -325,7 +323,7 @@ def _root_power_classes(op: str, b: FormalBundle, k: int, top: int, weight: int)
 
 def _substitute_all(epolys, b: FormalBundle) -> tuple:
     """Substitute ``e_j -> c_j(b)``, zero beyond the stored classes, into each
-    e-polynomial of ``epolys = (places, classes)``, the output of
+    e-polynomial dict of ``epolys = (places, classes)``, the output of
     :func:`_power_epolys`: one product per e-monomial, by the Chern class of
     its least index j, times the monomial with one e_j taken out, each
     monomial built once per call along its chain of such quotients.  The
@@ -342,7 +340,7 @@ def _substitute_all(epolys, b: FormalBundle) -> tuple:
 
     def substitute(epoly):
         total: dict = {}
-        for key, coeff in epoly:
+        for key, coeff in epoly.items():
             chain = []
             while key not in built:
                 j = 0
@@ -361,24 +359,14 @@ def _substitute_all(epolys, b: FormalBundle) -> tuple:
     return tuple(map(substitute, polys))
 
 
-# The bound on the memo of universal polynomials, in keys; the least recently
-# used go first.  An entry holds packed keys over min(rank, top) places, so
-# its size does not grow with the rank past the truncation.  S^k of a rank-3
-# bundle truncated at 3 for k = 1..2000 held 2.1 MB unbounded, 0.29 MB
-# bounded, under tracemalloc.  Only rings of several generators or
-# Grassmannians fill it: the grassmann benchmark uses 9 keys, bundles none.
-EPOLY_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=EPOLY_MEMO_SIZE)
 def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
     """Chern classes of S^k/Lambda^k of a rank-``rank`` bundle, as
     polynomials in the elementary symmetric functions of the Chern roots.
 
-    Returns ``(places, classes)``: one frozen e-polynomial per degree
-    ``1..top``, top = min(new rank, dmax), each a sorted tuple of
-    ``(packed key, integer coefficient)`` pairs.  Only e_1..e_w appear,
-    w = min(rank, top): e_j has degree j.  A key packs the exponents of
+    Returns ``(places, classes)``: one e-polynomial per degree ``1..top``,
+    top = min(new rank, dmax), each a dict from packed keys to integer
+    coefficients.  Only e_1..e_w appear, w = min(rank, top): e_j has degree
+    j.  A key packs the exponents of
     e_1..e_w as the digits of one integer in base ``top + 1``, most
     significant first, so integer order is exponent-tuple order, and
     ``places`` holds the w place values ``(top + 1)^(w - 1 - j)``.  No digit
@@ -436,7 +424,7 @@ def _power_epolys(op: str, rank: int, k: int, dmax: int) -> tuple:
             if q:
                 quotients[key] = q
         classes.append(quotients)
-    return places, tuple(tuple(sorted(classes[n].items())) for n in range(1, top + 1))
+    return places, classes[1:]
 
 
 def _factor_moment(op: str, rank: int, k: int, lam: tuple, eulerian: tuple, row: tuple) -> int:

@@ -6,7 +6,8 @@ tableaux), Schubert expressions by splitting the text on its operators and
 folding those products, horizontal strips by filtering every partition of the box
 through the interlacing inequalities, power bundles through direct
 enumeration of root multisets over actual split bundles, universal
-polynomials through full monomial expansions, their substitution into the
+polynomials through full monomial expansions and, where those stop, through
+power sums polynomial in e_1..e_w, their substitution into the
 base ring through each term's product of Chern-class powers, products in one
 generator through dense coefficient lists, products of monomial and
 elementary symmetric functions by counting subsets, direct sums and line
@@ -26,6 +27,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
+from operator import add
 
 
 # -- Schur polynomials from semistandard tableaux ---------------------------
@@ -74,7 +76,7 @@ def _poly_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return out
 
@@ -298,6 +300,93 @@ def power_epolys_brute(op: str, rank: int, k: int, dmax: int) -> tuple:
                     residue.pop(mono, None)
         out.append(tuple(sorted(epoly.items())))
     return tuple(out)
+
+
+def _add_scaled(out: dict, poly: dict, scale: int) -> None:
+    for e, c in poly.items():
+        out[e] = out.get(e, 0) + scale * c
+
+
+def _eulerian_row(p: int) -> list[int]:
+    """Coefficients of ``t A_p(t)``, t^0 to t^(p+1), A_p the Eulerian
+    polynomial: ``sum_(m >= 1) m^p t^m = t A_p(t) / (1 - t)^(p + 1)``, so
+    they are those of the series times ``(1 - t)^(p + 1)``."""
+    return [sum((-1) ** i * comb(p + 1, i) * (s - i) ** p for i in range(s)) for s in range(p + 2)]
+
+
+def power_epolys_by_power_sums(op: str, rank: int, k: int, dmax: int) -> tuple:
+    """What :func:`power_epolys_brute` returns, by a route whose cost does
+    not grow with the number of roots: no product over the roots is
+    expanded.  Newton's identity gives the power sums ``pi_j`` of the
+    ``rank`` roots as polynomials in e_1..e_w, w = min(rank, top).  The
+    lambda-ring identity ``sum_k t^k ch(S^k E) = prod_i (1 - t e^(x_i))^(-1)``
+    (``prod_i (1 + t e^(x_i))`` for Lambda^k) with ``sum_(m >= 1) m^(j-1)
+    t^m = t A_(j-1)(t) / (1 - t)^j`` gives the power sums ``Q_d`` of the new
+    roots: ``E_0 = 1``, ``E_d(t) = sum_j C(d - 1, j - 1) pi_j B_j(t)
+    E_(d-j)(t)`` with ``B_j(t) = t A_(j-1)(t)`` (``t A_(j-1)(-t)``), and
+    ``Q_d = [t^k] E_d(t) (1 - t)^(-rank-d)`` (``E_d(t) (1 + t)^(rank-d)``).
+    Newton's identity, its divisions checked exact, turns the Q_d into the
+    classes (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2)."""
+    top = min(comb(rank + k - 1, k) if op == "sym" else comb(rank, k), dmax)
+    w = min(rank, top)
+    zero = (0,) * w
+    cap = min(k, top)  # the highest power of t read
+    # eps_j = (-1)^j e_j, the coefficients of prod_i (1 - x_i u)
+    eps = [{zero: 1}] + [
+        {tuple(int(i == j - 1) for i in range(w)): (-1) ** j} if j <= w else {}
+        for j in range(1, top + 1)
+    ]
+    sums = [{zero: rank}]  # pi_n = -n eps_n - sum_(0 < i < n) eps_i pi_(n-i)
+    for n in range(1, top + 1):
+        pi = {e: -n * c for e, c in eps[n].items()}
+        for i in range(1, n):
+            _add_scaled(pi, _poly_mul(eps[i], sums[n - i]), -1)
+        sums.append(pi)
+    steps = [None]  # B_j(t) as {s: coefficient of t^s}
+    for j in range(1, top + 1):
+        row = _eulerian_row(j - 1)[: cap + 1]
+        steps.append({s: -a if op == "ext" and s % 2 == 0 else a for s, a in enumerate(row) if a})
+    series = [{0: {zero: 1}}]  # E_d(t) as {s: polynomial in e}, up to t^cap
+    power_sums = [None]  # Q_d
+    for d in range(1, top + 1):
+        out: dict = {}
+        for j in range(1, d + 1):
+            scale = comb(d - 1, j - 1)
+            for u, poly in series[d - j].items():
+                if u < cap:
+                    product = _poly_mul(sums[j], poly)
+                    for s, a in steps[j].items():
+                        if s + u <= cap:
+                            _add_scaled(out.setdefault(s + u, {}), product, scale * a)
+        series.append(out)
+        q: dict = {}
+        for s, poly in out.items():
+            if op == "sym":
+                factor = comb(k - s + rank + d - 1, rank + d - 1)
+            elif rank >= d:
+                factor = comb(rank - d, k - s)
+            else:  # C(n, m) = (-1)^m C(m - n - 1, m) for n < 0
+                factor = (-1) ** (k - s) * comb(k - s - rank + d - 1, k - s)
+            _add_scaled(q, poly, factor)
+        power_sums.append(q)
+    new = [{zero: 1}]  # d eps'_d = -Q_d - sum_(0 < i < d) eps'_i Q_(d-i)
+    for d in range(1, top + 1):
+        value = {e: -c for e, c in power_sums[d].items()}
+        for i in range(1, d):
+            _add_scaled(value, _poly_mul(new[i], power_sums[d - i]), -1)
+        quotient = {}
+        for e, c in value.items():
+            q, r = divmod(c, d)
+            if r:
+                raise ArithmeticError(f"Newton's identity left {c} not divisible by {d}")
+            if q:
+                quotient[e] = q
+        new.append(quotient)
+    pad = (0,) * (rank - w)
+    return tuple(
+        tuple(sorted((e + pad, -c if d % 2 else c) for e, c in new[d].items()))
+        for d in range(1, top + 1)
+    )
 
 
 def substitute_by_terms(epolys, b) -> tuple:

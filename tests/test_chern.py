@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fanocalc import chern, schubert
+from fanocalc import chern, fano_db, schubert
 from fanocalc.chern import (
     FormalBundle,
     chern_class,
@@ -30,6 +30,7 @@ from oracles import (
     _elementary_product,
     m_times_e_brute,
     power_epolys_brute,
+    power_epolys_by_power_sums,
     split_power_chern,
     substitute_by_terms,
     twist_binomial,
@@ -388,6 +389,19 @@ def test_two_spinor_tenfolds_in_g510():
     assert integrate(c15 * sigma(ctx, 1) ** 10) == 2 * 2**10 * 12 == 24576
 
 
+@pytest.mark.parametrize("family, k, n, sections", [("V16", 3, 6, 1), ("V22", 3, 7, 3)])
+def test_lambda2_zero_loci_have_the_table_degrees(family, k, n, sections):
+    # Mukai's models through the universal Lambda^2 route on a narrow shape:
+    # one section of Lambda^2 U* on G(3,6) cuts out the Lagrangian
+    # Grassmannian, whose section by a P^10 is V16; three sections on G(3,7)
+    # cut out V22.  The degree is the table's H^3
+    ctx = GrassmannContext(k, n)
+    top = top_chern(ext_power(tautological_dual(ctx), 2))
+    dim = k * (n - k)
+    degree = integrate(top**sections * sigma(ctx, 1) ** (dim - 3 * sections))
+    assert degree == fano_db.lookup(family).H3
+
+
 def test_ext_of_rank2_is_determinant():
     ring = TruncatedPolynomialRing(("c1", "c2"), (1, 2), truncation=4)
     c1, c2 = ring.gens
@@ -455,20 +469,19 @@ def test_powers_match_direct_root_enumeration(op, power_fn):
             assert chern_class(got, i) == expected[i - 1], (multiples, k, i)
 
 
-def decoded(epolys, rank):
-    """The packed output ``(places, classes)`` of ``_power_epolys`` laid out as
-    the oracles lay it out: each key's digits over the place values, the
-    exponents of e_1..e_w, padded with zeros to e_1..e_rank."""
-    places, classes = epolys
-
-    def exponents(key):
-        digits = []
-        for place in places:
-            digit, key = divmod(key, place)
-            digits.append(digit)
-        return (*digits, *(0,) * (rank - len(places)))
-
-    return tuple(tuple((exponents(key), c) for key, c in epoly) for epoly in classes)
+def generic_power(op, rank, k, dmax):
+    """The universal polynomials of S^k or Lambda^k of a rank-``rank`` bundle
+    through the public API: the power of the generic bundle, whose classes
+    are the generators c_1..c_m, m = min(rank, dmax), of degrees 1..m of a
+    ring truncated at ``dmax``, in which the e-monomials of degree at most
+    ``dmax`` are independent.  Laid out as the oracles lay them out: one
+    sorted tuple per degree of the exponents of e_1..e_rank and the
+    coefficient."""
+    m = min(rank, dmax)
+    ring = TruncatedPolynomialRing(tuple(f"c{j}" for j in range(1, m + 1)), tuple(range(1, m + 1)), dmax)
+    power = (sym_power if op == "sym" else ext_power)(FormalBundle(ring, rank, ring.gens), k)
+    pad = (0,) * (rank - m)
+    return tuple(tuple(sorted((key + pad, c) for key, c in x.terms.items())) for x in classes(power))
 
 
 @given(st.sampled_from(["sym", "ext"]), st.integers(1, 4), st.integers(1, 4), st.integers(0, 8))
@@ -479,8 +492,7 @@ def decoded(epolys, rank):
 def test_universal_polynomials_match_full_monomial_route(op, rank, k, dmax):
     if op == "ext":
         k = min(k, rank)
-    epolys = chern._power_epolys(op, rank, k, dmax)
-    assert decoded(epolys, rank) == power_epolys_brute(op, rank, k, dmax)
+    assert generic_power(op, rank, k, dmax) == power_epolys_brute(op, rank, k, dmax)
 
 
 # (functor, rank, power, truncation) of the bundles benchmark workload, the
@@ -497,18 +509,29 @@ PINNED_SHAPES = [
 
 @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=lambda s: "{}-{}-{}-{}".format(*s))
 def test_universal_polynomials_pinned_shapes(shape):
-    assert decoded(chern._power_epolys(*shape), shape[1]) == power_epolys_brute(*shape)
+    assert generic_power(*shape) == power_epolys_brute(*shape)
+
+
+# past where the full monomial expansion stops: the lines ladder S^(2n-3) on
+# G(2, n+1) as far as the grassmann benchmark runs it, two wide shapes, and a
+# rank above the truncation
+POWER_SUM_SHAPES = [("sym", 2, 2 * n - 3, 2 * n - 2) for n in range(3, 11)] + [
+    ("sym", 4, 3, 20), ("ext", 6, 3, 9), ("sym", 8, 3, 7),
+]
+
+
+@pytest.mark.parametrize("shape", POWER_SUM_SHAPES, ids=lambda s: "{}-{}-{}-{}".format(*s))
+def test_universal_polynomials_match_the_power_sum_oracle(shape):
+    assert generic_power(*shape) == power_epolys_by_power_sums(*shape)
 
 
 def test_universal_polynomials_read_tables_no_wider_than_the_truncation(monkeypatch):
     # Lambda^2 of a rank-12 bundle on a two-generator ring truncated at 5, which
     # takes the universal route: e_6..e_12 have degree above 5, so every Gauss
-    # table read, the recursive reads included, has width <= 5 and every key
-    # packs five places
+    # table read, the recursive reads included, has width <= 5
     real = chern._gauss_table
     widths = []
     monkeypatch.setattr(chern, "_gauss_table", lambda d, w: widths.append(w) or real(d, w))
-    chern._power_epolys.cache_clear()
     real.cache_clear()
     ring = TruncatedPolynomialRing(("h", "g"), (1, 1), 5)
     h, g = ring.gens
@@ -519,8 +542,6 @@ def test_universal_polynomials_read_tables_no_wider_than_the_truncation(monkeypa
         bundle = whitney_sum(bundle, line_bundle(ring, root))
     got = ext_power(bundle, 2)
     assert widths and max(widths) <= 5
-    places, _ = chern._power_epolys("ext", 12, 2, 5)
-    assert len(places) == 5
     assert classes(got) == split_power_chern(ring, roots, 2, "ext")
 
 
@@ -602,7 +623,7 @@ def test_factor_moments_do_not_grow_with_the_power(monkeypatch):
     counts = []
     for k in (10, 10**6):
         calls.clear()
-        chern._power_epolys.__wrapped__("sym", 3, k, 3)  # past the memo
+        chern._power_epolys("sym", 3, k, 3)
         counts.append(len(calls))
     assert counts == [6, 6]
 
@@ -630,10 +651,10 @@ def test_s300_of_a_split_bundle_is_the_product_over_its_root_sums():
 
 
 def test_power_memos_stay_within_their_bounds():
-    # S^k for k = 1..2000 once left 2000 universal polynomials in the memo;
-    # evicted ones are made again, the same.  What they read does not grow
-    # with k: one Gauss table per degree 0..3 of rank 3.  The ring has two
-    # generators, so the powers take the universal route
+    # S^k for k = 1..2000 builds 2000 universal polynomials, each for its
+    # call, and building one again gives the same.  What they read does not
+    # grow with k: one Gauss table per degree 0..3 of rank 3.  The ring has
+    # two generators, so the powers take the universal route
     ring = TruncatedPolynomialRing(("a", "b"), (1, 1), truncation=3)
     a = ring.gen(0)
     bundle = trivial_bundle(ring, 0)
@@ -641,8 +662,10 @@ def test_power_memos_stay_within_their_bounds():
         bundle = whitney_sum(bundle, line_bundle(ring, m * a))
     chern._gauss_table.cache_clear()
     answers = [sym_power(bundle, k) for k in range(1, 2001)]
-    assert 0 < chern._power_epolys.cache_info().currsize <= chern.EPOLY_MEMO_SIZE
     assert 0 < chern._gauss_table.cache_info().currsize <= 4
+    # no memo of chern is keyed by a rank or a power
+    memos = sorted(name for name, f in vars(chern).items() if hasattr(f, "cache_info"))
+    assert memos == ["_bounded_compositions", "_eulerian", "_gauss_table"]
     for k in (1, 2, 3, 300):
         roots, expected = root_sum_classes(k, a)
         assert answers[k - 1].rank == roots and classes(answers[k - 1]) == expected
@@ -702,10 +725,10 @@ def substitution_bundles(draw):
 def test_substitution_matches_the_term_by_term_products(bundle, op, k):
     if op == "ext":
         k = min(k, bundle.rank)
-    epolys = chern._power_epolys(op, bundle.rank, k, bundle.ring.truncation)
-    classes = chern._substitute_all(epolys, bundle)
-    assert classes == substitute_by_terms(decoded(epolys, bundle.rank), bundle)
-    assert all(0 not in c.terms.values() for c in classes)
+    got = universal_power(op, bundle, k)
+    generic = generic_power(op, bundle.rank, k, bundle.ring.truncation)
+    assert tuple(classes(got)) == substitute_by_terms(generic, bundle)
+    assert all(0 not in c.terms.values() for c in got.chern)
 
 
 # -- powers over one generator, from integers --------------------------------------
@@ -786,11 +809,14 @@ def test_one_generator_powers_match_the_universal_route_and_the_root_sums(case, 
         assert classes(got) == in_ring(bundle.ring, elementary(sums, top))
 
 
-def test_one_generator_powers_build_no_universal_polynomial():
+def test_one_generator_powers_build_no_universal_polynomial(monkeypatch):
     # over one generator every class is an integer times a power of the
     # generator, and the powers are computed from those integers: no
-    # e-polynomial is memoized and no Gauss table is built
-    chern._power_epolys.cache_clear()
+    # e-polynomial is built, counted through the module global, and no
+    # Gauss table
+    real = chern._power_epolys
+    calls = []
+    monkeypatch.setattr(chern, "_power_epolys", lambda *args: calls.append(args) or real(*args))
     chern._gauss_table.cache_clear()
     bundles = [
         split_bundle(line_ring(10), [1, -2, 3, 0, 2, 1]),
@@ -802,7 +828,7 @@ def test_one_generator_powers_build_no_universal_polynomial():
             assert sym_power(bundle, k).rank == comb(bundle.rank + k - 1, k)
             if k < bundle.rank:
                 assert ext_power(bundle, k).rank == comb(bundle.rank, k)
-    assert chern._power_epolys.cache_info().currsize == 0
+    assert not calls
     assert chern._gauss_table.cache_info().currsize == 0
 
 
