@@ -2,14 +2,18 @@
 
 A :class:`FormalBundle` is a rank together with Chern classes ``c_1..c_t``
 living in a truncated graded coefficient ring (see :mod:`fanocalc.rings`).
-Whitney sums and line twists are identities of the total Chern class, taken
-by the ring's own product (Fulton, *Intersection Theory*, section 3.2).
-Symmetric and exterior powers, other than ``S^1`` and ``Lambda^1`` (the
-bundle itself) and ``Lambda^rank`` (its determinant), take one of two
-routes, chosen by the kind of ring (``GradedRing.generator_weight``):
+Whitney sums and line twists are identities of the total Chern class
+(Fulton, *Intersection Theory*, section 3.2).  They, and the symmetric and
+exterior powers other than ``S^1`` and ``Lambda^1`` (the bundle itself) and
+``Lambda^rank`` (its determinant), take one of two routes, chosen by the
+kind of ring (``GradedRing.generator_weight``):
 
 - Over one generator ``h`` (every ``line_ring``: P^n, polarized
-  threefolds), each class is an integer times a power of ``h``.  Newton's
+  threefolds), each class is an integer times a power of ``h``, read by
+  exponent: one reader turns the classes into integers, one writer wraps
+  integers into classes.  A Whitney sum takes one ring product of the two
+  total classes and cuts it by exponent; a twist by ``m h`` is Horner's
+  rule and one binomial row on integers, with no ring product.  Newton's
   identity turns the bundle's Chern numbers into the power sums of its
   roots; the lambda-ring identity ``sum_k t^k ch(S^k E) = prod_i (1 - t
   e^(x_i))^(-1)`` (its Lambda^k twin with ``1 + t``) and the Eulerian
@@ -20,13 +24,14 @@ routes, chosen by the kind of ring (``GradedRing.generator_weight``):
   integer operations for the top degree ``top`` of the answer, whatever
   the rank.
 - Over any other ring (a Grassmannian, several generators) a class has
-  many terms, and universal integer polynomials in the elementary
-  symmetric functions ``e_1..e_w`` of formal Chern roots ``x_1..x_r``,
-  ``w = min(r, top)`` (e_j has degree j, so no other can appear), are
-  built for each call, then ``e_i -> c_i`` with one ring product per
-  e-monomial, by the Chern class of its least index.  That is
-  cheaper there than power sums in the base ring, whose products have many
-  terms.  An e-monomial is one integer from Gauss's pass to the base ring,
+  many terms.  Sums and twists take the ring's own product and cut the
+  total class by the degree of each key.  For the powers, universal
+  integer polynomials in the elementary symmetric functions ``e_1..e_w``
+  of formal Chern roots ``x_1..x_r``, ``w = min(r, top)`` (e_j has degree
+  j, so no other can appear), are built for each call, then ``e_i ->
+  c_i`` with one ring product per e-monomial, by the Chern class of its
+  least index.  That is cheaper there than power sums in the base ring,
+  whose products have many terms.  An e-monomial is one integer from Gauss's pass to the base ring,
   its exponents packed as digits over ``w`` places.  The new roots are
   never listed: the power sums of the new roots have closed-form
   coefficients on the monomial symmetric functions ``m_lambda`` (binomials
@@ -36,9 +41,10 @@ routes, chosen by the kind of ring (``GradedRing.generator_weight``):
   Polynomials*, I.2).  The cost depends on the truncation degree and on
   the rank up to it, not on the power.
 
-Every coefficient is an exact integer; Newton's divisions are checked
-exact.  Validation happens once, at the public :class:`FormalBundle`
-constructor (and ``line_bundle``, ``trivial_bundle``); the kernels here
+Every coefficient is an exact integer; Newton's divisions, and those that
+build a twist's binomial row, are checked exact.  Validation happens once,
+at the public :class:`FormalBundle` constructor (and ``line_bundle``,
+``trivial_bundle``); the kernels here
 build classes that are homogeneous by construction and wrap them through
 ``_bundle`` without re-checking their degrees.  Nothing keyed by a rank or
 a power is memoized.  What Gauss's rewrite reads is one table per (degree,
@@ -129,17 +135,19 @@ def whitney_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
     """Direct sum: ranks add and total classes multiply, ``c(E+F) = c(E) c(F)``,
     one ring product.  Each total class ``1 + c_1 + ... + c_s`` is merged, not
     summed: its classes have distinct degrees, so their keys are disjoint and
-    nothing cancels."""
-    if a.ring is not b.ring and a.ring != b.ring:
+    nothing cancels.  :func:`_from_total` cuts the product into classes."""
+    ring = a.ring
+    if ring is not b.ring and ring != b.ring:
         raise ValueError("bundles live over different rings")
-    return _from_total(a.rank + b.rank, _total_class(a) * _total_class(b))
+    new = ring.element._new
+    return _from_total(a.rank + b.rank, new(ring, _total_terms(a)) * new(ring, _total_terms(b)))
 
 
-def _total_class(b: FormalBundle):
-    """``1 + c_1 + ... + c_s``, the term dicts of the classes merged into the unit's."""
-    total = b.ring.one()
+def _total_terms(b: FormalBundle) -> dict:
+    """The terms of ``1 + c_1 + ... + c_s``: the classes' term dicts merged into the unit's."""
+    total = {b.ring.unit_key: 1}
     for c in b.chern:
-        total.terms.update(c.terms)
+        total.update(c.terms)
     return total
 
 
@@ -152,16 +160,22 @@ def dual(b: FormalBundle) -> FormalBundle:
 def twist_line(b: FormalBundle, t) -> FormalBundle:
     """Tensor with the line bundle of first Chern class ``t`` (0 returns ``b``):
     the total class ``sum_j c_j(b) u^(rank-j)``, ``u = 1 + t``, is Horner's rule
-    in ``u`` over the stored ``c_1..c_s``, times ``u^(rank-s)``.  No product
-    has the unit as a factor: Horner's rule starts from ``u + c_1``, a partial
-    sum that cancels to the unit (``c_1 = -t``) is replaced by the factor
-    itself, and the last factor is left out when ``s = rank`` (all of
-    ``u^rank`` when ``s = 0``)."""
+    in ``u`` over the stored ``c_1..c_s``, times ``u^(rank-s)``.
+
+    Over one generator ``h`` (``t = m h``) this runs on integers, with no
+    ring product (:func:`_line_twist`).  Over any other ring it takes ring
+    products, none with the unit as a factor: Horner's rule starts from
+    ``u + c_1``, a partial sum that cancels to the unit (``c_1 = -t``) is
+    replaced by the factor itself, and the last factor is left out when
+    ``s = rank`` (all of ``u^rank`` when ``s = 0``)."""
     if not t:
         return b
     ring = b.ring
     if ring.degree(t) != 1:
         raise ValueError("twist class must be homogeneous of degree 1")
+    if ring.generator_weight:
+        (m,) = t.terms.values()
+        return _bundle(ring, b.rank, _line_classes(ring, _line_twist(b, m)))
     u = ring.one() + t
     if not b.chern:
         return _from_total(b.rank, u**b.rank)
@@ -176,9 +190,18 @@ def twist_line(b: FormalBundle, t) -> FormalBundle:
 
 
 def _from_total(rank: int, total) -> FormalBundle:
-    """The bundle of this rank with total Chern class ``total``."""
+    """The bundle of this rank with total Chern class ``total``, cut into
+    classes by exponent over one generator (a key ``(e,)`` in degree ``e *
+    weight``, no key graded), by the degree of each key over any other ring."""
     ring = total.ring
-    parts: list[dict] = [{} for _ in range(min(rank, ring.truncation) + 1)]
+    top = min(rank, ring.truncation)
+    weight = ring.generator_weight
+    if weight:
+        numbers = [0] * (top + 1)
+        for (e,), c in total.terms.items():
+            numbers[e * weight] = c
+        return _bundle(ring, rank, _line_classes(ring, numbers))
+    parts: list[dict] = [{} for _ in range(top + 1)]
     for key, c in total.terms.items():
         parts[ring.key_degree(key)][key] = c
     return _bundle(ring, rank, [total._new(ring, p) for p in parts[1:]])
@@ -226,7 +249,7 @@ def _power(op: str, b: FormalBundle, k: int, rank: int) -> FormalBundle:
     ring = b.ring
     weight = ring.generator_weight
     if weight:
-        classes = _root_power_classes(op, b, k, min(rank, ring.truncation), weight)
+        classes = _root_power_classes(op, b, k, min(rank, ring.truncation))
     else:
         classes = _substitute_all(_power_epolys(op, b.rank, k, ring.truncation), b)
     return _bundle(ring, rank, classes)
@@ -234,11 +257,68 @@ def _power(op: str, b: FormalBundle, k: int, rank: int) -> FormalBundle:
 
 # -- over one generator ------------------------------------------------------------
 
-def _root_power_classes(op: str, b: FormalBundle, k: int, top: int, weight: int) -> tuple:
+def _line_numbers(b: FormalBundle, top: int) -> list:
+    """The total class of ``b`` over a ring of one generator as integers
+    ``[1, n_1, ..., n_top]``, ``c_d = n_d h^(d / weight)``: each class has
+    one term at most, and ``n_d`` is zero beyond the stored classes."""
+    numbers = [1] + [0] * top
+    for d, c in enumerate(b.chern[:top], 1):
+        if c:
+            (numbers[d],) = c.terms.values()
+    return numbers
+
+
+def _line_classes(ring: GradedRing, numbers: list) -> list:
+    """The classes ``c_1..c_top`` of the integers ``numbers = [n_0, n_1, ...,
+    n_top]`` (``n_0`` is not read) over a ring of one generator ``h``:
+    ``c_d = n_d h^(d / weight)``, wrapped with no check.  A weight above 1
+    needs ``n_d = 0`` in each degree d that it does not divide."""
+    weight, new = ring.generator_weight, ring.element._new
+    return [new(ring, {(d // weight,): n} if n else {}) for d, n in enumerate(numbers) if d]
+
+
+def _line_twist(b: FormalBundle, m: int) -> list:
+    """The total class of ``b`` tensored with the line ``O(m h)``, over a
+    ring of one generator h of weight 1, as :func:`_line_numbers` reads one.
+
+    With ``u = 1 + m h``, ``s`` stored classes and rank r, it is ``z
+    u^(r-s)`` for ``z = sum_(j <= s) c_j u^(s-j)``.  Horner's rule builds z
+    in place: step j multiplies the partial sum, of degree below j, by u
+    (``z_i += m z_(i-1)`` for i going down) and adds ``c_j``, already in its
+    place.  ``u^(r-s)`` is one binomial row ``C(r-s, i) m^i``, i up to the
+    top degree, each entry from the one before by ``C(n, i) i = C(n, i-1)
+    (n-i+1)``, the division checked exact; one convolution ends it.  That
+    is O(top^2) integer operations, whatever the rank."""
+    rank, s = b.rank, len(b.chern)
+    top = min(rank, b.ring.truncation)
+    z = _line_numbers(b, top)
+    for j in range(1, s + 1):
+        for i in range(j, 0, -1):
+            z[i] += m * z[i - 1]
+    n = rank - s
+    if not n:
+        return z
+    row = [1]  # C(n, i) m^i
+    for i in range(1, min(n, top) + 1):
+        value = row[-1] * (n - i + 1)
+        quotient, remainder = divmod(value, i)
+        if remainder:
+            raise ArithmeticError(f"a binomial row left {value} not divisible by {i}")
+        row.append(quotient * m)
+    total = [0] * (top + 1)
+    for j, x in enumerate(z[: s + 1]):
+        if x:
+            for i, y in enumerate(row[: top + 1 - j], j):
+                total[i] += x * y
+    return total
+
+
+def _root_power_classes(op: str, b: FormalBundle, k: int, top: int) -> list:
     """``c_1..c_top`` of S^k or Lambda^k of ``b`` over a ring of one
-    generator ``h`` of this weight, from integers alone: every class is an
-    integer times a power of ``h``, so the classes of ``b`` are read as
-    integers and the answer's are wrapped once, with no ring product.
+    generator ``h``, from integers alone: every class is an integer times a
+    power of ``h``, so the classes of ``b`` are read as integers
+    (:func:`_line_numbers`) and the answer's are wrapped once
+    (:func:`_line_classes`), with no ring product.
 
     Newton's identity turns the Chern numbers of ``b`` into the power sums
     ``pi_j`` of its r roots.  The power sums ``Q_d`` of the new roots, the
@@ -263,13 +343,10 @@ def _root_power_classes(op: str, b: FormalBundle, k: int, top: int, weight: int)
     counted in the roots' degree 1, so a weight above 1 leaves each degree
     it does not divide at zero.
     """
-    ring, r = b.ring, b.rank
+    r = b.rank
     cap = min(k, top)  # the highest power of t read
     # eps_i = (-1)^i c_i(b), the coefficients of prod_i (1 - x_i u)
-    eps = [0] * (top + 1)
-    for i, c in enumerate(b.chern[:top], 1):
-        for coeff in c.terms.values():
-            eps[i] = -coeff if i % 2 else coeff
+    eps = [-n if i % 2 else n for i, n in enumerate(_line_numbers(b, top))]
     sums = [r]  # pi_n = -n eps_n - sum_(0 < i < n) eps_i pi_(n-i)
     for n in range(1, top + 1):
         sums.append(-n * eps[n] - sum(map(mul, eps[1:n], reversed(sums[1:n]))))
@@ -313,10 +390,7 @@ def _root_power_classes(op: str, b: FormalBundle, k: int, top: int, weight: int)
         if remainder:
             raise ArithmeticError(f"Newton's identity left {value} not divisible by {d}")
         new_eps.append(quotient)
-    return tuple(
-        ring.element._new(ring, {(n // weight,): -e if n % 2 else e} if e else {})
-        for n, e in enumerate(new_eps[1:], 1)
-    )
+    return _line_classes(b.ring, [-e if n % 2 else e for n, e in enumerate(new_eps)])
 
 
 # -- universal polynomials -------------------------------------------------

@@ -21,7 +21,8 @@ Schubert classes as keys.  A product over one generator, as in every
 ``line_ring``, goes by exponent: the keys add as integers and the
 truncation bounds the exponent by ``truncation // weight``, so no key is
 graded.  ``GradedRing.generator_weight`` says whether a ring is such a
-ring, for this product and for the Chern powers of :mod:`fanocalc.chern`.
+ring, for this product and for the sums, twists and powers of
+:mod:`fanocalc.chern`, which read its classes by exponent.
 
 Two integer rules meet here.  An arithmetic operand (coefficient, scalar,
 exponent) passes ``_integer``, ``operator.index`` with bools refused, whose
@@ -48,7 +49,7 @@ class GradedRing:
     zero, or ``ValueError``); the keys other than the unit have positive degree.
     ``generator_weight`` is the weight of the ring's one generator when its
     keys are the exponent tuples ``(e,)`` of that generator, else ``None``:
-    the one test by which products and Chern powers go by integers.
+    the one test by which products and Chern arithmetic go by exponent.
     """
 
     truncation: int
@@ -283,9 +284,10 @@ def _exponent_product(left: dict, right: dict, top: int) -> dict:
     """The product of two term dicts over one generator, exponents above
     ``top`` dropped: a key's degree is its exponent times the generator's
     weight, so the exponents alone decide the truncation and the key, and
-    no key is graded.  Its callers multiply total classes (Whitney sums,
-    twists, powers of ``1 + t``); Chern classes of symmetric and exterior
-    powers over such a ring take no product (``chern._root_power_classes``)."""
+    no key is graded.  In :mod:`fanocalc.chern` only a Whitney sum calls it,
+    once, on its two total classes; twists and the Chern classes of
+    symmetric and exterior powers over such a ring run on integers and take
+    no product (``chern._line_twist``, ``chern._root_power_classes``)."""
     # the right factor by exponent, so each left term stops at the first
     # one that would pass the truncation
     right = sorted((e2, c2) for (e2,), c2 in right.items())

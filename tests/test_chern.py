@@ -236,13 +236,14 @@ G25 = GrassmannContext(2, 5)
 @pytest.mark.parametrize(
     "bundle,t,products",
     [
+        # over one generator a twist runs on integers and takes no product at all
         (line_bundle(P3, 2 * H), H, 0),
-        (split_bundle(line_ring(4), [0, 1, 3]), 2 * line_ring(4).gen(), 2),
+        (split_bundle(line_ring(4), [0, 1, 3]), 2 * line_ring(4).gen(), 0),
         (tautological_dual(G25), sigma(G25, 1), 1),
         # classes below the rank: one more product, by a power of u
-        (split_bundle(line_ring(2), [1, 2, -1, 0, 3]), line_ring(2).gen(), None),
+        (split_bundle(line_ring(2), [1, 2, -1, 0, 3]), line_ring(2).gen(), 0),
         (whitney_sum(tautological_dual(G25), trivial_bundle(G25, 1)), 2 * sigma(G25, 1), None),
-        (trivial_bundle(P3, 3), H, None),
+        (trivial_bundle(P3, 3), H, 0),
         # c_1 = -t: the first partial sum u + c_1 is the unit, and u is taken
         # instead of 1 * u, here also in place of the power of u that follows it
         (whitney_sum(tautological_dual(G25), trivial_bundle(G25, 1)), -sigma(G25, 1), 1),
@@ -251,9 +252,9 @@ G25 = GrassmannContext(2, 5)
     ],
 )
 def test_twist_takes_no_product_by_the_unit(monkeypatch, bundle, t, products):
-    # Horner's rule starts from u + c_1, and u^0 is never a factor: with as many
-    # classes as the rank, s classes take s - 1 products, one fewer for each
-    # partial sum that cancels to the unit.
+    # On a Grassmannian, Horner's rule starts from u + c_1, and u^0 is never a
+    # factor: with as many classes as the rank, s classes take s - 1 products,
+    # one fewer for each partial sum that cancels to the unit.
     calls = ring_products(monkeypatch)
     twisted = twist_line(bundle, t)
     assert not [pair for pair in calls if bundle.ring.one() in pair]
@@ -900,6 +901,124 @@ def test_dual_commutes_with_sym(multiples, k):
     ring = line_ring(4)
     b = split_bundle(ring, multiples)
     assert dual(sym_power(b, k)) == sym_power(dual(b), k)
+
+
+# -- sums and twists over one generator, by exponent ------------------------------
+
+# the ring of h and g, both of degree 1, on which a bundle that never uses g
+# takes the generic route of sums and twists
+def h_only(truncation):
+    return TruncatedPolynomialRing(("h", "g"), (1, 1), truncation)
+
+
+def h_numbers(b):
+    """The coefficients of ``h^d`` in ``c_1..c_min(rank, truncation)``,
+    over a line ring or over ``h_only``."""
+    pad = (0,) * (len(b.ring.variables) - 1)
+    return [c.coefficient((d, *pad)) for d, c in enumerate(classes(b), 1)]
+
+
+def on_ring(ring, rank, numbers):
+    """The bundle of this rank with ``c_d = numbers[d - 1] h^d``."""
+    h = ring.gen()
+    return FormalBundle(ring, rank, [n * h**d for d, n in enumerate(numbers, 1)])
+
+
+@st.composite
+def integer_bundles(draw, truncation):
+    """A rank up to 8 and the numbers of up to min(rank, truncation) classes,
+    zeros among them."""
+    rank = draw(st.integers(0, 8))
+    count = draw(st.integers(0, min(rank, truncation)))
+    return rank, draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
+
+
+@st.composite
+def route_cases(draw):
+    truncation = draw(st.integers(0, 6))
+    return truncation, draw(integer_bundles(truncation)), draw(integer_bundles(truncation))
+
+
+@given(route_cases(), st.integers(-3, 3))
+@example((5, (3, [2, 0, -1]), (2, [1])), -2)  # MIDDLE_ZERO
+@example((2, (7, [1, -2]), (5, [])), 3)  # rank above the truncation
+@example((3, (4, [-3]), (0, [])), -1)  # fewer classes than the rank
+def test_sums_and_twists_agree_across_the_two_routes(case, m):
+    # the same data on line_ring(n), read by exponent, and on a ring of two
+    # generators that never uses the second, through the ring's own product
+    truncation, (rank_a, xs), (rank_b, ys) = case
+    got = []
+    for ring in (line_ring(truncation), h_only(truncation)):
+        a, b = on_ring(ring, rank_a, xs), on_ring(ring, rank_b, ys)
+        t = m * ring.gen()
+        got.append((whitney_sum(a, b), twist_line(a, t)))
+        assert classes(got[-1][0]) == whitney_convolution(a, b)
+        assert classes(got[-1][1]) == twist_binomial(a, t)
+    for by_exponent, by_ring in zip(*got):
+        assert by_exponent.rank == by_ring.rank
+        assert h_numbers(by_exponent) == h_numbers(by_ring)
+
+
+@given(integer_bundles(8), integer_bundles(8))
+@example((9, [0, -1, 0, 2]), (4, [0, 0, 0, 1]))
+def test_sums_over_a_weight_two_generator_match_the_convolution(first, second):
+    # over g of degree 2 the classes of odd degree vanish, and c_(2e) = n g^e
+    a, b = (
+        FormalBundle(WEIGHT_2, rank, in_ring(WEIGHT_2, [0 if d % 2 else n for d, n in enumerate(xs, 1)]))
+        for rank, xs in (first, second)
+    )
+    assert classes(whitney_sum(a, b)) == whitney_convolution(a, b)
+
+
+def test_line_ring_sums_take_one_product_and_twists_none(monkeypatch):
+    ring = line_ring(5)
+    h = ring.gen()
+    bundles = [
+        split_bundle(ring, [1, -2, 3]),
+        MIDDLE_ZERO,
+        trivial_bundle(ring, 4),
+        trivial_bundle(ring, 0),
+        on_ring(ring, 7, [2, -1]),
+        line_bundle(ring, -h),
+    ]
+    weight_2 = [FormalBundle(WEIGHT_2, 5, in_ring(WEIGHT_2, [0, 3, 0, -1])), trivial_bundle(WEIGHT_2, 2)]
+    pairs = [(a, b) for group in (bundles, weight_2) for a in group for b in group]
+    twists = [(a, m * h) for a in bundles for m in (-3, -1, 1, 2)]
+    calls = ring_products(monkeypatch)
+    sums = []
+    for a, b in pairs:
+        sums.append(whitney_sum(a, b))
+        assert len(calls) == len(sums)
+    twisted = [twist_line(a, t) for a, t in twists]
+    assert len(calls) == len(sums)
+    monkeypatch.undo()
+    for (a, b), got in zip(pairs, sums):
+        assert got.rank == a.rank + b.rank
+        assert classes(got) == whitney_convolution(a, b)
+    for (a, t), got in zip(twists, twisted):
+        assert got.rank == a.rank
+        assert classes(got) == twist_binomial(a, t)
+
+
+def test_a_twist_costs_the_same_whatever_the_rank():
+    # no step of a twist counts up to the rank: c_k of O(-1)^(10^18) on P^6
+    # is (-1)^k C(10^18, k), one binomial row
+    ring = line_ring(6)
+    h = ring.gen()
+    rank = 10**18
+    twisted = twist_line(trivial_bundle(ring, rank), -h)
+    assert twisted.rank == rank
+    assert twisted.chern == tuple((-1) ** k * comb(rank, k) * h**k for k in range(1, 7))
+    # fewer stored classes than the rank, huge and small: against
+    # c_k = sum_j C(r - j, k - j) c_j t^(k - j), here with c_1 = 5h, c_2 = -2h^2
+    rank = 10**12 + 3
+    got = twist_line(on_ring(ring, rank, [5, -2]), 2 * h)
+    assert h_numbers(got) == [
+        sum(comb(rank - j, k - j) * n * 2 ** (k - j) for j, n in enumerate([1, 5, -2][: k + 1]))
+        for k in range(1, 7)
+    ]
+    small = FormalBundle(P6, 4, in_ring(P6, [-3]))
+    assert classes(twist_line(small, -2 * P6.gen())) == twist_binomial(small, -2 * P6.gen())
 
 
 # -- the trusted constructor ----------------------------------------------------
