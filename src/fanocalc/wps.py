@@ -9,17 +9,24 @@ generated are elementary arithmetic in the weights, kept exact here.
 
 Base points reduce to numerical semigroups: ``O(m)`` is generated on the
 smooth locus iff m lies in the semigroup of the weights of every
-inclusion-minimal coprime support.  Each such semigroup is held by its Apéry
-set modulo its least generator a, the least element of every residue class
-mod a (Nijenhuis's minimal-path algorithm, a shortest-path search over the a
-residues): m belongs iff ``m >= apery[m % a]``, and ``max(apery) - a`` is
-the exact Frobenius number.  One lazy list of (a, Apéry set) per support and
-one membership rule serve ``is_generated`` and ``cotangent_twist_lmin``, at
-O(a.|T|.log a) per support T however large m is.  The supports themselves are
-the irredundant index sets of gcd 1 (no member can be dropped without raising
-the gcd), found by a depth-first search that ends a path as soon as one member
-could be dropped, and yielded one by one, so a failing support ends
-``is_generated`` before the later ones are found.
+inclusion-minimal coprime support.  Schur's bound decides most twists with
+arithmetic alone: a numerical semigroup generated by a_1 < ... < a_k contains
+every m > (a_1 - 1)(a_k - 1) - 1 (Brauer, Amer. J. Math. 64 (1942); Ramírez
+Alfonsín, *The Diophantine Frobenius Problem*, Thm 3.1.1).  So no support is
+listed once m passes (b - 1)(c - 1) - 1, for c >= b the two largest weights,
+and a support whose own bound is below m takes no search.  Every other
+support is held by its Apéry set modulo its least generator a, the least
+element of every residue class mod a (Nijenhuis's minimal-path algorithm, a
+shortest-path search over the a residues): m belongs iff ``m >=
+apery[m % a]``, and ``max(apery) - a`` is the exact Frobenius number.  One
+lazy list of (a, Apéry set) per support and one membership rule serve
+``is_generated`` and ``cotangent_twist_lmin``, at O(a.|T|.log a) per searched
+support T however large m is.  The supports themselves are the irredundant
+index sets of gcd 1 (no member can be dropped without raising the gcd), found
+by a depth-first search that ends a path as soon as one member could be
+dropped, and yielded one by one, so a failing support ends ``is_generated``
+before the later ones are found.  The singular strata take one gcd pass over
+the weights per candidate divisor, which gives its support as a bit mask.
 """
 
 from __future__ import annotations
@@ -120,25 +127,33 @@ def singular_strata(w) -> list[SingularStratum]:
     in bigger ones are pruned.  It suffices to take for k the gcds > 1 of
     sets of weights: every prime p gives the same stratum as the gcd of the
     weights it divides.  Those gcds are found without factoring, from each
-    weight by taking gcds with the others while they stay above 1.
+    weight by taking gcds with the others while they stay above 1.  One gcd
+    pass over the weights per divisor g gives g's support as a bit mask, the
+    new divisors 1 < gcd(g, a) < g and the order k (the gcd of the supported
+    weights); a stratum is maximal when no other mask contains its mask.
     """
     weights = _require_well_formed(w).weights
-    divisors, todo = set(), [a for a in weights if a > 1]
+    orders, seen, todo = {}, set(), [a for a in weights if a > 1]  # orders: mask -> k
     while todo:
         g = todo.pop()
-        if g not in divisors:
-            divisors.add(g)
-            todo.extend(h for a in weights if 1 < (h := gcd(g, a)) < g)
-    supports = {tuple(i for i, a in enumerate(weights) if a % g == 0) for g in divisors}
-    maximal = [
-        s
-        for s in supports
-        if not any(s != t and set(s) <= set(t) for t in supports)
+        if g in seen:
+            continue
+        seen.add(g)
+        mask = k = 0
+        for i, a in enumerate(weights):
+            h = gcd(g, a)
+            if h == g:
+                mask |= 1 << i
+                k = gcd(k, a)
+            elif h > 1:
+                todo.append(h)
+        orders[mask] = k
+    strata = [
+        SingularStratum(k=k, coords=tuple(i for i in range(len(weights)) if mask >> i & 1))
+        for mask, k in orders.items()
+        if not any(mask != other and mask & other == mask for other in orders)
     ]
-    return [
-        SingularStratum(k=gcd(*(weights[i] for i in s)), coords=s)
-        for s in sorted(maximal)
-    ]
+    return sorted(strata, key=lambda s: s.coords)
 
 
 def canonical_degree(w) -> int:
@@ -214,10 +229,17 @@ def _apery_set(gens: tuple[int, ...], bound: int | None = None) -> dict[int, int
 
 
 def _support_aperys(wv: WeightVector, bound: int | None = None):
-    """Lazily, each minimal unit support's least weight a and Apéry set mod a (to ``bound``)."""
+    """Lazily, each minimal unit support's least weight a and Apéry set mod a.
+
+    With a ``bound``, the sets answer the membership of the bound itself: each
+    is searched only up to it, and a support whose Schur bound
+    (a - 1)(c - 1) - 1, c its largest weight, is below it holds it and is
+    skipped with no search."""
     for support in _minimal_unit_supports(wv.weights):
         gens = tuple(wv.weights[i] for i in support)
-        yield min(gens), _apery_set(gens, bound)
+        a = min(gens)
+        if bound is None or (a - 1) * (max(gens) - 1) - 1 >= bound:
+            yield a, _apery_set(gens, bound)
 
 
 def _generated(m: int, aperys) -> bool:
@@ -235,13 +257,25 @@ def is_generated(w, m: int) -> bool:
     locus iff those weights have gcd 1, and the inclusion-minimal such T
     carry the binding conditions.  Membership is read off the Apéry set of
     each of those semigroups modulo its least weight a (the least element in
-    each residue class mod a): m belongs iff ``m >= apery[m % a]``.  The
-    supports are visited lazily, each searched only up to m, and the first
-    failing one ends the test: each costs O(min(a, m + 1).|T|.log a).
+    each residue class mod a): m belongs iff ``m >= apery[m % a]``.
+
+    Schur's bound (Brauer, Amer. J. Math. 64 (1942); Ramírez Alfonsín, *The
+    Diophantine Frobenius Problem*, Thm 3.1.1) puts the Frobenius number of
+    a support T with least weight a_T and largest c_T at most
+    (a_T - 1)(c_T - 1) - 1.  A minimal support of two or more members has
+    a_T <= b and c_T <= c, for c >= b the two largest weights counted with
+    multiplicity, and one of a single member is a weight 1; so past
+    (b - 1)(c - 1) - 1 the answer is True with no support listed, and a
+    support whose own bound is below m passes with no search.  The others
+    are visited lazily, each searched only up to m, and the first failing
+    one ends the test: each costs O(min(a_T, m + 1).|T|.log a_T).
     """
     wv = _require_well_formed(w)
     if _typed(m, "twist") < 0:
         raise ValueError("twist must be nonnegative")
+    *_, b, c = sorted(wv.weights)
+    if m > (b - 1) * (c - 1) - 1:
+        return True
     return _generated(m, _support_aperys(wv, m))
 
 

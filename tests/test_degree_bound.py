@@ -30,7 +30,7 @@ from fanocalc.degree_bound import (
     _last_nonpositive,
     _option_tables,
 )
-from fanocalc.fano_db import lookup
+from fanocalc.fano_db import FanoRecord, lookup
 from fanocalc.rings import line_ring
 from oracles import max_multiplier_scan
 
@@ -52,8 +52,6 @@ def test_cotangent_twist_from_weighted_models():
 
 
 def test_cotangent_twist_needs_an_ambient_model():
-    from fanocalc.fano_db import FanoRecord
-
     bare = FanoRecord("A2-bare", 2, 2, None, 20, False, 4)
     with pytest.raises(ValueError):
         cotangent_twist(bare)
@@ -210,6 +208,19 @@ def test_identity_always_passes_where_E_is_positive():
         if E_value(record, twist) > 0:
             X = source_invariants(record)
             assert max_multiplier(X, record, twist) >= 1
+
+
+def test_double_cover_of_the_cubic_threefold_is_admitted():
+    # special smooth V6 = {y^2 = q(x), f_3(x) = 0} in P^5 cover A3 = {f_3 = 0}
+    # in P^4 twice with m = 1, and E(A3, 2) = 6 makes the cubic inequality
+    # tight there: an off-by-one in it would exclude a morphism that exists.
+    # The table records neither b3, so the classical 40 and 10 are used here.
+    V6 = source_invariants(FanoRecord("V6", 1, 6, 4, 40, True, 6))
+    A3 = FanoRecord("A3", 2, 3, None, 10, True, 5)
+    assert E_value(A3, 2) == 6
+    assert max_multiplier(V6, A3, 2) == 1
+    assert degree_from_multiplier(1, V6.H3X, A3.H3) == 2
+    assert 1 in feasible_multipliers(1, 2, True, range(1, 5))
 
 
 def test_source_invariants_from_record():

@@ -298,6 +298,44 @@ def test_generated_stops_at_the_first_failing_support(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("weights", [(7, 8, 9), (1, 8, 9)])
+def test_schur_bound_is_attained(weights):
+    # the support (8, 9) has Frobenius number (8 - 1)(9 - 1) - 1 = 55, the
+    # bound of the two largest weights: O(55) has a base point, O(56) none
+    assert not is_generated(weights, 55)
+    assert is_generated(weights, 56)
+
+
+def test_generated_past_schur_bound_lists_no_support(monkeypatch):
+    # (1000033 - 1)(1000037 - 1) - 1 = 1000068001151: one past it, no support is
+    # listed and no Apéry set over 10^6 residues is searched (2 s before the bound)
+    calls = []
+    monkeypatch.setattr(wps, "_apery_set", lambda gens, bound=None: calls.append(gens))
+    assert is_generated((1000003, 1000033, 1000037), 1000068001152)
+    assert calls == []
+
+
+def _schur_edges(weights):
+    """The Schur bound (a - 1)(c - 1) - 1 of the two largest weights and of
+    each minimal support, a and c its least and largest weight."""
+    *_, b, c = weights
+    edges = {(b - 1) * (c - 1) - 1}
+    for support in _minimal_unit_supports(weights):
+        gens = [weights[i] for i in support]
+        edges.add((min(gens) - 1) * (max(gens) - 1) - 1)
+    return sorted(edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(well_formed(2, 5, 30), st.data())
+def test_generated_matches_reachability_at_the_schur_bounds(weights, data):
+    # the twists where a bound starts or stops deciding, which a draw of m
+    # from a wide range rarely meets
+    edge = data.draw(st.sampled_from(_schur_edges(weights)))
+    for m in range(max(0, edge - 2), edge + 3):
+        assert is_generated(weights, m) == generated_by_reachability(weights, m), m
+
+
 def test_apery_set_keeps_the_least_element_per_residue():
     # residue 2 is reached at 11, lowered to 8 by 4 + 4, and the stale heap
     # entry at 11 is popped and skipped; a bound of 7 keeps neither
@@ -325,7 +363,9 @@ def test_supports_of_many_distinct_weights():
 
 def test_generated_stops_at_the_fifth_of_many_supports(monkeypatch):
     # P(1, ..., 200) has 20709 supports, but O(7) fails on the fifth, (2, 9), in
-    # lexicographic order: the test ends there, with five Apéry sets searched
+    # lexicographic order: the test ends there.  Schur's bound passes the four
+    # before it, (1,), (2, 3), (2, 5) and (2, 7), with no search; the Frobenius
+    # number of (2, 9) is (2 - 1)(9 - 1) - 1 = 7, so its Apéry set is the one searched
     calls = []
 
     def counted(gens, bound=None):
@@ -334,7 +374,7 @@ def test_generated_stops_at_the_fifth_of_many_supports(monkeypatch):
 
     monkeypatch.setattr(wps, "_apery_set", counted)
     assert not is_generated(range(1, 201), 7)
-    assert calls == [(1,), (2, 3), (2, 5), (2, 7), (2, 9)]
+    assert calls == [(2, 9)]
 
 
 def test_many_equal_weights_are_not_an_exponential_search():
